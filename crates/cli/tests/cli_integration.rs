@@ -320,6 +320,8 @@ fn replay_with_metrics_writes_a_reconciling_snapshot() {
         "match.windows_scored",
         "cache.lookups",
         "session.ticks",
+        "predict.lookups",
+        "predict.memo_hits",
         "cohort.sessions",
         "session.tick_latency_ns",
     ] {

@@ -25,6 +25,7 @@
 //! * `session.health_recovered <= session.health_recovering <= session.health_degraded`
 //! * `segment.resyncs <= segment.smoother_resets`
 //! * `serve.rejected <= serve.requests`
+//! * `predict.memo_hits <= predict.lookups`
 //! * salvage stream counters imply `store.salvage_loads > 0`
 //!
 //! [`MetricsSnapshot`] is a point-in-time copy: diffable (`later.diff
@@ -160,9 +161,14 @@ pub enum Counter {
     /// Recoveries that truncated a torn WAL tail (a subset of
     /// `wal.recoveries`).
     RecoveryTruncatedTail,
+    /// `SessionRuntime::predict` calls that generated a query.
+    PredictLookups,
+    /// Lookups answered from the session's prediction memo without a
+    /// search (a subset of `predict.lookups`).
+    PredictMemoHits,
 }
 
-const COUNTER_COUNT: usize = Counter::RecoveryTruncatedTail as usize + 1;
+const COUNTER_COUNT: usize = Counter::PredictMemoHits as usize + 1;
 
 const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "match.searches",
@@ -214,6 +220,8 @@ const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "snapshot.records",
     "snapshot.checkpoints",
     "recovery.truncated_tail",
+    "predict.lookups",
+    "predict.memo_hits",
 ];
 
 impl Counter {
@@ -747,6 +755,13 @@ impl MetricsSnapshot {
                 "serve rejected ({serve_rejected}) > requests ({serve_requests})"
             ));
         }
+        let predict_lookups = self.counter("predict.lookups");
+        let memo_hits = self.counter("predict.memo_hits");
+        if memo_hits > predict_lookups {
+            return Err(format!(
+                "predict memo_hits ({memo_hits}) > lookups ({predict_lookups})"
+            ));
+        }
         let salvage_loads = self.counter("store.salvage_loads");
         let salvaged = self.counter("store.salvage_streams_recovered");
         let lost = self.counter("store.salvage_streams_lost");
@@ -975,6 +990,16 @@ mod tests {
         m.add(Counter::ServeRejected, 2);
         assert!(m.snapshot().check_invariants().is_ok());
         m.incr(Counter::ServeRejected);
+        assert!(m.snapshot().check_invariants().is_err());
+    }
+
+    #[test]
+    fn memo_hits_exceeding_lookups_violates_invariants() {
+        let m = MetricsRegistry::enabled();
+        m.add(Counter::PredictLookups, 3);
+        m.add(Counter::PredictMemoHits, 3);
+        assert!(m.snapshot().check_invariants().is_ok());
+        m.incr(Counter::PredictMemoHits);
         assert!(m.snapshot().check_invariants().is_err());
     }
 

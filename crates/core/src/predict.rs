@@ -19,8 +19,9 @@
 
 use crate::matcher::{MatchResult, QuerySubseq};
 use crate::params::Params;
-use tsm_db::StreamStore;
-use tsm_model::Position;
+use std::sync::Arc;
+use tsm_db::{MotionStream, StreamStore, SubseqRef};
+use tsm_model::{Position, Vertex};
 
 /// Which vertex the candidate futures are offset-aligned at.
 ///
@@ -61,23 +62,25 @@ pub fn predict_position(
         AlignMode::FirstVertex => query.vertices.first()?.position,
         AlignMode::LastVertex => query.vertices.last()?.position,
     };
+    let streams = store.streams();
     let mut acc = Position::zero(q_anchor.dim());
     let mut wsum = 0.0;
     let mut voters = 0usize;
     for m in matches {
-        let view = store.resolve(m.subseq)?;
+        let (stream, window) = resolve(&streams, m.subseq)?;
+        let (first, last) = (window.first()?, window.last()?);
         // "The immediate future of a historical subsequence is known" —
         // but only if the stream actually extends dt beyond the window.
         // Candidates at a stream's tail would vote with extrapolation
         // artifacts; skip them.
-        if view.last_vertex().time + dt > view.stream().plr.end_time() {
+        if last.time + dt > stream.plr.end_time() {
             continue;
         }
         let c_anchor = match align {
-            AlignMode::FirstVertex => view.first_vertex().position,
-            AlignMode::LastVertex => view.last_vertex().position,
+            AlignMode::FirstVertex => first.position,
+            AlignMode::LastVertex => last.position,
         };
-        let future = view.position_after(dt);
+        let future = stream.plr.position_at(last.time + dt);
         acc = acc + (future - c_anchor) * m.ws;
         wsum += m.ws;
         voters += 1;
@@ -86,6 +89,24 @@ pub fn predict_position(
         return None;
     }
     Some(q_anchor + acc * (1.0 / wsum))
+}
+
+/// Resolves `r` against `streams`, one snapshot of the store's stream
+/// table (indexed by stream id), by the rule of [`StreamStore::resolve`]:
+/// `None` when the stream is missing or the window does not fit in it.
+/// Otherwise returns the stream and the window's `len + 1` vertices.
+///
+/// The votes below resolve thousands of matches per call; one
+/// [`StreamStore::streams`] snapshot replaces a store lock and an `Arc`
+/// clone per match.
+fn resolve(streams: &[Arc<MotionStream>], r: SubseqRef) -> Option<(&MotionStream, &[Vertex])> {
+    let stream = streams.get(r.stream.0 as usize)?;
+    let (start, len) = (r.start as usize, r.len as usize);
+    if len == 0 {
+        return None;
+    }
+    let window = stream.plr.vertices().get(start..=start + len)?;
+    Some((stream, window))
 }
 
 /// Predicts the position at `t_last_vertex + dt` **anchored on a fresh
@@ -130,13 +151,13 @@ pub fn predict_next_cycle_duration(
     if matches.len() < params.min_matches {
         return None;
     }
+    let streams = store.streams();
     let mut acc = 0.0;
     let mut wsum = 0.0;
     for m in matches {
-        let Some(view) = store.resolve(m.subseq) else {
+        let Some((stream, _)) = resolve(&streams, m.subseq) else {
             continue;
         };
-        let stream = view.stream();
         // The next full cycle after the window: 3 more segments.
         let next_start = m.subseq.start as usize + m.subseq.len as usize;
         let v = stream.plr.vertices();
@@ -162,13 +183,13 @@ pub fn predict_next_cycle_amplitude(
         return None;
     }
     let axis = params.axis;
+    let streams = store.streams();
     let mut acc = 0.0;
     let mut wsum = 0.0;
     for m in matches {
-        let Some(view) = store.resolve(m.subseq) else {
+        let Some((stream, _)) = resolve(&streams, m.subseq) else {
             continue;
         };
-        let stream = view.stream();
         let next_start = m.subseq.start as usize + m.subseq.len as usize;
         let v = stream.plr.vertices();
         if next_start + 3 < v.len() {

@@ -11,6 +11,7 @@ use crate::pipeline::PredictionOutcome;
 use crate::predict::{predict_position, AlignMode};
 use crate::query::generate_query;
 use std::any::Any;
+use std::cell::RefCell;
 use std::sync::Arc;
 use tsm_db::{PatientId, SharedStore, StreamId, StreamStore};
 use tsm_model::{GuardedSegmenter, IngestFlag, PlrTrajectory, Sample, SegmenterConfig, Vertex};
@@ -168,6 +169,47 @@ pub struct SessionRuntime {
     wal: Option<Arc<tsm_db::WalWriter>>,
     /// Index into `live` up to which vertices are committed to the WAL.
     wal_logged: usize,
+    /// The last [`SessionRuntime::predict`] answer (see [`PredictMemo`]).
+    /// A `RefCell` keeps `predict` at `&self`; the runtime is already
+    /// `!Sync` through its `Send`-only consumers, so this gives up nothing.
+    memo: RefCell<Option<PredictMemo>>,
+}
+
+/// One memoised prediction and the inputs it was computed from. The
+/// answer of [`SessionRuntime::predict`] is a function of the query, the
+/// store contents, `dt`, the engine's parameters and the session config:
+/// the parameters never change, [`SessionRuntime::config_mut`] clears the
+/// memo, and the other three are the key.
+#[derive(Debug)]
+struct PredictMemo {
+    /// The query's vertices, compared bit for bit.
+    query: Vec<Vertex>,
+    /// The store version read *before* the search: a mutation that lands
+    /// during the search leaves the entry older than the store, so the
+    /// next call recomputes rather than serve an answer that misses it.
+    version: u64,
+    /// `dt`, by bits.
+    dt_bits: u64,
+    outcome: Option<PredictionOutcome>,
+}
+
+impl PredictMemo {
+    fn answers(&self, query: &[Vertex], version: u64, dt: f64) -> bool {
+        self.version == version && self.dt_bits == dt.to_bits() && same_bits(&self.query, query)
+    }
+}
+
+/// Bitwise equality of two vertex runs: `==` equates `0.0` and `-0.0`,
+/// which can still lead to predictions that differ in their bits.
+fn same_bits(a: &[Vertex], b: &[Vertex]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            let (px, py) = (x.position.coords(), y.position.coords());
+            x.state == y.state
+                && x.time.to_bits() == y.time.to_bits()
+                && px.len() == py.len()
+                && px.iter().zip(py).all(|(p, q)| p.to_bits() == q.to_bits())
+        })
 }
 
 impl std::fmt::Debug for SessionRuntime {
@@ -235,6 +277,7 @@ impl SessionRuntime {
             served_in_recovery: 0,
             wal: None,
             wal_logged: 0,
+            memo: RefCell::new(None),
         })
     }
 
@@ -319,8 +362,10 @@ impl SessionRuntime {
     }
 
     /// Mutable access to the session configuration (alignment, options,
-    /// cadence can be adjusted between samples).
+    /// cadence can be adjusted between samples). Clears the prediction
+    /// memo, since alignment and options are inputs to every prediction.
     pub fn config_mut(&mut self) -> &mut SessionConfig {
+        *self.memo.get_mut() = None;
         &mut self.config
     }
 
@@ -537,27 +582,50 @@ impl SessionRuntime {
     /// are found (the paper abstains rather than guess). Queries never
     /// span a stream discontinuity: only vertices after the last resync
     /// are considered (on a clean stream that is the whole buffer).
+    ///
+    /// The query only changes when a vertex closes, so most calls repeat
+    /// the previous one: the runtime memoises its last answer and searches
+    /// once per distinct (query, store version, `dt`). A hit returns the
+    /// bit-identical outcome a search would have produced.
     pub fn predict(&self, dt: f64) -> Option<PredictionOutcome> {
         let params = self.params();
         let epoch = self.epoch_vertices();
-        let outcome = generate_query(epoch, params)?;
-        let query = QuerySubseq::new(outcome.vertices(epoch).to_vec())
+        let generated = generate_query(epoch, params)?;
+        let vertices = generated.vertices(epoch);
+        let metrics = self.metrics();
+        metrics.incr(Counter::PredictLookups);
+        // Read before the search, as the index cache does (see PredictMemo).
+        let version = self.store().version();
+        if let Some(memo) = self.memo.borrow().as_ref() {
+            if memo.answers(vertices, version, dt) {
+                metrics.incr(Counter::PredictMemoHits);
+                return memo.outcome.clone();
+            }
+        }
+        let query = QuerySubseq::new(vertices.to_vec())
             .with_origin(self.config.patient, self.config.session);
         let matches = self.engine.find_matches(&query, &self.config.options);
-        let position = predict_position(
+        let outcome = predict_position(
             self.store(),
             &query,
             &matches,
             dt,
             params,
             self.config.align,
-        )?;
-        Some(PredictionOutcome {
+        )
+        .map(|position| PredictionOutcome {
             position,
             num_matches: matches.len(),
-            query_len: outcome.len,
-            query_stable: outcome.stable,
-        })
+            query_len: generated.len,
+            query_stable: generated.stable,
+        });
+        *self.memo.borrow_mut() = Some(PredictMemo {
+            query: query.vertices,
+            version,
+            dt_bits: dt.to_bits(),
+            outcome: outcome.clone(),
+        });
+        outcome
     }
 
     /// Ends the session: flushes the segmenter tail into the live buffer

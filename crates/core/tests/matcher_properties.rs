@@ -361,17 +361,19 @@ proptest! {
 /// histogram — the algebra must hold for any combination of present and
 /// absent keys.
 fn snapshot_strategy() -> impl Strategy<Value = MetricsSnapshot> {
-    const KEYS: [&str; 6] = [
+    const KEYS: [&str; 8] = [
         "match.searches",
         "match.windows_scored",
         "cache.lookups",
         "session.ticks",
+        "predict.lookups",
+        "predict.memo_hits",
         "cohort.backlog_hwm",
         "queue.depth_hwm",
     ];
     (
-        proptest::collection::vec(proptest::bool::ANY, 6),
-        proptest::collection::vec(0u64..1_000_000_000, 6),
+        proptest::collection::vec(proptest::bool::ANY, KEYS.len()),
+        proptest::collection::vec(0u64..1_000_000_000, KEYS.len()),
         proptest::bool::ANY,
         0u64..1000,
         0u64..1_000_000,

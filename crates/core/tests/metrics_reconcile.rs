@@ -5,6 +5,7 @@
 //! * `match.windows_scored == match.windows_abandoned + match.windows_completed`
 //! * `cache.hits + cache.misses == cache.lookups`
 //! * served + abstained predictions == ticks
+//! * `predict.memo_hits <= predict.lookups`
 //!
 //! and that snapshots diff cleanly across an interval.
 
@@ -242,4 +243,35 @@ fn sharded_replay_counters_reconcile_on_the_parent_registry() {
         .max()
         .unwrap();
     assert_eq!(interval.counter("cohort.backlog_hwm"), max_events);
+}
+
+/// Two `predict` calls with no vertex closing in between: the second is
+/// answered by the session's memo, so it counts a lookup and a hit but
+/// no search.
+#[test]
+fn repeated_predict_is_one_search_and_one_memo_hit() {
+    let (store, patient) = seeded_store(68);
+    let params = Params {
+        min_matches: 1,
+        ..Params::default()
+    };
+    let metrics = MetricsRegistry::enabled();
+    let engine = Arc::new(CachedMatcher::new(
+        Matcher::new(store.into_shared(), params).with_metrics(metrics.clone()),
+    ));
+    let config = SessionConfig::new(patient, 1).with_segmenter(SegmenterConfig::clean());
+    let mut runtime = SessionRuntime::with_engine(engine, config).unwrap();
+    for &s in &live_samples(69, 30.0) {
+        runtime.push(s).unwrap();
+    }
+    let before = metrics.snapshot();
+    let first = runtime.predict(0.3);
+    let second = runtime.predict(0.3);
+    let interval = metrics.snapshot().diff(&before);
+    interval.check_invariants().expect("counters reconcile");
+    assert!(first.is_some(), "warm session abstained");
+    assert_eq!(first, second);
+    assert_eq!(interval.counter("predict.lookups"), 2);
+    assert_eq!(interval.counter("predict.memo_hits"), 1);
+    assert_eq!(interval.counter("match.searches"), 1);
 }

@@ -303,3 +303,41 @@ fn session_table_cap_sheds_with_503() {
     assert_eq!(post(addr, "/ingest/a", "0.1,1.1\n").0, 202);
     server.shutdown();
 }
+
+/// The value of counter `name` in a `/metrics` body.
+fn counter_in(metrics: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\": ");
+    let at = metrics.find(&key).unwrap_or_else(|| panic!("no {name}"));
+    let digits: String = metrics[at + key.len()..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().unwrap()
+}
+
+#[test]
+fn repeated_predict_is_served_from_the_memo() {
+    let server = start_server(78, ServeConfig::default());
+    let addr = server.local_addr();
+    let body = csv_body(79, 60.0);
+    let n = body.lines().count();
+    assert_eq!(post(addr, "/ingest/memo", &body).0, 202);
+    wait_for_drain(addr, "memo", n);
+
+    // No ingest in between: the same query, store and dt.
+    let (status, first) = get(addr, "/predict?session=memo&dt=0.3");
+    assert_eq!(status, 200, "{first}");
+    assert!(first.contains("\"position\": ["), "abstained: {first}");
+    let (status, second) = get(addr, "/predict?session=memo&dt=0.3");
+    assert_eq!(status, 200, "{second}");
+    assert_eq!(first, second, "a repeated /predict changed its answer");
+
+    let (status, metrics) = get(addr, "/metrics?check=1");
+    assert_eq!(status, 200, "{metrics}");
+    assert!(counter_in(&metrics, "predict.memo_hits") >= 1, "{metrics}");
+    assert!(
+        counter_in(&metrics, "match.searches") < counter_in(&metrics, "predict.lookups"),
+        "{metrics}"
+    );
+    server.shutdown();
+}
