@@ -1,13 +1,13 @@
 //! Bench: subsequence matching cost vs store size (Section 7.5 — linear
-//! in stored segments) and the state-order index vs the linear scan
-//! (the paper's "future work" indexing, quantified).
+//! in stored segments) and the feature-index pruned plan vs the linear
+//! scan (the paper's "future work" indexing, quantified).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tsm_bench::{build_bundle, BundleConfig};
 use tsm_core::matcher::{Matcher, QuerySubseq, SearchOptions};
-use tsm_core::Params;
-use tsm_db::{StateOrderIndex, SubseqRef};
+use tsm_core::{CachedMatcher, Params};
+use tsm_db::SubseqRef;
 use tsm_model::SegmenterConfig;
 use tsm_signal::CohortConfig;
 
@@ -45,48 +45,15 @@ fn bench_matching(c: &mut Criterion) {
             |b, q| b.iter(|| black_box(matcher.find_matches(black_box(q)))),
         );
 
-        let index = StateOrderIndex::build(&bundle.store, 9);
-        group.bench_with_input(
-            BenchmarkId::new("indexed", format!("{n_patients}p")),
-            &query,
-            |b, q| {
-                b.iter(|| {
-                    black_box(matcher.find_matches_indexed(
-                        black_box(q),
-                        &index,
-                        &SearchOptions::default(),
-                    ))
-                })
-            },
-        );
-
-        let feature_index = tsm_db::FeatureIndex::build(&bundle.store, 9, 0);
+        // The online entry point, warmed so the timed searches hit the
+        // cached index instead of rebuilding it.
+        let cached = CachedMatcher::new(matcher.clone());
+        let options = SearchOptions::default();
+        cached.find_matches(&query, &options);
         group.bench_with_input(
             BenchmarkId::new("pruned", format!("{n_patients}p")),
             &query,
-            |b, q| {
-                b.iter(|| {
-                    black_box(matcher.find_matches_pruned(
-                        black_box(q),
-                        &feature_index,
-                        &SearchOptions::default(),
-                    ))
-                })
-            },
-        );
-
-        group.bench_with_input(
-            BenchmarkId::new("parallel4", format!("{n_patients}p")),
-            &query,
-            |b, q| {
-                b.iter(|| {
-                    black_box(matcher.find_matches_parallel(
-                        black_box(q),
-                        &SearchOptions::default(),
-                        4,
-                    ))
-                })
-            },
+            |b, q| b.iter(|| black_box(cached.find_matches(black_box(q), &options))),
         );
     }
     group.finish();

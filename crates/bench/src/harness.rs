@@ -280,7 +280,6 @@ pub fn evaluate_prediction(
             restrict_patients: config.restrict_patients.clone(),
             top_k: None,
             delta_override: config.delta_override,
-            ..Default::default()
         };
         for (i, &s) in eval.samples.iter().enumerate() {
             live.extend(seg.push(s).expect("generated samples are finite"));

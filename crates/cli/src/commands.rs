@@ -2,7 +2,6 @@
 
 use crate::args::Args;
 use std::sync::Arc;
-use tsm_core::batch::ScoringMode;
 use tsm_core::cluster::{k_medoids, silhouette};
 use tsm_core::correlate::discover_correlations;
 use tsm_core::index_cache::CachedMatcher;
@@ -31,12 +30,11 @@ USAGE:
   tsm info     --store FILE            store statistics
   tsm segment  --csv FILE [--axis N]   segment a time,value CSV signal
   tsm match    --store FILE --stream ID --start I --len L [--delta D]
-               [--threads T] [--k K] [--scoring auto|scalar|batched]
-               [--metrics [FILE]]
-                                       parallel scan when T > 1; --k keeps
-                                       only the K best matches; --scoring
-                                       picks the window-scoring tier
-                                       (auto probes once and chooses)
+               [--k K] [--top N] [--metrics [FILE]]
+                                       match one stored window against the
+                                       store; --k keeps only the K best
+                                       matches, --top prints the first N
+                                       (default 20)
   tsm predict  --store FILE --patient ID [--duration SECS] [--dt SECS]
                [--seed X] [--delta D]  replay a fresh session, report error
   tsm replay   --store FILE --sessions N [--threads T] [--shards S]
@@ -79,7 +77,8 @@ USAGE:
   tsm help                             this message
 
 Store-reading commands accept --salvage to recover the valid prefix of a
-truncated or corrupted store file instead of refusing to load it."
+truncated or corrupted store file instead of refusing to load it. A flag
+the command does not read is an error."
     );
 }
 
@@ -290,10 +289,6 @@ pub fn match_cmd(args: &Args) -> Result<(), String> {
     let view = store
         .resolve(SubseqRef::new(stream, start, len))
         .ok_or_else(|| format!("stream {stream} has no window [{start}, {start}+{len}]"))?;
-    let threads = args.num_flag("threads", 1usize)?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
     let top_k = if args.flags.contains_key("k") {
         let k = args.num_flag("k", 0usize)?;
         if k == 0 {
@@ -303,24 +298,14 @@ pub fn match_cmd(args: &Args) -> Result<(), String> {
     } else {
         None
     };
-    let scoring = match args.flags.get("scoring") {
-        None => ScoringMode::Auto,
-        Some(v) => ScoringMode::parse(v)
-            .ok_or_else(|| format!("--scoring must be auto, scalar or batched (got {v:?})"))?,
-    };
     let options = SearchOptions {
         top_k,
-        scoring,
         ..Default::default()
     };
     let metrics = metrics_registry(args);
     let query = QuerySubseq::from_view(&view);
     let matcher = Matcher::new(store.clone(), params).with_metrics(metrics.clone());
-    let matches = if threads > 1 {
-        matcher.find_matches_parallel(&query, &options, threads)
-    } else {
-        matcher.find_matches_with(&query, &options)
-    };
+    let matches = matcher.find_matches_with(&query, &options);
     println!("query: {stream} start {start} len {len}");
     println!("{} matches within delta:", matches.len());
     for m in matches.iter().take(args.num_flag("top", 20usize)?) {

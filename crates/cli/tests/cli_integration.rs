@@ -224,6 +224,63 @@ fn zero_valued_flags_are_rejected_cleanly() {
 }
 
 #[test]
+fn unknown_flags_are_rejected_with_the_flag_named() {
+    let store_path = small_store("unknownflags.tsmdb");
+    let store = store_path.to_str().unwrap();
+
+    // A flag `match` no longer reads is an error, not silently ignored.
+    let o = tsm(&[
+        "match",
+        "--store",
+        store,
+        "--stream",
+        "0",
+        "--start",
+        "2",
+        "--len",
+        "9",
+        "--scoring",
+        "scalar",
+    ]);
+    assert!(!o.status.success(), "match --scoring must be rejected");
+    assert!(stderr(&o).contains("--scoring"), "{}", stderr(&o));
+
+    // Misspelled serve flags fail before the server binds or touches the
+    // WAL directory: neither runs without checkpoints or without a WAL.
+    let wal = tmpfile("unknownflags.wal");
+    let wal_arg = wal.to_str().unwrap();
+    for (bad, args) in [
+        (
+            "--checkpoint-evry",
+            [
+                "--wal",
+                wal_arg,
+                "--checkpoint-evry",
+                "8",
+                "--addr",
+                "127.0.0.1:0",
+            ]
+            .as_slice(),
+        ),
+        (
+            "--wall",
+            ["--wall", wal_arg, "--addr", "127.0.0.1:0"].as_slice(),
+        ),
+    ] {
+        let mut argv = vec!["serve"];
+        argv.extend_from_slice(args);
+        let o = tsm(&argv);
+        assert!(!o.status.success(), "serve {bad} must be rejected");
+        let err = stderr(&o);
+        assert!(err.contains(bad), "{err}");
+        assert!(err.contains("unknown flag"), "{err}");
+    }
+    assert!(!wal.exists(), "a rejected serve created its WAL directory");
+
+    std::fs::remove_file(&store_path).ok();
+}
+
+#[test]
 fn malformed_numeric_flags_are_rejected_with_the_flag_named() {
     let store_path = small_store("badnum.tsmdb");
     let store = store_path.to_str().unwrap();

@@ -1,7 +1,7 @@
 //! The batched (8-lane) f32 pruning tier of the columnar matcher.
 //!
 //! [`WindowScorer`](crate::similarity::WindowScorer) walks one candidate
-//! window at a time in f64. This module splits that work into two
+//! window at a time in f64. This module splits that work into
 //! vectorizable passes over the [`tsm_db::Mirror32`] columns, using
 //! hand-rolled `F32x8` lane structs (plain `[f32; 8]` operations the
 //! autovectorizer lowers to SIMD on stable Rust — no `std::simd`, no
@@ -12,24 +12,25 @@
 //!   offset per pass — the classic transposed substring filter), so the
 //!   two thirds of windows that fail the gate never reach any per-window
 //!   code at all;
-//! * [`BatchScorer::score_starts`] scores up to eight gate-passing
-//!   windows per pass in f32, with early abandoning lifted to the *lane
+//! * [`BatchScorer::collect_survivors`] scores the gate-passing windows
+//!   eight per pass in f32, with early abandoning lifted to the *lane
 //!   group*: the accumulation loop exits only when **every** lane's
 //!   partial sum proves its distance exceeds the caller's bound;
 //! * a lane whose full f32 sum stays at or below its inflated limit is a
-//!   **survivor** and must be re-scored by the exact f64 scorer — so the
-//!   final result set stays bit-identical to the scalar engine.
+//!   **survivor** and is re-scored in exact f64 by
+//!   [`BatchScorer::rescore_exact`] — so the final result set stays
+//!   bit-identical to the scalar scorer.
 //!
 //! # Admissibility
 //!
-//! A lane may be classified `Pruned` only if its exact f64 numerator
-//! provably exceeds `bound · Σwi · ws`. The f32 partial sum differs from
-//! that numerator by (a) narrowing error of the query and candidate
-//! columns — bounded *absolutely* by the per-window conversion slack
-//! assembled from the query-side weighted error sum and the mirror's
-//! error-prefix sums — and (b) f32 arithmetic rounding, bounded
-//! *relatively* by `(1 + u)^k` with `u = 2^-24` and `k ≤ 2n + 16`
-//! rounded operations affecting any term. The lane limit is therefore
+//! A lane may be pruned only if its exact f64 numerator provably exceeds
+//! `bound · Σwi · ws`. The f32 partial sum differs from that numerator by
+//! (a) narrowing error of the query and candidate columns — bounded
+//! *absolutely* by the per-window conversion slack assembled from the
+//! query-side weighted error sum and the mirror's error-prefix sums — and
+//! (b) f32 arithmetic rounding, bounded *relatively* by `(1 + u)^k` with
+//! `u = 2^-24` and `k ≤ 2n + 16` rounded operations affecting any term.
+//! The lane limit is therefore
 //!
 //! ```text
 //! limit32 = f32_above((bound · Σwi · ws + slack) · rel),   rel ≥ (1+u)^(2n+16)
@@ -45,12 +46,11 @@
 //! the limit would overflow f32 it saturates to `+∞` and the lane simply
 //! never prunes. A lane whose partial goes NaN (only possible via
 //! `0 · ∞` under zero weights with overflowing diffs) compares false
-//! against any limit and falls back to `Survivor` — the exact rescan
-//! keeps it correct.
+//! against any limit and stays a survivor — the exact rescan keeps it
+//! correct.
 
 use crate::params::{AmplitudeMetric, Params};
 use crate::similarity::QueryCols;
-use std::sync::OnceLock;
 use tsm_db::{f32_above, Mirror32, StreamFeatures};
 
 /// Candidate windows scored per batched pass.
@@ -117,183 +117,6 @@ impl F32x8 {
     }
 }
 
-/// Which scoring tier a search uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoringMode {
-    /// Resolve once per process: the `TSM_SCORING` environment variable
-    /// (`scalar` or `batched`) wins, otherwise a one-shot timing probe
-    /// picks whichever tier is faster on this machine.
-    #[default]
-    Auto,
-    /// Always the exact one-window-at-a-time f64 scorer.
-    Scalar,
-    /// Route through the 8-lane f32 pruning kernel (exact f64 rescans
-    /// keep results bit-identical to `Scalar`).
-    Batched,
-}
-
-impl ScoringMode {
-    /// Parses a CLI/env spelling of the mode.
-    pub fn parse(s: &str) -> Option<ScoringMode> {
-        match s {
-            "auto" => Some(ScoringMode::Auto),
-            "scalar" => Some(ScoringMode::Scalar),
-            "batched" => Some(ScoringMode::Batched),
-            _ => None,
-        }
-    }
-
-    /// The canonical spelling of the mode.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ScoringMode::Auto => "auto",
-            ScoringMode::Scalar => "scalar",
-            ScoringMode::Batched => "batched",
-        }
-    }
-
-    /// Whether searches under this mode route through the batched kernel.
-    pub fn use_batched(self) -> bool {
-        match self {
-            ScoringMode::Scalar => false,
-            ScoringMode::Batched => true,
-            ScoringMode::Auto => *AUTO_BATCHED.get_or_init(resolve_auto),
-        }
-    }
-}
-
-static AUTO_BATCHED: OnceLock<bool> = OnceLock::new();
-
-fn resolve_auto() -> bool {
-    if let Ok(v) = std::env::var("TSM_SCORING") {
-        match ScoringMode::parse(v.trim()) {
-            Some(ScoringMode::Scalar) => return false,
-            Some(ScoringMode::Batched) => return true,
-            _ => {}
-        }
-    }
-    probe_prefers_batched()
-}
-
-/// One-shot calibration probe for [`ScoringMode::Auto`]: times the scalar
-/// scorer against the batched kernel on a fixed synthetic workload shaped
-/// like the matching benches (a 9-segment query over a periodic stream —
-/// two thirds of the windows state-mismatch, the rest split between far
-/// and near amplitudes) and returns whether batched won. Falls back to
-/// batched if the fixture cannot be built (results are identical either
-/// way; only throughput differs).
-fn probe_prefers_batched() -> bool {
-    use crate::similarity::{WindowCols, WindowScorer};
-    let params = Params::default();
-    let Some((sf, cols)) = probe_fixture(&params) else {
-        return true;
-    };
-    let Some(bq) = BatchQuery::build(&cols, &params) else {
-        return true;
-    };
-    let n = cols.len();
-    let total = sf.num_segments() - n + 1;
-    let bound = 2.0; // mid-range: some windows abandon, some complete
-    let mut scorer = WindowScorer::new();
-    let mut batcher = BatchScorer::new();
-    let mut starts: Vec<usize> = Vec::with_capacity(total);
-
-    let time = |f: &mut dyn FnMut()| {
-        let mut best = u64::MAX;
-        for _ in 0..3 {
-            // lint:allow(no-instant-now-in-hot-path): one-shot calibration
-            // probe, executed at most once per process by the OnceLock.
-            let t0 = std::time::Instant::now();
-            f();
-            best = best.min(t0.elapsed().as_nanos() as u64);
-        }
-        best
-    };
-
-    let scalar_ns = time(&mut || {
-        for start in 0..total {
-            let end = start + n;
-            let cand = WindowCols {
-                states: &sf.states[start..end],
-                disp: &sf.disp[start..end],
-                dvec: &sf.dvec[start..end],
-                dur: &sf.dur[start..end],
-            };
-            std::hint::black_box(scorer.score_window_outcome(&cols, cand, &params, 1.0, bound));
-        }
-    });
-
-    let batched_ns = time(&mut || {
-        let mask = batcher.match_mask(&bq, &sf);
-        starts.clear();
-        starts.extend((0..total).filter(|&j| mask[j] == 0));
-        for chunk in starts.chunks(LANES) {
-            let g = batcher.score_starts(&bq, &sf, chunk, 1.0, bound);
-            for (l, &start) in chunk.iter().enumerate() {
-                if g.lanes[l] == LaneOutcome::Survivor {
-                    let end = start + n;
-                    let cand = WindowCols {
-                        states: &sf.states[start..end],
-                        disp: &sf.disp[start..end],
-                        dvec: &sf.dvec[start..end],
-                        dur: &sf.dur[start..end],
-                    };
-                    std::hint::black_box(
-                        scorer.score_window_outcome(&cols, cand, &params, 1.0, bound),
-                    );
-                }
-            }
-            std::hint::black_box(&g);
-        }
-    });
-
-    batched_ns < scalar_ns
-}
-
-/// Builds the probe's synthetic stream and query columns.
-fn probe_fixture(params: &Params) -> Option<(StreamFeatures, QueryCols)> {
-    use tsm_db::{MotionStream, PatientId, StreamId, StreamMeta};
-    use tsm_model::{BreathState, PlrTrajectory, Vertex};
-    let states = [
-        BreathState::Exhale,
-        BreathState::EndOfExhale,
-        BreathState::Inhale,
-    ];
-    let nseg = 255usize;
-    let mut verts = Vec::with_capacity(nseg + 1);
-    for i in 0..=nseg {
-        // Deterministic pseudo-amplitudes: mostly near 8 mm (near the
-        // query), every 11th cycle far off so the prune tier has work.
-        let h = (i as u32).wrapping_mul(2_654_435_761) >> 22;
-        let amp = if i % 11 == 0 {
-            25.0 + (h % 97) as f64 * 0.1
-        } else {
-            8.0 + (h % 97) as f64 * 0.01
-        };
-        let level = if i % 2 == 0 { amp } else { 0.0 };
-        verts.push(Vertex::new_1d(i as f64, level, states[i % 3]));
-    }
-    let plr = PlrTrajectory::from_vertices(verts).ok()?;
-    let stream = MotionStream {
-        meta: StreamMeta {
-            id: StreamId(0),
-            patient: PatientId(0),
-            session: 0,
-        },
-        plr,
-        raw_len: 0,
-    };
-    let sf = StreamFeatures::build(&stream, params.axis);
-    let qverts: Vec<Vertex> = (0..=9)
-        .map(|j| {
-            let level = if j % 2 == 0 { 8.3 } else { 0.1 };
-            Vertex::new_1d(j as f64, level, states[j % 3])
-        })
-        .collect();
-    let cols = QueryCols::build(&qverts, params)?;
-    Some((sf, cols))
-}
-
 /// How one lane of an exact-rescoring group fared (see
 /// [`BatchScorer::rescore_exact`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -307,27 +130,6 @@ pub enum RescanOutcome {
     /// scorer's (which may still marginally exceed the bound — callers
     /// re-check against δ).
     Scored(f64),
-}
-
-/// How one lane of a batched group fared.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneOutcome {
-    /// Padding lane (group had fewer than [`LANES`] candidates).
-    Inactive,
-    /// The f32 partial sum proved the exact distance exceeds the bound —
-    /// the window is dismissed without ever touching f64.
-    Pruned,
-    /// The f32 tier could not dismiss the window: re-score it with the
-    /// exact f64 scorer.
-    Survivor,
-}
-
-/// Result of scoring one lane group.
-#[derive(Debug, Clone, Copy)]
-pub struct GroupResult {
-    /// Per-lane outcomes (lanes past the candidate count are
-    /// [`LaneOutcome::Inactive`]).
-    pub lanes: [LaneOutcome; LANES],
 }
 
 /// The query side of the batched kernel: narrowed columns, premultiplied
@@ -509,75 +311,17 @@ impl BatchScorer {
         &self.mask
     }
 
-    /// Scores up to [`LANES`] gate-passing windows at arbitrary starts
-    /// within one stream, deriving the shared limit from the stream span
-    /// (see [`BatchQuery::stream_limit`]). Convenience wrapper around
-    /// [`BatchScorer::score_starts_with_limit`] for callers scoring few
-    /// groups per stream.
-    pub fn score_starts(
-        &mut self,
-        q: &BatchQuery,
-        sf: &StreamFeatures,
-        starts: &[usize],
-        ws: f64,
-        bound: f64,
-    ) -> GroupResult {
-        self.score_starts_with_limit(q, sf, starts, q.stream_limit(sf, ws, bound))
-    }
-
-    /// Scores up to [`LANES`] gate-passing windows at arbitrary starts
-    /// within one stream against a precomputed shared limit (from
-    /// [`BatchQuery::stream_limit`] for the same stream — hoist it when
-    /// scoring many groups under an unchanged collector bound). `starts`
-    /// must be non-empty, hold at most [`LANES`] entries, every
-    /// `start + n` must be in range, and every window must already have
-    /// passed the state gate (via [`BatchScorer::match_mask`] or an index
-    /// keyed by state signature).
-    pub fn score_starts_with_limit(
-        &mut self,
-        q: &BatchQuery,
-        sf: &StreamFeatures,
-        starts: &[usize],
-        shared: f32,
-    ) -> GroupResult {
-        let n = q.n;
-        let m = &sf.mirror32;
-        debug_assert!(m.finite, "batched scoring over a non-finite mirror");
-        debug_assert!(!starts.is_empty() && starts.len() <= LANES);
-        let used = starts.len();
-        let mut pad = [starts[0]; LANES];
-        pad[..used].copy_from_slice(starts);
-        for &s in starts {
-            debug_assert!(s + n <= sf.num_segments());
-            debug_assert!(
-                sf.states[s..s + n] == q.states[..],
-                "score_starts on a window that fails the state gate"
-            );
-        }
-        let mut lanes = [LaneOutcome::Inactive; LANES];
-        // Padding lanes get limit −∞ so they count as "already over" in
-        // the group-abandon reduction without special-casing.
-        let mut lim = F32x8::splat(f32::NEG_INFINITY);
-        lanes[..used].fill(LaneOutcome::Survivor);
-        lim.0[..used].fill(shared);
-        let partial = Self::accumulate(q, m, &pad, lim);
-        for ((lane, &p), &lm) in lanes.iter_mut().zip(&partial.0).zip(&lim.0).take(used) {
-            if p > lm {
-                *lane = LaneOutcome::Pruned;
-            }
-        }
-        GroupResult { lanes }
-    }
-
     /// Runs the f32 lane kernel over a whole stream's gate-passing
     /// starts: chunks of up to [`LANES`] are scored against one shared
-    /// limit, survivors are appended to `surv`, and the pruned-window
-    /// count is returned. Semantically identical to calling
-    /// [`BatchScorer::score_starts_with_limit`] per chunk and collecting
-    /// `Survivor` lanes, but the limit vector, classification, and call
-    /// overhead are hoisted out of the per-group loop, and the classify
-    /// step is branchless. Same preconditions as the per-group entry
-    /// point (in-range, state-gated starts; finite mirror).
+    /// limit (from [`BatchQuery::stream_limit`] for the same stream),
+    /// survivors are appended to `surv`, and the pruned-window count is
+    /// returned. The classify step is branchless. Every `start + n` must
+    /// be in range, every window must already have passed the state gate
+    /// (via [`BatchScorer::match_mask`] or an index keyed by state
+    /// signature), and the stream's mirror must be finite. The padding
+    /// lanes of a short final chunk get limit −∞, so they count as
+    /// "already over" in the group-abandon reduction and are never
+    /// reported.
     pub fn collect_survivors(
         &mut self,
         q: &BatchQuery,
@@ -792,11 +536,58 @@ impl BatchScorer {
 mod tests {
     use super::*;
     use crate::similarity::{ScoreOutcome, WindowCols, WindowScorer};
+    use tsm_db::{MotionStream, PatientId, StreamId, StreamMeta};
+    use tsm_model::{BreathState, PlrTrajectory, Vertex};
 
+    /// A 255-segment periodic stream and a 9-segment query over it: two
+    /// thirds of the windows state-mismatch, and the rest split between
+    /// amplitudes near the query and every 11th cycle far off, so the
+    /// prune tier has work.
     fn fixture() -> (StreamFeatures, QueryCols, Params) {
         let params = Params::default();
-        let (sf, cols) = probe_fixture(&params).unwrap();
+        let states = [
+            BreathState::Exhale,
+            BreathState::EndOfExhale,
+            BreathState::Inhale,
+        ];
+        let nseg = 255usize;
+        let mut verts = Vec::with_capacity(nseg + 1);
+        for i in 0..=nseg {
+            // Deterministic pseudo-amplitudes: mostly near 8 mm (near the
+            // query), every 11th cycle far off.
+            let h = (i as u32).wrapping_mul(2_654_435_761) >> 22;
+            let amp = if i % 11 == 0 {
+                25.0 + (h % 97) as f64 * 0.1
+            } else {
+                8.0 + (h % 97) as f64 * 0.01
+            };
+            let level = if i % 2 == 0 { amp } else { 0.0 };
+            verts.push(Vertex::new_1d(i as f64, level, states[i % 3]));
+        }
+        let stream = MotionStream {
+            meta: StreamMeta {
+                id: StreamId(0),
+                patient: PatientId(0),
+                session: 0,
+            },
+            plr: PlrTrajectory::from_vertices(verts).unwrap(),
+            raw_len: 0,
+        };
+        let sf = StreamFeatures::build(&stream, params.axis);
+        let qverts: Vec<Vertex> = (0..=9)
+            .map(|j| {
+                let level = if j % 2 == 0 { 8.3 } else { 0.1 };
+                Vertex::new_1d(j as f64, level, states[j % 3])
+            })
+            .collect();
+        let cols = QueryCols::build(&qverts, &params).unwrap();
         (sf, cols, params)
+    }
+
+    /// The starts of every gate-passing window of the fixture stream.
+    fn gated_starts(batcher: &mut BatchScorer, bq: &BatchQuery, sf: &StreamFeatures) -> Vec<usize> {
+        let mask = batcher.match_mask(bq, sf);
+        (0..mask.len()).filter(|&j| mask[j] == 0).collect()
     }
 
     /// The whole-stream gate agrees with a direct per-window compare.
@@ -818,82 +609,80 @@ mod tests {
         assert!((0..total).filter(|j| j % 3 == 1).all(|j| mask[j] != 0));
     }
 
-    /// Exhaustively checks one stream: every lane the kernel prunes must
+    /// Exhaustively checks one stream: every start the kernel prunes must
     /// be a window the exact scorer also rejects at that bound.
     #[test]
     fn pruned_lanes_are_exactly_refutable() {
         let (sf, cols, params) = fixture();
         let bq = BatchQuery::build(&cols, &params).unwrap();
         let n = cols.len();
-        let total = sf.num_segments() - n + 1;
         let mut scorer = WindowScorer::new();
         let mut batcher = BatchScorer::new();
-        let starts: Vec<usize> = {
-            let mask = batcher.match_mask(&bq, &sf);
-            (0..total).filter(|&j| mask[j] == 0).collect()
-        };
+        let starts = gated_starts(&mut batcher, &bq, &sf);
         assert!(!starts.is_empty(), "fixture has no gate-passing windows");
+        let mut surv = Vec::new();
         for &bound in &[0.1, 0.5, 2.0, 8.0, f64::INFINITY] {
-            for chunk in starts.chunks(LANES) {
-                let g = batcher.score_starts(&bq, &sf, chunk, 1.0, bound);
-                for (l, &start) in chunk.iter().enumerate() {
-                    let end = start + n;
-                    let cand = WindowCols {
-                        states: &sf.states[start..end],
-                        disp: &sf.disp[start..end],
-                        dvec: &sf.dvec[start..end],
-                        dur: &sf.dur[start..end],
-                    };
-                    let exact =
-                        scorer.score_window_outcome(&cols, cand, &params, 1.0, f64::INFINITY);
-                    match g.lanes[l] {
-                        LaneOutcome::Pruned => {
-                            let ScoreOutcome::Scored(d) = exact else {
-                                panic!("pruned lane with non-scored exact outcome at {start}");
-                            };
-                            assert!(
-                                d > bound,
-                                "inadmissible prune at start {start}: d = {d} <= bound {bound}"
-                            );
-                        }
-                        LaneOutcome::Survivor => {
-                            assert!(
-                                !matches!(exact, ScoreOutcome::StateMismatch),
-                                "survivor lane with mismatched states at {start}"
-                            );
-                        }
-                        LaneOutcome::Inactive => panic!("inactive lane within count"),
-                    }
+            surv.clear();
+            let limit = bq.stream_limit(&sf, 1.0, bound);
+            let pruned = batcher.collect_survivors(&bq, &sf, &starts, limit, &mut surv);
+            assert_eq!(pruned as usize + surv.len(), starts.len(), "bound {bound}");
+            // Survivors come back in start order, so the pruned starts are
+            // the gaps between them.
+            let mut kept = surv.iter().peekable();
+            for &start in &starts {
+                if kept.next_if_eq(&&start).is_some() {
+                    continue;
                 }
+                let end = start + n;
+                let cand = WindowCols {
+                    states: &sf.states[start..end],
+                    disp: &sf.disp[start..end],
+                    dvec: &sf.dvec[start..end],
+                    dur: &sf.dur[start..end],
+                };
+                let exact = scorer.score_window_outcome(&cols, cand, &params, 1.0, f64::INFINITY);
+                let ScoreOutcome::Scored(d) = exact else {
+                    panic!("pruned start {start} with non-scored exact outcome");
+                };
+                assert!(
+                    d > bound,
+                    "inadmissible prune at start {start}: d = {d} <= bound {bound}"
+                );
             }
+            assert!(kept.next().is_none(), "survivor outside the input starts");
         }
         // At a tight bound the tier actually prunes something on this
         // fixture (otherwise the admissibility loop above proves nothing).
-        let g = batcher.score_starts(&bq, &sf, &starts[..LANES.min(starts.len())], 1.0, 0.1);
-        assert!(
-            g.lanes.contains(&LaneOutcome::Pruned),
-            "tight bound pruned nothing"
-        );
+        surv.clear();
+        let limit = bq.stream_limit(&sf, 1.0, 0.1);
+        let pruned = batcher.collect_survivors(&bq, &sf, &starts, limit, &mut surv);
+        assert!(pruned > 0, "tight bound pruned nothing");
     }
 
-    /// Padding lanes come back `Inactive` and never panic on short tails.
+    /// Short final chunks pad safely: for 1..LANES starts the padding
+    /// lanes are never reported, whatever the limit.
     #[test]
     fn short_groups_pad_safely() {
         let (sf, cols, params) = fixture();
         let bq = BatchQuery::build(&cols, &params).unwrap();
         let mut batcher = BatchScorer::new();
-        let matched: Vec<usize> = {
-            let mask = batcher.match_mask(&bq, &sf);
-            (0..mask.len()).filter(|&j| mask[j] == 0).collect()
-        };
+        let matched = gated_starts(&mut batcher, &bq, &sf);
+        let mut surv = Vec::new();
         for cnt in 1..LANES {
-            let g = batcher.score_starts(&bq, &sf, &matched[..cnt], 1.0, 2.0);
-            for l in 0..cnt {
-                assert_ne!(g.lanes[l], LaneOutcome::Inactive, "cnt {cnt} lane {l}");
-            }
-            for l in cnt..LANES {
-                assert_eq!(g.lanes[l], LaneOutcome::Inactive, "cnt {cnt} lane {l}");
-            }
+            let starts = &matched[..cnt];
+            surv.clear();
+            let limit = bq.stream_limit(&sf, 1.0, 2.0);
+            let pruned = batcher.collect_survivors(&bq, &sf, starts, limit, &mut surv);
+            assert_eq!(pruned as usize + surv.len(), cnt, "cnt {cnt}");
+            assert!(surv.iter().all(|s| starts.contains(s)), "cnt {cnt}");
+            // A limit nothing can exceed keeps every real lane...
+            surv.clear();
+            let pruned = batcher.collect_survivors(&bq, &sf, starts, f32::INFINITY, &mut surv);
+            assert_eq!((pruned, surv.as_slice()), (0, starts), "cnt {cnt}");
+            // ...and one everything exceeds prunes exactly the real lanes.
+            surv.clear();
+            let pruned = batcher.collect_survivors(&bq, &sf, starts, f32::NEG_INFINITY, &mut surv);
+            assert_eq!((pruned as usize, surv.len()), (cnt, 0), "cnt {cnt}");
         }
     }
 
@@ -911,20 +700,6 @@ mod tests {
         };
         assert!(BatchQuery::build(&cols, &negative).is_none());
         assert!(BatchQuery::build(&cols, &params).is_some());
-    }
-
-    #[test]
-    fn scoring_mode_parses_and_defaults() {
-        assert_eq!(ScoringMode::parse("auto"), Some(ScoringMode::Auto));
-        assert_eq!(ScoringMode::parse("scalar"), Some(ScoringMode::Scalar));
-        assert_eq!(ScoringMode::parse("batched"), Some(ScoringMode::Batched));
-        assert_eq!(ScoringMode::parse("simd"), None);
-        assert_eq!(ScoringMode::default(), ScoringMode::Auto);
-        assert!(!ScoringMode::Scalar.use_batched());
-        assert!(ScoringMode::Batched.use_batched());
-        for m in [ScoringMode::Auto, ScoringMode::Scalar, ScoringMode::Batched] {
-            assert_eq!(ScoringMode::parse(m.as_str()), Some(m));
-        }
     }
 
     /// The limit saturates (never prunes) instead of going inadmissible

@@ -14,6 +14,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tsm_db::{FeatureIndex, SharedStore};
+use tsm_model::MAX_SIGNATURE_LEN;
 
 /// A point-in-time view of an [`IndexCache`]'s contents (diagnostics).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,8 +130,9 @@ impl IndexCache {
     }
 }
 
-/// A matcher with an attached index cache: every search goes through the
-/// pruned path with an automatically maintained index.
+/// A matcher with an attached index cache: the online entry point. Every
+/// search of 1 to [`MAX_SIGNATURE_LEN`] segments runs the pruned plan
+/// through an automatically maintained index; longer queries scan.
 #[derive(Debug)]
 pub struct CachedMatcher {
     matcher: Matcher,
@@ -162,10 +164,11 @@ impl CachedMatcher {
         &self.cache
     }
 
-    /// Pruned search through the cached index; identical results to the
-    /// plain scan. All of `options` flows through to the engine, including
-    /// the [`scoring`](SearchOptions::scoring) tier — a cached matcher
-    /// batches through the f32 kernel exactly like a direct pruned search.
+    /// Searches the store: through the cached [`FeatureIndex`] of the
+    /// query's length when the query has 1 to [`MAX_SIGNATURE_LEN`]
+    /// segments (the longest a state signature can key), with the plain
+    /// scan ([`Matcher::find_matches_with`]) otherwise. Results are
+    /// identical to [`Matcher::find_matches_naive`] either way.
     pub fn find_matches(&self, query: &QuerySubseq, options: &SearchOptions) -> Vec<MatchResult> {
         let metrics = self.metrics();
         let started = metrics.start();
@@ -176,7 +179,7 @@ impl CachedMatcher {
 
     fn find_matches_inner(&self, query: &QuerySubseq, options: &SearchOptions) -> Vec<MatchResult> {
         let len = query.len();
-        if len == 0 || len > 60 {
+        if len == 0 || len > MAX_SIGNATURE_LEN {
             return self.matcher.find_matches_with(query, options);
         }
         let index = self.cache.index_for(len);
@@ -221,19 +224,6 @@ mod tests {
         let b = cached.find_matches(&q, &opts);
         assert_eq!(a, b);
         assert_eq!(cached.cache().rebuild_count(), 1);
-
-        // Forcing either scoring tier through the cached path changes
-        // nothing about the results.
-        for scoring in [
-            crate::batch::ScoringMode::Scalar,
-            crate::batch::ScoringMode::Batched,
-        ] {
-            let forced = SearchOptions {
-                scoring,
-                ..opts.clone()
-            };
-            assert_eq!(a, cached.find_matches(&q, &forced), "{scoring:?}");
-        }
 
         // Second query of the same length: no rebuild.
         let view = store.resolve(SubseqRef::new(id, 3, 9)).unwrap();

@@ -1,37 +1,45 @@
 //! The subsequence search engine: retrieve all stored subsequences similar
 //! to a query (paper Section 4.2).
 //!
-//! All four search variants — full scan, state-order-indexed,
-//! feature-pruned and parallel — run on one columnar engine: the store's
-//! [`tsm_db::SegmentFeatures`] snapshot supplies flat per-segment columns,
-//! [`crate::similarity::WindowScorer`] scores candidate windows with early
-//! abandoning against the current pruning bound, and a bounded top-k
+//! There is one search: Definition 2's state-order gate, then its weighted
+//! distance, over the store's [`tsm_db::SegmentFeatures`] snapshot. It
+//! runs under one of two plans:
+//!
+//! * the **scan** ([`Matcher::find_matches_with`]) visits every window of
+//!   every stream;
+//! * the **pruned** plan visits only the windows a [`FeatureIndex`] keeps
+//!   inside its amplitude and duration bands. Only
+//!   [`crate::index_cache::CachedMatcher::find_matches`] runs it, with the
+//!   index of the query's length from its cache.
+//!
+//! Both plans score windows the same way. Where [`BatchQuery::build`]
+//! succeeds, a stream's windows go through the batched f32 pruning tier
+//! and its survivors are re-scored exactly in f64. The scalar
+//! [`crate::similarity::WindowScorer`] scores only the windows that cannot
+//! batch: the query's own stream, a stream whose f32 mirror is not finite,
+//! and every window under the spatial amplitude metric. A bounded top-k
 //! collector keeps only results that can still make the cut. A naive
-//! vertex-walking reference ([`Matcher::find_matches_naive`]) is kept for
-//! the property tests, which assert the engine's results are *identical* —
-//! same windows, bit-identical distances, same order.
+//! vertex-walking reference ([`Matcher::find_matches_naive`]) is the
+//! oracle: the property tests assert every plan returns *identical*
+//! results — same windows, bit-identical distances, same order.
 //!
 //! Results are totally ordered by `(distance, stream, start)`; because a
 //! scan visits windows in ascending `(stream, start)` order, this matches
 //! what the historical stable sort by distance produced, while giving the
-//! indexed/pruned/parallel paths (which visit candidates in other orders)
-//! a deterministic tie-break.
+//! pruned plan (which visits candidates in band order) a deterministic
+//! tie-break.
 
-use crate::batch::{
-    BatchQuery, BatchScorer, GroupResult, LaneOutcome, RescanOutcome, ScoringMode, LANES,
-};
+use crate::batch::{BatchQuery, BatchScorer, RescanOutcome, LANES};
 use crate::invariants;
 use crate::metrics::{Counter, MetricsRegistry, SearchTally};
 use crate::params::Params;
-use crate::similarity::{
-    online_distance, vertex_weight, QueryCols, ScoreOutcome, WindowCols, WindowScorer,
-};
+use crate::similarity::{online_distance, QueryCols, ScoreOutcome, WindowCols, WindowScorer};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
 use tsm_db::{
-    FeatureIndex, PatientId, SharedStore, SourceRelation, StateOrderIndex, StreamFeatures,
-    StreamId, StreamMeta, StreamStore, SubseqRef, SubseqView,
+    FeatureIndex, PatientId, SharedStore, SourceRelation, StreamFeatures, StreamId, StreamMeta,
+    StreamStore, SubseqRef, SubseqView,
 };
 use tsm_model::{state_signature, BreathState, Vertex};
 
@@ -129,7 +137,7 @@ pub struct MatchResult {
 
 /// The total result order: by distance, ties broken by `(stream, start)`.
 /// Equal to the historical "stable sort by distance over scan order", and
-/// shared by every search variant.
+/// shared by both plans.
 fn cmp_results(a: &MatchResult, b: &MatchResult) -> Ordering {
     a.distance
         .total_cmp(&b.distance)
@@ -246,17 +254,11 @@ pub struct SearchOptions {
     pub top_k: Option<usize>,
     /// Override the distance threshold δ for this search.
     pub delta_override: Option<f64>,
-    /// Which scoring tier to use. The default ([`ScoringMode::Auto`])
-    /// resolves once per process; results are bit-identical either way —
-    /// the batched f32 tier only *prunes*, and every survivor is
-    /// re-scored by the exact f64 scorer.
-    pub scoring: ScoringMode,
 }
 
 /// One search's worth of immutable context: the query's columns, the
 /// effective δ, and the provenance/overlap data every candidate is
-/// checked against. Shared by all four search variants (and across the
-/// parallel workers — it is `Sync`).
+/// checked against. Shared by both plans.
 struct Engine<'a> {
     params: &'a Params,
     query: &'a QuerySubseq,
@@ -266,9 +268,9 @@ struct Engine<'a> {
     delta: f64,
     q_first: f64,
     q_last: f64,
-    /// The batched f32 pruning tier, when this search uses it. `None`
-    /// under [`ScoringMode::Scalar`], or when the query cannot be
-    /// narrowed (spatial metric, non-finite f32 values).
+    /// The batched f32 pruning tier. `None` when the query cannot be
+    /// narrowed (spatial metric, non-finite f32 values, negative
+    /// weights); every window is then scored by the scalar scorer.
     batch: Option<BatchQuery>,
 }
 
@@ -282,11 +284,7 @@ impl<'a> Engine<'a> {
         let n = cols.len();
         let q_first = query.vertices.first()?.time;
         let q_last = query.vertices.last()?.time;
-        let batch = if options.scoring.use_batched() {
-            BatchQuery::build(&cols, &matcher.params)
-        } else {
-            None
-        };
+        let batch = BatchQuery::build(&cols, &matcher.params);
         Some(Engine {
             params: &matcher.params,
             query,
@@ -384,16 +382,19 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Whether a stream's windows may go through the batched f32 tier:
-    /// the tier must be on, the stream's mirror must be finite, and the
-    /// query's own stream stays scalar (its overlap exclusion is handled
-    /// inside [`Engine::score_window_at`], which the kernel bypasses).
-    fn stream_batchable(&self, sf: &StreamFeatures) -> bool {
-        self.batch.is_some() && sf.mirror32.finite && self.query.origin_stream != Some(sf.meta.id)
+    /// The batched query for a stream whose windows may go through the
+    /// batched tier, or `None` when they stay scalar: the query must have
+    /// built a [`BatchQuery`], the stream's mirror must be finite, and
+    /// the query's own stream stays scalar (its overlap exclusion is
+    /// handled inside [`Engine::score_window_at`], which the kernel
+    /// bypasses).
+    fn batch_for(&self, sf: &StreamFeatures) -> Option<&BatchQuery> {
+        self.batch
+            .as_ref()
+            .filter(|_| sf.mirror32.finite && self.query.origin_stream != Some(sf.meta.id))
     }
 
-    /// Scans every window of the given streams (the per-worker unit of the
-    /// parallel path).
+    /// Scans every window of the given streams.
     fn scan_streams(
         &self,
         streams: &[Arc<StreamFeatures>],
@@ -414,8 +415,9 @@ impl<'a> Engine<'a> {
             }
             let relation = self.relation(&sf.meta);
             let ws = self.params.ws(relation);
-            if self.stream_batchable(sf) {
+            if let Some(bq) = self.batch_for(sf) {
                 self.scan_stream_batched(
+                    bq,
                     &mut batcher,
                     &mut starts,
                     &mut survivors,
@@ -438,16 +440,17 @@ impl<'a> Engine<'a> {
     /// vectorized pass, the surviving starts go through the f32 lane
     /// kernel in groups of up to [`LANES`], and the f32 survivors are
     /// finally re-scored in exact f64 — also [`LANES`] at a time, via
-    /// [`BatchScorer::rescore_exact`] — so no per-window call overhead
+    /// [`Engine::rescore_group`] — so no per-window call overhead
     /// remains anywhere on the path. `starts_buf` and `surv_buf` are
     /// caller scratch, reused across streams.
     ///
     /// The stream is never the query's own (see
-    /// [`Engine::stream_batchable`]), so the overlap exclusion the
+    /// [`Engine::batch_for`]), so the overlap exclusion the
     /// scalar [`Engine::score_window_at`] performs is vacuous here.
     #[allow(clippy::too_many_arguments)]
     fn scan_stream_batched(
         &self,
+        bq: &BatchQuery,
         batcher: &mut BatchScorer,
         starts_buf: &mut Vec<usize>,
         surv_buf: &mut Vec<usize>,
@@ -457,9 +460,6 @@ impl<'a> Engine<'a> {
         coll: &mut Collector,
         tally: &mut SearchTally,
     ) {
-        // lint:allow(no-unwrap-in-lib): callers dispatch here only when
-        // the resolved mode is Batched, which requires a built batch query
-        let bq = self.batch.as_ref().expect("batched scan without a query");
         let total = sf.num_segments() - self.n + 1;
         let mask = batcher.match_mask(bq, sf);
         starts_buf.clear();
@@ -483,104 +483,48 @@ impl<'a> Engine<'a> {
         tally.f32_prune_rescans += surv_buf.len() as u64;
         coll.reserve(surv_buf.len());
         for chunk in surv_buf.chunks(LANES) {
-            let outs = batcher.rescore_exact(&self.cols, self.params, sf, chunk, ws, coll.bound());
-            for (l, &start) in chunk.iter().enumerate() {
-                match outs[l] {
-                    RescanOutcome::Inactive => {
-                        debug_assert!(false, "inactive lane inside the survivor count");
-                    }
-                    RescanOutcome::Abandoned => {
-                        tally.windows_scored += 1;
-                        tally.windows_abandoned += 1;
-                    }
-                    RescanOutcome::Scored(d) => {
-                        tally.windows_scored += 1;
-                        tally.windows_completed += 1;
-                        if d <= self.delta {
-                            coll.push(MatchResult {
-                                subseq: SubseqRef::new(sf.meta.id, start, self.n),
-                                distance: d,
-                                ws,
-                                relation,
-                            });
-                        }
-                    }
-                }
-            }
+            self.rescore_group(batcher, sf, chunk, relation, ws, coll, tally);
         }
     }
 
-    /// Applies one group's lane outcomes: prunes are tallied, survivors
-    /// are re-scored by the exact f64 scorer (which also pushes any
-    /// result), keeping the scalar balance equation
+    /// Re-scores up to [`LANES`] state-gated windows of one stream in
+    /// exact f64 ([`BatchScorer::rescore_exact`]) and offers every window
+    /// within δ to the collector, keeping the tally's balance equation
     /// `windows_scored == windows_abandoned + windows_completed` intact.
     #[allow(clippy::too_many_arguments)]
-    fn consume_group(
+    fn rescore_group(
         &self,
-        g: &GroupResult,
+        batcher: &mut BatchScorer,
         sf: &StreamFeatures,
         starts: &[usize],
         relation: SourceRelation,
         ws: f64,
-        scorer: &mut WindowScorer,
         coll: &mut Collector,
         tally: &mut SearchTally,
     ) {
-        tally.batch_groups_scored += 1;
-        let mut pruned = 0u64;
+        let outs = batcher.rescore_exact(&self.cols, self.params, sf, starts, ws, coll.bound());
         for (l, &start) in starts.iter().enumerate() {
-            match g.lanes[l] {
-                LaneOutcome::Inactive => {
+            match outs[l] {
+                RescanOutcome::Inactive => {
                     debug_assert!(false, "inactive lane inside the candidate count");
                 }
-                LaneOutcome::Pruned => pruned += 1,
-                LaneOutcome::Survivor => {
-                    tally.f32_prune_rescans += 1;
-                    self.score_window_at(sf, start, relation, ws, scorer, coll, tally);
+                RescanOutcome::Abandoned => {
+                    tally.windows_scored += 1;
+                    tally.windows_abandoned += 1;
+                }
+                RescanOutcome::Scored(d) => {
+                    tally.windows_scored += 1;
+                    tally.windows_completed += 1;
+                    if d <= self.delta {
+                        coll.push(MatchResult {
+                            subseq: SubseqRef::new(sf.meta.id, start, self.n),
+                            distance: d,
+                            ws,
+                            relation,
+                        });
+                    }
                 }
             }
-        }
-        // One tally update per group, not per pruned lane.
-        tally.windows_scored += pruned;
-        tally.windows_abandoned += pruned;
-        tally.batch_lanes_abandoned += pruned;
-    }
-
-    /// Scores the candidates the indexed path deferred for batching:
-    /// same-stream runs become lane groups of up to [`LANES`], f32-pruned
-    /// against the current bound, and survivors are re-scored exactly.
-    /// `cands` must already be grouped by stream (the state-order index
-    /// yields that order) and every candidate must match the query's
-    /// state order (the index is keyed by state signature, so that holds
-    /// by construction).
-    fn score_deferred_batched(
-        &self,
-        cands: &[(&Arc<StreamFeatures>, usize)],
-        scorer: &mut WindowScorer,
-        coll: &mut Collector,
-        tally: &mut SearchTally,
-    ) {
-        if cands.is_empty() {
-            return;
-        }
-        // lint:allow(no-unwrap-in-lib): callers dispatch here only when
-        // the resolved mode is Batched, which requires a built batch query
-        let bq = self.batch.as_ref().expect("batched flush without a query");
-        let mut batcher = BatchScorer::new();
-        let mut starts = [0usize; LANES];
-        let mut i = 0usize;
-        while i < cands.len() {
-            let sf = cands[i].0;
-            let relation = self.relation(&sf.meta);
-            let ws = self.params.ws(relation);
-            let mut cnt = 0usize;
-            while i < cands.len() && cnt < LANES && cands[i].0.meta.id == sf.meta.id {
-                starts[cnt] = cands[i].1;
-                cnt += 1;
-                i += 1;
-            }
-            let g = batcher.score_starts(bq, sf, &starts[..cnt], ws, coll.bound());
-            self.consume_group(&g, sf, &starts[..cnt], relation, ws, scorer, coll, tally);
         }
     }
 
@@ -588,17 +532,15 @@ impl<'a> Engine<'a> {
     /// rescorer alone, skipping the f32 tier: amplitude/duration band
     /// survivors are already plausible matches, so the f32 pass mostly
     /// fails to prune and would only add its own cost on top of the
-    /// exact scoring it cannot avoid. `cands` must be grouped by stream
-    /// and state-gated, as in [`Engine::score_deferred_batched`].
+    /// exact scoring it cannot avoid. `cands` must be grouped by stream,
+    /// and every candidate must match the query's state order (the index
+    /// is keyed by state signature, so that holds by construction).
     fn score_deferred_exact(
         &self,
         cands: &[(&Arc<StreamFeatures>, usize)],
         coll: &mut Collector,
         tally: &mut SearchTally,
     ) {
-        if cands.is_empty() {
-            return;
-        }
         let mut batcher = BatchScorer::new();
         let mut starts = [0usize; LANES];
         let mut i = 0usize;
@@ -612,37 +554,7 @@ impl<'a> Engine<'a> {
                 cnt += 1;
                 i += 1;
             }
-            let outs = batcher.rescore_exact(
-                &self.cols,
-                self.params,
-                sf,
-                &starts[..cnt],
-                ws,
-                coll.bound(),
-            );
-            for (l, &start) in starts[..cnt].iter().enumerate() {
-                match outs[l] {
-                    RescanOutcome::Inactive => {
-                        debug_assert!(false, "inactive lane inside the candidate count");
-                    }
-                    RescanOutcome::Abandoned => {
-                        tally.windows_scored += 1;
-                        tally.windows_abandoned += 1;
-                    }
-                    RescanOutcome::Scored(d) => {
-                        tally.windows_scored += 1;
-                        tally.windows_completed += 1;
-                        if d <= self.delta {
-                            coll.push(MatchResult {
-                                subseq: SubseqRef::new(sf.meta.id, start, self.n),
-                                distance: d,
-                                ws,
-                                relation,
-                            });
-                        }
-                    }
-                }
-            }
+            self.rescore_group(&mut batcher, sf, &starts[..cnt], relation, ws, coll, tally);
         }
     }
 }
@@ -766,17 +678,13 @@ impl Matcher {
         let mut coll = engine.collector();
         let mut tally = SearchTally::default();
         engine.scan_streams(features.streams(), &mut scorer, &mut coll, &mut tally);
-        self.metrics.incr(Counter::Searches);
-        self.metrics.record_search(&tally);
-        let mut out = coll.into_vec();
-        Self::finish(&mut out, options);
-        out
+        self.conclude(coll, &tally, options)
     }
 
     /// Reference implementation: the naive vertex-walking scan over
     /// [`SubseqView`]s, with no columnar features, no early abandoning and
-    /// no bounded collection. Every other variant is property-tested to
-    /// return exactly its output. Kept simple on purpose — do not optimize.
+    /// no bounded collection. Both plans are property-tested to return
+    /// exactly its output. Kept simple on purpose — do not optimize.
     pub fn find_matches_naive(
         &self,
         query: &QuerySubseq,
@@ -812,164 +720,15 @@ impl Matcher {
         out
     }
 
-    /// Index-accelerated variant: candidate enumeration via a prebuilt
-    /// [`StateOrderIndex`] of the query's length; scoring via the columnar
-    /// engine. Results are identical to [`Matcher::find_matches_with`].
-    pub fn find_matches_indexed(
-        &self,
-        query: &QuerySubseq,
-        index: &StateOrderIndex,
-        options: &SearchOptions,
-    ) -> Vec<MatchResult> {
-        let n = query.len();
-        if n == 0 || index.len() != n {
-            return Vec::new();
-        }
-        if options.top_k == Some(0) {
-            return Vec::new();
-        }
-        let Some(sig) = query.signature() else {
-            return self.find_matches_with(query, options);
-        };
-        let Some(engine) = Engine::new(self, query, options) else {
-            return Vec::new();
-        };
-        let features = self.store.segment_features(self.params.axis);
-        invariants::features_snapshot_coherent(&features);
-        let mut scorer = WindowScorer::new();
-        let mut coll = engine.collector();
-        let mut tally = SearchTally::default();
-        // Batchable candidates are deferred into stream-grouped lane
-        // groups (the index yields them grouped by stream in ascending
-        // start order already); the rest are scored scalar in place.
-        let mut deferred: Vec<(&Arc<StreamFeatures>, usize)> = Vec::new();
-        for r in index.candidates(sig) {
-            tally.bucket_candidates += 1;
-            let Some(sf) = features.stream(r.stream) else {
-                continue;
-            };
-            if !engine.allows(sf.meta.patient) {
-                continue;
-            }
-            let start = r.start as usize;
-            if start + n > sf.num_segments() {
-                continue;
-            }
-            if engine.stream_batchable(sf) {
-                deferred.push((sf, start));
-                continue;
-            }
-            let relation = engine.relation(&sf.meta);
-            let ws = self.params.ws(relation);
-            engine.score_window_at(sf, start, relation, ws, &mut scorer, &mut coll, &mut tally);
-        }
-        engine.score_deferred_batched(&deferred, &mut scorer, &mut coll, &mut tally);
-        self.metrics.incr(Counter::Searches);
-        self.metrics.record_search(&tally);
-        let mut out = coll.into_vec();
-        Self::finish(&mut out, options);
-        out
-    }
-
-    /// Parallel scan: splits the feature snapshot's streams over `threads`
-    /// crossbeam workers, each with its own scorer and bounded top-k
-    /// collector; the locally-collected results are merged with one final
-    /// sort + truncation. Results are identical to
-    /// [`Matcher::find_matches_with`] — a worker's local k-th best is
-    /// always ≥ the global k-th best, so per-worker abandoning never drops
-    /// a global top-k member. A panicked worker is contained: its chunk is
-    /// rescanned serially instead of poisoning the whole search.
-    pub fn find_matches_parallel(
-        &self,
-        query: &QuerySubseq,
-        options: &SearchOptions,
-        threads: usize,
-    ) -> Vec<MatchResult> {
-        if options.top_k == Some(0) {
-            return Vec::new();
-        }
-        let Some(engine) = Engine::new(self, query, options) else {
-            return Vec::new();
-        };
-        let features = self.store.segment_features(self.params.axis);
-        invariants::features_snapshot_coherent(&features);
-        let streams = features.streams();
-        // Oversubscribing physical cores only adds spawn/join overhead —
-        // the workers are pure CPU with no blocking — so cap the worker
-        // count at the host's available parallelism. On a single-core host
-        // this degenerates to the serial (batched) scan.
-        let cores = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(usize::MAX);
-        let threads = threads.max(1).min(streams.len().max(1)).min(cores);
-        if threads <= 1 {
-            return self.find_matches_with(query, options);
-        }
-        let chunk = streams.len().div_ceil(threads);
-        let chunks: Vec<&[Arc<StreamFeatures>]> = streams.chunks(chunk).collect();
-        let engine = &engine;
-        let metrics = &self.metrics;
-        let mut out: Vec<MatchResult> = Vec::new();
-        let merged = &mut out;
-        let scoped = crossbeam::thread::scope(move |scope| {
-            let mut handles = Vec::with_capacity(chunks.len());
-            for c in &chunks {
-                let c = *c;
-                handles.push((
-                    c,
-                    scope.spawn(move |_| {
-                        let mut scorer = WindowScorer::new();
-                        let mut coll = engine.collector();
-                        let mut tally = SearchTally::default();
-                        engine.scan_streams(c, &mut scorer, &mut coll, &mut tally);
-                        (coll.into_vec(), tally)
-                    }),
-                ));
-            }
-            let mut tally = SearchTally::default();
-            for (c, h) in handles {
-                match h.join() {
-                    Ok((local, t)) => {
-                        merged.extend(local);
-                        tally.merge(&t);
-                    }
-                    Err(_) => {
-                        // Contain the panic: redo this chunk serially.
-                        // The dead worker's partial tally is lost with it,
-                        // so only this rescan is accounted.
-                        let mut scorer = WindowScorer::new();
-                        let mut coll = engine.collector();
-                        let mut t = SearchTally::default();
-                        engine.scan_streams(c, &mut scorer, &mut coll, &mut t);
-                        merged.extend(coll.into_vec());
-                        tally.merge(&t);
-                    }
-                }
-            }
-            metrics.record_search(&tally);
-        });
-        if scoped.is_err() {
-            // The scope itself failed (a detached panic escaped joining):
-            // fall back to the serial engine for a correct result.
-            out.clear();
-            let mut scorer = WindowScorer::new();
-            let mut coll = engine.collector();
-            let mut tally = SearchTally::default();
-            engine.scan_streams(streams, &mut scorer, &mut coll, &mut tally);
-            self.metrics.record_search(&tally);
-            out = coll.into_vec();
-        }
-        self.metrics.incr(Counter::Searches);
-        Self::finish(&mut out, options);
-        out
-    }
-
-    /// Feature-index search with lower-bound pruning: candidates outside
-    /// the amplitude-summary *or* duration-summary band provably cannot be
-    /// within δ and are skipped before their features are touched; band
-    /// survivors are scored by the early-abandoning columnar engine.
-    /// Results are identical to [`Matcher::find_matches_with`]
-    /// (property-tested).
+    /// The pruned plan: feature-index search with lower-bound pruning.
+    /// Candidates outside the amplitude-summary *or* duration-summary band
+    /// provably cannot be within δ and are skipped before their features
+    /// are touched; band survivors are scored exactly. Results are
+    /// identical to [`Matcher::find_matches_with`] (property-tested).
+    /// `index` must cover windows of the query's length along the
+    /// matcher's axis, which is why only
+    /// [`CachedMatcher`](crate::index_cache::CachedMatcher) calls this:
+    /// it picks the index.
     ///
     /// The bounds: the per-segment-normalized distance satisfies
     /// `d ≥ wa · wi_base · |S_q − S_c| / (Σwi · ws)` and
@@ -977,17 +736,24 @@ impl Matcher {
     /// with `|S_q − S_c| ≤ δ · Σwi / (wa · wi_base)` **and**
     /// `|T_q − T_c| ≤ δ · Σwi / (wf · wi_base)` need exact scoring
     /// (`ws ≤ 1`; each survivor is then scored with its actual `ws`).
-    pub fn find_matches_pruned(
+    pub(crate) fn find_matches_pruned(
         &self,
         query: &QuerySubseq,
         index: &FeatureIndex,
         options: &SearchOptions,
     ) -> Vec<MatchResult> {
         let n = query.len();
-        if n == 0 || index.len() != n || index.axis() != self.params.axis {
-            return Vec::new();
-        }
-        if options.top_k == Some(0) {
+        debug_assert_eq!(
+            index.len(),
+            n,
+            "pruned search through an index of another length"
+        );
+        debug_assert_eq!(
+            index.axis(),
+            self.params.axis,
+            "index summarizes another axis"
+        );
+        if n == 0 || options.top_k == Some(0) {
             return Vec::new();
         }
         let Some(sig) = query.signature() else {
@@ -1039,7 +805,7 @@ impl Matcher {
             invariants::band_candidate_admissible(
                 e, sf, start, n, q_amp_sum, amp_band, q_duration, dur_band,
             );
-            if engine.stream_batchable(sf) {
+            if engine.batch_for(sf).is_some() {
                 deferred.push((sf, start));
                 continue;
             }
@@ -1074,11 +840,7 @@ impl Matcher {
             deferred = grouped;
         }
         engine.score_deferred_exact(&deferred, &mut coll, &mut tally);
-        self.metrics.incr(Counter::Searches);
-        self.metrics.record_search(&tally);
-        let mut out = coll.into_vec();
-        Self::finish(&mut out, options);
-        out
+        self.conclude(coll, &tally, options)
     }
 
     /// Scores one candidate for the naive reference path. Patient
@@ -1124,15 +886,18 @@ impl Matcher {
         })
     }
 
-    /// The admissible amplitude band half-width for a query (exposed for
-    /// diagnostics/benches): `δ · Σwi / (wa · wi_base)`.
-    pub fn amp_band(&self, query_len: usize, delta: f64) -> f64 {
-        let wi_sum: f64 = (0..query_len)
-            .map(|i| vertex_weight(&self.params, i, query_len))
-            .sum();
-        let wa = self.params.wa.max(f64::MIN_POSITIVE);
-        let wi_base = self.params.wi_base.max(f64::MIN_POSITIVE);
-        delta * wi_sum / (wa * wi_base)
+    /// Accounts one finished search and returns its ordered results.
+    fn conclude(
+        &self,
+        coll: Collector,
+        tally: &SearchTally,
+        options: &SearchOptions,
+    ) -> Vec<MatchResult> {
+        self.metrics.incr(Counter::Searches);
+        self.metrics.record_search(tally);
+        let mut out = coll.into_vec();
+        Self::finish(&mut out, options);
+        out
     }
 
     fn finish(out: &mut Vec<MatchResult>, options: &SearchOptions) {
@@ -1245,14 +1010,12 @@ mod tests {
             };
             let topk = m.find_matches_with(&q, &opts);
             assert_eq!(topk.as_slice(), &all[..k.min(all.len())], "k = {k}");
-            assert_eq!(topk, m.find_matches_parallel(&q, &opts, 3), "k = {k}");
         }
         let opts = SearchOptions {
             top_k: Some(0),
             ..Default::default()
         };
         assert!(m.find_matches_with(&q, &opts).is_empty());
-        assert!(m.find_matches_parallel(&q, &opts, 2).is_empty());
     }
 
     #[test]
@@ -1307,10 +1070,8 @@ mod tests {
         assert!(!matches.is_empty());
         assert!(matches.iter().all(|r| r.subseq.stream == ids[2]));
         // The restricted search agrees with the naive reference and the
-        // indexed/pruned paths (stream-level filter everywhere).
+        // pruned plan (stream-level filter everywhere).
         assert_eq!(matches, m.find_matches_naive(&q, &opts));
-        let soi = StateOrderIndex::build(&store, 9);
-        assert_eq!(matches, m.find_matches_indexed(&q, &soi, &opts));
         let fi = FeatureIndex::build(&store, 9, 0);
         assert_eq!(matches, m.find_matches_pruned(&q, &fi, &opts));
     }
@@ -1340,43 +1101,6 @@ mod tests {
         };
         let tight = m.find_matches_with(&q, &opts).len();
         assert!(tight < all, "tight {tight} vs all {all}");
-    }
-
-    #[test]
-    fn indexed_equals_scan() {
-        let (store, ids) = setup();
-        let m = Matcher::new(store.clone(), Params::default());
-        let index = StateOrderIndex::build(&store, 9);
-        for start in [0usize, 1, 2, 5] {
-            let q = query_from(&store, ids[0], start, 9);
-            let scan = m.find_matches(&q);
-            let indexed = m.find_matches_indexed(&q, &index, &SearchOptions::default());
-            assert_eq!(scan, indexed, "divergence at start {start}");
-        }
-    }
-
-    #[test]
-    fn parallel_search_equals_scan() {
-        let (store, ids) = setup();
-        let m = Matcher::new(store.clone(), Params::default());
-        for threads in [1usize, 2, 4, 16] {
-            for start in [0usize, 2, 5] {
-                let q = query_from(&store, ids[0], start, 9);
-                let scan = m.find_matches(&q);
-                let par = m.find_matches_parallel(&q, &SearchOptions::default(), threads);
-                assert_eq!(scan, par, "divergence at {threads} threads, start {start}");
-            }
-        }
-        // top_k interacts with merge ordering; verify it too.
-        let q = query_from(&store, ids[0], 0, 9);
-        let opts = SearchOptions {
-            top_k: Some(4),
-            ..Default::default()
-        };
-        assert_eq!(
-            m.find_matches_with(&q, &opts),
-            m.find_matches_parallel(&q, &opts, 3)
-        );
     }
 
     #[test]

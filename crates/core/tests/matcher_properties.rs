@@ -2,18 +2,30 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use tsm_core::batch::ScoringMode;
 use tsm_core::matcher::{Matcher, QuerySubseq, SearchOptions};
 use tsm_core::metrics::{MetricsRegistry, MetricsSnapshot};
+use tsm_core::params::AmplitudeMetric;
 use tsm_core::predict::{predict_position, AlignMode};
-use tsm_core::Params;
-use tsm_db::{PatientAttributes, StateOrderIndex, StreamStore, SubseqRef};
-use tsm_model::{segment_signal, PlrTrajectory, SegmenterConfig};
+use tsm_core::{CachedMatcher, Params};
+use tsm_db::{PatientAttributes, StreamStore, SubseqRef};
+use tsm_model::{segment_signal, PlrTrajectory, SegmenterConfig, MAX_SIGNATURE_LEN};
 use tsm_signal::{BreathingParams, SignalGenerator};
 
-/// Builds a small store of 2 patients × 2 streams with the given
-/// parameters, returning the store and the first stream's id.
+/// Builds a small store of 2 patients × 2 one-dimensional 60 s streams
+/// with the given parameters, returning the store and the first stream's
+/// id.
 fn build_store(amp: f64, period: f64, seed: u64) -> (StreamStore, tsm_db::StreamId) {
+    build_store_with(amp, period, seed, 1, 60.0)
+}
+
+/// [`build_store`] with the streams' dimensionality and duration chosen.
+fn build_store_with(
+    amp: f64,
+    period: f64,
+    seed: u64,
+    dim: usize,
+    duration_s: f64,
+) -> (StreamStore, tsm_db::StreamId) {
     let store = StreamStore::new();
     let mut first = None;
     for p in 0..2u64 {
@@ -22,9 +34,10 @@ fn build_store(amp: f64, period: f64, seed: u64) -> (StreamStore, tsm_db::Stream
             let params = BreathingParams {
                 amplitude_mm: amp * (1.0 + 0.1 * p as f64),
                 period_s: period,
+                dim,
                 ..Default::default()
             };
-            let samples = SignalGenerator::new(params, seed * 97 + p * 13 + s).generate(60.0);
+            let samples = SignalGenerator::new(params, seed * 97 + p * 13 + s).generate(duration_s);
             let vertices = segment_signal(&samples, SegmenterConfig::clean());
             if let Ok(plr) = PlrTrajectory::from_vertices(vertices) {
                 let id = store.add_stream(pid, s as u32, plr, samples.len());
@@ -76,9 +89,9 @@ proptest! {
         }
     }
 
-    /// Both accelerated searches (state-order index and the lower-bound
-    /// pruned feature index) agree with the scan on simulated stores, for
-    /// every query cut and threshold.
+    /// The index-pruned plan (`CachedMatcher` through its cached
+    /// `FeatureIndex`) agrees with the scan and the naive oracle on
+    /// simulated stores, for every query cut and threshold.
     #[test]
     fn indexed_and_pruned_searches_equal_scan(
         amp in 6.0f64..18.0,
@@ -88,10 +101,8 @@ proptest! {
         delta in 0.2f64..10.0,
     ) {
         let (store, id) = build_store(amp, 4.0, seed);
-        let params = Params::default();
-        let matcher = Matcher::new(store.clone(), params);
-        let index = StateOrderIndex::build(&store, len);
-        let feature_index = tsm_db::FeatureIndex::build(&store, len, 0);
+        let matcher = Matcher::new(store.clone(), Params::default());
+        let cached = CachedMatcher::new(matcher.clone());
         let Some(view) = store.resolve(SubseqRef::new(id, start, len)) else {
             return Ok(());
         };
@@ -101,17 +112,13 @@ proptest! {
             ..Default::default()
         };
         let naive = matcher.find_matches_naive(&query, &opts);
-        let scan = matcher.find_matches_with(&query, &opts);
-        let indexed = matcher.find_matches_indexed(&query, &index, &opts);
-        let pruned = matcher.find_matches_pruned(&query, &feature_index, &opts);
-        prop_assert_eq!(&naive, &scan);
-        prop_assert_eq!(&scan, &indexed);
-        prop_assert_eq!(&scan, &pruned);
+        prop_assert_eq!(&naive, &matcher.find_matches_with(&query, &opts));
+        prop_assert_eq!(&naive, &cached.find_matches(&query, &opts));
     }
 
-    /// The tentpole invariant: every engine variant — columnar scan,
-    /// state-order indexed, feature-pruned and parallel — returns *exactly*
-    /// the naive vertex-walking reference's ordered top-k: same windows,
+    /// The tentpole invariant: both plans — the columnar scan and the
+    /// feature-pruned search `CachedMatcher` runs — return *exactly* the
+    /// naive vertex-walking reference's ordered top-k: same windows,
     /// bit-identical distances (MatchResult's `PartialEq` compares f64
     /// equality), same order. Exercised across query cuts, k, δ and
     /// patient restrictions.
@@ -123,14 +130,11 @@ proptest! {
         len in 3usize..12,
         k in 1usize..12,
         delta in 0.3f64..10.0,
-        threads in 2usize..5,
         restrict in proptest::bool::ANY,
     ) {
         let (store, id) = build_store(amp, 4.0, seed);
-        let params = Params::default();
-        let matcher = Matcher::new(store.clone(), params);
-        let index = StateOrderIndex::build(&store, len);
-        let feature_index = tsm_db::FeatureIndex::build(&store, len, 0);
+        let matcher = Matcher::new(store.clone(), Params::default());
+        let cached = CachedMatcher::new(matcher.clone());
         let Some(view) = store.resolve(SubseqRef::new(id, start, len)) else {
             return Ok(());
         };
@@ -141,36 +145,74 @@ proptest! {
             restrict_patients: restrict.then(|| {
                 store.patients().into_iter().take(1).collect()
             }),
-            ..Default::default()
         };
         let naive = matcher.find_matches_naive(&query, &opts);
         prop_assert!(naive.len() <= k);
-        let scan = matcher.find_matches_with(&query, &opts);
-        let indexed = matcher.find_matches_indexed(&query, &index, &opts);
-        let pruned = matcher.find_matches_pruned(&query, &feature_index, &opts);
-        let parallel = matcher.find_matches_parallel(&query, &opts, threads);
-        prop_assert_eq!(&naive, &scan);
-        prop_assert_eq!(&naive, &indexed);
-        prop_assert_eq!(&naive, &pruned);
-        prop_assert_eq!(&naive, &parallel);
+        prop_assert_eq!(&naive, &matcher.find_matches_with(&query, &opts));
+        prop_assert_eq!(&naive, &cached.find_matches(&query, &opts));
         // Instrumentation must be pure observation: a metrics-enabled
-        // matcher returns the bit-identical ordered top-k on every
-        // variant, and its counters reconcile.
+        // matcher returns the bit-identical ordered top-k on both plans,
+        // and its counters reconcile.
         let metrics = MetricsRegistry::enabled();
-        let instrumented = Matcher::new(store.clone(), Params::default())
-            .with_metrics(metrics.clone());
-        prop_assert_eq!(&naive, &instrumented.find_matches_with(&query, &opts));
-        prop_assert_eq!(&naive, &instrumented.find_matches_pruned(&query, &feature_index, &opts));
-        prop_assert_eq!(&naive, &instrumented.find_matches_parallel(&query, &opts, threads));
+        let instrumented = CachedMatcher::new(
+            Matcher::new(store.clone(), Params::default()).with_metrics(metrics.clone()),
+        );
+        prop_assert_eq!(&naive, &instrumented.matcher().find_matches_with(&query, &opts));
+        prop_assert_eq!(&naive, &instrumented.find_matches(&query, &opts));
         let snap = metrics.snapshot();
         prop_assert!(snap.check_invariants().is_ok(), "{:?}", snap.check_invariants());
-        prop_assert_eq!(snap.counter("match.searches"), 3);
+        prop_assert_eq!(snap.counter("match.searches"), 2);
         // The top-k is a prefix of the unbounded result.
         let unbounded = matcher.find_matches_with(&query, &SearchOptions {
             top_k: None,
             ..opts.clone()
         });
         prop_assert_eq!(&unbounded[..naive.len().min(unbounded.len())], &naive[..]);
+    }
+
+    /// The plans with no f32 tier in them equal the oracle too: the
+    /// spatial amplitude metric, which every window scores with the
+    /// scalar scorer, and queries longer than `MAX_SIGNATURE_LEN`
+    /// segments, which `CachedMatcher` sends to the scan. Runs on 3-D
+    /// streams long enough for such queries.
+    #[test]
+    fn spatial_and_long_queries_equal_the_oracle(
+        amp in 6.0f64..18.0,
+        seed in 1u64..500,
+        start in 0usize..8,
+        long in proptest::bool::ANY,
+        short_len in 3usize..12,
+        k in 1usize..12,
+        delta in 0.3f64..10.0,
+        spatial in proptest::bool::ANY,
+    ) {
+        let (store, id) = build_store_with(amp, 4.0, seed, 3, 120.0);
+        let params = Params {
+            amplitude_metric: if spatial {
+                AmplitudeMetric::Spatial
+            } else {
+                AmplitudeMetric::Axis
+            },
+            ..Params::default()
+        };
+        let matcher = Matcher::new(store.clone(), params);
+        let cached = CachedMatcher::new(matcher.clone());
+        let len = if long { MAX_SIGNATURE_LEN + 1 + short_len } else { short_len };
+        let view = store.resolve(SubseqRef::new(id, start, len));
+        prop_assert!(view.is_some(), "stream too short for a {}-segment query", len);
+        let query = QuerySubseq::from_view(&view.unwrap());
+        for top_k in [Some(k), None] {
+            let opts = SearchOptions {
+                top_k,
+                delta_override: Some(delta),
+                ..Default::default()
+            };
+            let naive = matcher.find_matches_naive(&query, &opts);
+            prop_assert_eq!(&naive, &matcher.find_matches_with(&query, &opts));
+            prop_assert_eq!(&naive, &cached.find_matches(&query, &opts));
+        }
+        // Long queries never build an index; short ones build one.
+        prop_assert_eq!(cached.cache().rebuild_count(), u64::from(!long));
     }
 
     /// Predictions are always finite and inside (a generous expansion of)
@@ -203,13 +245,14 @@ proptest! {
         }
     }
 
-    /// The vectorized f32 tier is invisible in results: forcing
-    /// `ScoringMode::Batched` returns the bit-identical ordered top-k as
-    /// forcing `ScoringMode::Scalar` — which itself equals the naive
-    /// reference — on all four engine variants, across query cuts, k, δ
-    /// and thread counts. This is the lane-group admissibility proof at
-    /// the API boundary: a pruned lane may only ever be a window whose
-    /// exact distance exceeds the bound.
+    /// The batched tier is invisible in results. A query cut from a
+    /// stored stream scores its own stream with the scalar scorer (the
+    /// overlap exclusion needs it) and every other stream through the
+    /// batched tier; the same vertices detached from their stream send
+    /// every stream, their own included, through the batched tier. Both
+    /// equal the naive oracle on both plans, and on the windows the two
+    /// queries share — all but those overlapping the query's span — the
+    /// scalar and batched scorers return bit-identical distances.
     #[test]
     fn batched_scoring_is_bit_identical_to_scalar(
         amp in 6.0f64..18.0,
@@ -218,44 +261,53 @@ proptest! {
         len in 3usize..12,
         k in 1usize..12,
         delta in 0.3f64..10.0,
-        threads in 2usize..5,
     ) {
         let (store, id) = build_store(amp, 4.0, seed);
         let matcher = Matcher::new(store.clone(), Params::default());
-        let index = StateOrderIndex::build(&store, len);
-        let feature_index = tsm_db::FeatureIndex::build(&store, len, 0);
+        let cached = CachedMatcher::new(matcher.clone());
         let Some(view) = store.resolve(SubseqRef::new(id, start, len)) else {
             return Ok(());
         };
-        let query = QuerySubseq::from_view(&view);
-        let base = SearchOptions {
-            top_k: Some(k),
+        let own = QuerySubseq::from_view(&view);
+        let detached = QuerySubseq {
+            origin_stream: None,
+            ..own.clone()
+        };
+        for query in [&own, &detached] {
+            for top_k in [Some(k), None] {
+                let opts = SearchOptions {
+                    top_k,
+                    delta_override: Some(delta),
+                    ..Default::default()
+                };
+                let naive = matcher.find_matches_naive(query, &opts);
+                prop_assert_eq!(&naive, &matcher.find_matches_with(query, &opts));
+                prop_assert_eq!(&naive, &cached.find_matches(query, &opts));
+            }
+        }
+        let all = SearchOptions {
             delta_override: Some(delta),
             ..Default::default()
         };
-        let scalar = SearchOptions { scoring: ScoringMode::Scalar, ..base.clone() };
-        let batched = SearchOptions { scoring: ScoringMode::Batched, ..base.clone() };
-        let naive = matcher.find_matches_naive(&query, &base);
-        prop_assert_eq!(&naive, &matcher.find_matches_with(&query, &scalar));
-        prop_assert_eq!(&naive, &matcher.find_matches_with(&query, &batched));
-        prop_assert_eq!(&naive, &matcher.find_matches_indexed(&query, &index, &batched));
-        prop_assert_eq!(&naive, &matcher.find_matches_pruned(&query, &feature_index, &batched));
-        prop_assert_eq!(&naive, &matcher.find_matches_parallel(&query, &batched, threads));
-        // Unbounded (no top-k) as well: the bound never tightens below δ,
-        // so the f32 tier prunes on δ alone.
-        let all_scalar = matcher.find_matches_with(&query, &SearchOptions {
-            top_k: None, ..scalar.clone()
-        });
-        let all_batched = matcher.find_matches_with(&query, &SearchOptions {
-            top_k: None, ..batched.clone()
-        });
-        prop_assert_eq!(&all_scalar, &all_batched);
+        let (q_first, q_last) = (view.first_vertex().time, view.last_vertex().time);
+        let scalar_own = matcher.find_matches_with(&own, &all);
+        let batched_own: Vec<_> = matcher
+            .find_matches_with(&detached, &all)
+            .into_iter()
+            .filter(|m| {
+                let c = store.resolve(m.subseq).unwrap();
+                let overlaps = c.last_vertex().time > q_first && c.first_vertex().time < q_last;
+                m.subseq.stream != id || !overlaps
+            })
+            .collect();
+        prop_assert_eq!(&scalar_own, &batched_own);
     }
 
-    /// Direct admissibility of the f32 lower-bound tier on random window
-    /// groups: a lane the kernel prunes at bound `b` always has exact f64
-    /// distance strictly greater than `b` (verified against the exact
-    /// scalar scorer), for consecutive and gathered lane layouts.
+    /// Direct admissibility of the f32 lower-bound tier on random
+    /// streams: every start `collect_survivors` prunes at bound `b` has
+    /// exact f64 distance strictly greater than `b` (verified against the
+    /// exact scalar scorer), and pruned plus survivors account for every
+    /// gate-passing start.
     #[test]
     fn f32_tier_never_prunes_an_admissible_window(
         amp in 6.0f64..18.0,
@@ -264,7 +316,7 @@ proptest! {
         len in 3usize..10,
         bound in 0.05f64..6.0,
     ) {
-        use tsm_core::batch::{BatchQuery, BatchScorer, LaneOutcome, LANES};
+        use tsm_core::batch::{BatchQuery, BatchScorer};
         use tsm_core::similarity::{QueryCols, ScoreOutcome, WindowCols, WindowScorer};
 
         let (store, id) = build_store(amp, 4.0, seed);
@@ -282,6 +334,7 @@ proptest! {
         };
         let mut kernel = BatchScorer::new();
         let mut exact = WindowScorer::new();
+        let mut survivors = Vec::new();
         let features = store.segment_features(params.axis);
         for sf in features.streams() {
             if !sf.mirror32.finite || sf.num_segments() < n {
@@ -301,31 +354,32 @@ proptest! {
                 }
                 (0..total).filter(|&j| mask[j] == 0).collect()
             };
-            for chunk in matched.chunks(LANES) {
-                let group = kernel.score_starts(&bq, sf, chunk, 1.0, bound);
-                for (l, &w) in chunk.iter().enumerate() {
-                    if !matches!(group.lanes[l], LaneOutcome::Pruned) {
-                        continue;
-                    }
-                    let cand = WindowCols {
-                        states: &sf.states[w..w + n],
-                        disp: &sf.disp[w..w + n],
-                        dvec: &sf.dvec[w..w + n],
-                        dur: &sf.dur[w..w + n],
-                    };
-                    let refutable = match exact.score_window_outcome(
-                        &cols, cand, &params, 1.0, bound,
-                    ) {
-                        ScoreOutcome::Scored(d) => d > bound,
-                        ScoreOutcome::Abandoned => true,
-                        ScoreOutcome::StateMismatch => false,
-                    };
-                    prop_assert!(
-                        refutable,
-                        "inadmissible f32 prune: stream {:?} start {} bound {}",
-                        sf.meta.id, w, bound,
-                    );
-                }
+            if matched.is_empty() {
+                continue;
+            }
+            survivors.clear();
+            let limit = bq.stream_limit(sf, 1.0, bound);
+            let pruned = kernel.collect_survivors(&bq, sf, &matched, limit, &mut survivors);
+            prop_assert_eq!(pruned as usize + survivors.len(), matched.len());
+            for &w in matched.iter().filter(|w| !survivors.contains(w)) {
+                let cand = WindowCols {
+                    states: &sf.states[w..w + n],
+                    disp: &sf.disp[w..w + n],
+                    dvec: &sf.dvec[w..w + n],
+                    dur: &sf.dur[w..w + n],
+                };
+                let refutable = match exact.score_window_outcome(
+                    &cols, cand, &params, 1.0, bound,
+                ) {
+                    ScoreOutcome::Scored(d) => d > bound,
+                    ScoreOutcome::Abandoned => true,
+                    ScoreOutcome::StateMismatch => false,
+                };
+                prop_assert!(
+                    refutable,
+                    "inadmissible f32 prune: stream {:?} start {} bound {}",
+                    sf.meta.id, w, bound,
+                );
             }
         }
     }

@@ -14,7 +14,7 @@ use tsm_core::metrics::MetricsRegistry;
 use tsm_core::session::{CohortRuntime, SessionConfig, SessionRuntime, SessionSpec};
 use tsm_core::{CachedMatcher, Matcher, Params, QuerySubseq, SearchOptions};
 use tsm_db::{PatientAttributes, PatientId, StreamStore, SubseqRef};
-use tsm_model::{segment_signal, PlrTrajectory, Sample, SegmenterConfig};
+use tsm_model::{segment_signal, PlrTrajectory, Sample, SegmenterConfig, MAX_SIGNATURE_LEN};
 use tsm_signal::{BreathingParams, SignalGenerator};
 
 fn seeded_store(seed: u64) -> (StreamStore, PatientId) {
@@ -44,12 +44,20 @@ fn matcher_counters_reconcile_across_all_variants() {
     let query = QuerySubseq::from_view(&view);
     let opts = SearchOptions::default();
 
-    // Exercise the cached/pruned path, the plain scan and the parallel
-    // scan against the same registry.
+    // Exercise the cached/pruned plan, the plain scan and the cached
+    // scan fallback (a query too long to key an index) against the same
+    // registry.
     cached.find_matches(&query, &opts);
     cached.find_matches(&query, &opts);
     cached.matcher().find_matches_with(&query, &opts);
-    cached.matcher().find_matches_parallel(&query, &opts, 3);
+    let long = store
+        .resolve(SubseqRef::new(
+            tsm_db::StreamId(0),
+            0,
+            MAX_SIGNATURE_LEN + 1,
+        ))
+        .expect("a 120 s stream outlasts the signature cap");
+    cached.find_matches(&QuerySubseq::from_view(&long), &opts);
 
     let snap = metrics.snapshot();
     snap.check_invariants().expect("counters reconcile");
@@ -59,7 +67,8 @@ fn matcher_counters_reconcile_across_all_variants() {
         snap.counter("match.windows_scored"),
         snap.counter("match.windows_abandoned") + snap.counter("match.windows_completed")
     );
-    // Two cached searches of the same length: one miss, one hit.
+    // Two cached searches of the same length: one miss, one hit. The
+    // long query never looks an index up.
     assert_eq!(snap.counter("cache.lookups"), 2);
     assert_eq!(snap.counter("cache.hits"), 1);
     assert_eq!(snap.counter("cache.misses"), 1);
@@ -77,7 +86,7 @@ fn matcher_counters_reconcile_across_all_variants() {
             .get("match.search_latency_ns")
             .map(|h| h.count)
             .unwrap_or(0),
-        2
+        3
     );
 }
 

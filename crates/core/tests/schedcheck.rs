@@ -10,11 +10,12 @@
 //!    `Acquire` before reading the data and tags what it caches; a server
 //!    thread that observes the cache tag must observe data at least as
 //!    fresh as the tag claims.
-//! 2. **Per-worker `SearchTally` flush at the parallel join**
-//!    (`Matcher::find_matches_parallel` / `MetricsRegistry::record_search`):
-//!    workers bump relaxed statistics counters and then publish completion
-//!    with `Release`; a reader that `Acquire`-observes every worker done
-//!    must see a reconciled tally (`scored == abandoned + completed`).
+//! 2. **Per-worker `SearchTally` flush at the shard-worker join**
+//!    (`CohortRuntime`'s sharded replay / `MetricsRegistry::record_search`):
+//!    shard workers bump relaxed statistics counters and then publish
+//!    completion with `Release`; a reader that `Acquire`-observes every
+//!    worker done must see a reconciled tally
+//!    (`scored == abandoned + completed`).
 //! 3. **`SessionHandle` bounded command channel + pending gauge**
 //!    (`SessionHandle::send` / the session worker loop): a caller counts a
 //!    command into the `pending` gauge *before* publishing it on the
@@ -115,13 +116,14 @@ fn version_protocol_relaxed_cache_publish_is_caught() {
     assert!(v.assertion.starts_with("tag at v1 implies fresh cache"));
 }
 
-/// Builds the tally-flush model: two parallel search workers fold their
-/// per-search `SearchTally` into the shared metrics counters with relaxed
-/// `fetch_add`s (exactly how `MetricsRegistry::add` behaves), then
-/// publish completion; a reader that observes both workers done must see
-/// a reconciled tally. `done_ord` is the workers' completion-store
-/// ordering — the join edge crossbeam's scope join provides in the real
-/// code.
+/// Builds the tally-flush model: two shard workers fold their per-search
+/// `SearchTally` into metrics counters with relaxed `fetch_add`s (exactly
+/// how `MetricsRegistry::add` behaves), then publish completion; a reader
+/// that observes both workers done must see a reconciled tally. In the
+/// real code the reader is `CohortRuntime`'s sharded replay, which
+/// absorbs every shard's registry into the parent once the crossbeam
+/// scope has joined its workers. `done_ord` is the workers'
+/// completion-store ordering — the join edge that scope join provides.
 fn tally_flush(done_ord: Ordering) -> Model {
     let mut m = Model::new();
     let scored = m.loc("SCORED");

@@ -1,11 +1,12 @@
 //! Feature index: state-order buckets with amplitude/duration summaries
 //! for lower-bound pruning.
 //!
-//! [`crate::StateOrderIndex`] turns Definition 2's state-order gate into a
-//! hash lookup; this index goes further. Each candidate window is stored
-//! with two cheap summaries — the sum of absolute segment displacements
-//! `S` and the window duration `T`. Triangle inequality gives lower
-//! bounds on the weighted distance of any query/candidate pair:
+//! Keying windows by their packed state-order signature turns Definition
+//! 2's state-order gate into a hash lookup; this index goes further. Each
+//! candidate window is stored with two cheap summaries — the sum of
+//! absolute segment displacements `S` and the window duration `T`.
+//! Triangle inequality gives lower bounds on the weighted distance of any
+//! query/candidate pair:
 //!
 //! ```text
 //! Σᵢ |dq_i − dc_i|  ≥  |Σᵢ(|dq_i| − |dc_i|)|  =  |S_q − S_c|
@@ -16,9 +17,9 @@
 //! cannot be within δ and are skipped without touching their features.
 //! Entries are sorted by `S` within each state-order bucket, making the
 //! amplitude band a binary search; the duration band filters the
-//! surviving slice. The matcher re-checks every survivor with the exact
-//! distance, so results are identical to the scan (property-tested in
-//! `tsm-core`).
+//! surviving slice. The matcher's pruned plan re-checks every survivor
+//! with the exact distance, so results are identical to the scan
+//! (property-tested in `tsm-core`).
 //!
 //! Construction runs on the store's columnar [`SegmentFeatures`]
 //! snapshot: window summaries are prefix-sum subtractions and state
@@ -30,6 +31,7 @@ use crate::ids::StreamId;
 use crate::store::StreamStore;
 use crate::subsequence::SubseqRef;
 use std::collections::HashMap;
+use tsm_model::MAX_SIGNATURE_LEN;
 
 /// One indexed window: its reference plus the prune summaries.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,7 +71,7 @@ impl FeatureIndex {
     /// repeated builds (different lengths, or rebuilt after appends) pay
     /// feature extraction only for streams not seen before.
     pub fn build(store: &StreamStore, len: usize, axis: usize) -> Self {
-        if len == 0 || len > 60 {
+        if len == 0 || len > MAX_SIGNATURE_LEN {
             return FeatureIndex {
                 len,
                 axis,
@@ -81,12 +83,12 @@ impl FeatureIndex {
     }
 
     /// Builds the index for windows of `len` segments directly from a
-    /// columnar feature snapshot (`1 <= len <= 60`).
+    /// columnar feature snapshot (`1 <= len <= MAX_SIGNATURE_LEN`).
     pub fn from_features(features: &SegmentFeatures, len: usize) -> Self {
         let axis = features.axis();
         let mut map: HashMap<u128, Vec<FeatureEntry>> = HashMap::new();
         let mut total = 0usize;
-        if len == 0 || len > 60 {
+        if len == 0 || len > MAX_SIGNATURE_LEN {
             return FeatureIndex {
                 len,
                 axis,
@@ -161,22 +163,11 @@ impl FeatureIndex {
     /// dur_band]` — everything outside cannot be within the corresponding
     /// distance threshold. The amplitude band is a binary search over the
     /// sorted bucket; the duration band filters the surviving slice.
-    pub fn candidates_in_band(
-        &self,
-        signature: u128,
-        amp_sum: f64,
-        amp_band: f64,
-        duration: f64,
-        dur_band: f64,
-    ) -> impl Iterator<Item = &FeatureEntry> {
-        self.candidates_in_band_counted(signature, amp_sum, amp_band, duration, dur_band)
-            .0
-    }
-
-    /// Like [`FeatureIndex::candidates_in_band`], but also reports how
-    /// many entries each pruning tier saw (for instrumentation): the whole
-    /// signature bucket, then the amplitude-band survivors. Duration-band
-    /// survivors are whatever the returned iterator yields.
+    ///
+    /// Also reports how many entries each pruning tier saw (for
+    /// instrumentation): the whole signature bucket, then the
+    /// amplitude-band survivors. Duration-band survivors are whatever the
+    /// returned iterator yields.
     pub fn candidates_in_band_counted(
         &self,
         signature: u128,
@@ -295,41 +286,39 @@ mod tests {
         }
         let mid = all[all.len() / 2];
         let band = 2.0;
+        let in_band = |sig, amp_band, duration, dur_band| {
+            let (iter, counts) =
+                ix.candidates_in_band_counted(sig, mid.amp_sum, amp_band, duration, dur_band);
+            (iter.copied().collect::<Vec<_>>(), counts)
+        };
         // Infinite duration band: equals the pure amplitude filter.
-        let in_band: Vec<_> = ix
-            .candidates_in_band(sig, mid.amp_sum, band, 0.0, f64::INFINITY)
-            .copied()
-            .collect();
+        let (amp_only, counts) = in_band(sig, band, 0.0, f64::INFINITY);
         let brute: Vec<_> = all
             .iter()
             .filter(|e| (e.amp_sum - mid.amp_sum).abs() <= band + 1e-12)
             .copied()
             .collect();
-        assert_eq!(in_band, brute);
+        assert_eq!(amp_only, brute);
+        assert_eq!(counts.bucket, all.len());
+        assert_eq!(counts.amp_band, brute.len());
         // A finite duration band prunes further and matches brute force.
         let dur_band = 0.5;
-        let both: Vec<_> = ix
-            .candidates_in_band(sig, mid.amp_sum, band, mid.duration, dur_band)
-            .copied()
-            .collect();
+        let (both, counts) = in_band(sig, band, mid.duration, dur_band);
         let brute_both: Vec<_> = brute
             .iter()
             .filter(|e| (e.duration - mid.duration).abs() <= dur_band)
             .copied()
             .collect();
         assert_eq!(both, brute_both);
-        assert!(both.len() <= in_band.len());
+        assert_eq!(counts.amp_band, brute.len());
+        assert!(both.len() <= amp_only.len());
         // Zero bands still contain the window itself.
-        assert!(ix
-            .candidates_in_band(sig, mid.amp_sum, 1e-9, mid.duration, 1e-9)
-            .next()
-            .is_some());
+        assert!(!in_band(sig, 1e-9, mid.duration, 1e-9).0.is_empty());
         // Unknown signature: empty.
         let none = state_signature([Irregular, Irregular, Irregular]).unwrap();
-        assert!(ix
-            .candidates_in_band(none, 0.0, 1e9, 0.0, 1e9)
-            .next()
-            .is_none());
+        let (hits, counts) = in_band(none, 1e9, 0.0, 1e9);
+        assert!(hits.is_empty());
+        assert_eq!(counts, BandCounts::default());
     }
 
     #[test]

@@ -20,16 +20,15 @@
 //!   which drives the `ws` weight of the similarity measure.
 //! * [`SubseqRef`] / [`SubseqView`] — lightweight references to `len`
 //!   consecutive PLR segments of a stream, the unit of matching.
-//! * [`StateOrderIndex`] — an optional index from state-order signatures
-//!   to subsequence references, making the Definition-2 state-order gate a
-//!   hash lookup (the paper lists indexing as future work; see the
-//!   `index_vs_scan` bench for its effect).
+//! * [`FeatureIndex`] — an index from state-order signatures to window
+//!   summaries, making the Definition-2 state-order gate a hash lookup and
+//!   adding amplitude/duration lower-bound bands (the paper lists indexing
+//!   as future work; see the `matching` bench for its effect).
 
 pub mod backend;
 pub mod feature_index;
 pub mod features;
 pub mod ids;
-pub mod index;
 pub mod persist;
 pub mod stats;
 pub mod store;
@@ -41,7 +40,6 @@ pub use backend::{fsync_dir, DurableBackend, FileBackend, MemBackend};
 pub use feature_index::{BandCounts, FeatureEntry, FeatureIndex};
 pub use features::{f32_above, Mirror32, SegmentFeatures, StreamFeatures};
 pub use ids::{PatientId, StreamId};
-pub use index::StateOrderIndex;
 pub use persist::{
     load_store, load_store_from_path, salvage_store, salvage_store_from_path, save_store,
     save_store_to_path, PersistError, RecoveryReport,

@@ -68,7 +68,7 @@ pub mod prelude {
     pub use crate::segment::Segment;
     pub use crate::segmenter::{segment_signal, NonFiniteSample, OnlineSegmenter, SegmenterConfig};
     pub use crate::smoother::{MovingAverage, SpikeFilter, StreamFilter};
-    pub use crate::state::{state_signature, BreathState};
+    pub use crate::state::{state_signature, BreathState, MAX_SIGNATURE_LEN};
     pub use crate::vertex::Vertex;
 }
 

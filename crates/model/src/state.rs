@@ -101,21 +101,26 @@ impl fmt::Display for BreathState {
     }
 }
 
+/// The longest state order [`state_signature`] packs: 60 segments of 2
+/// bits each, under the leading length marker, within a `u128`.
+pub const MAX_SIGNATURE_LEN: usize = 60;
+
 /// Packs a state order (a sequence of states) into a `u128` signature.
 ///
 /// Two subsequences can only be similar if their state orders are
 /// identical (Definition 2, condition 1); comparing packed signatures makes
 /// that gate a single integer comparison and gives the database a hashable
 /// index key. Each state takes 2 bits, so signatures are exact for
-/// sequences of up to 60 segments (far beyond the query lengths the paper
-/// uses — 3 to 9 breathing cycles, i.e. at most ~27 segments). Longer
-/// sequences return `None` and must be compared element-wise.
-#[allow(clippy::explicit_counter_loop)] // n also guards the 60-state cap
+/// sequences of up to [`MAX_SIGNATURE_LEN`] segments (far beyond the query
+/// lengths the paper uses — 3 to 9 breathing cycles, i.e. at most ~27
+/// segments). Longer sequences return `None` and must be compared
+/// element-wise.
+#[allow(clippy::explicit_counter_loop)] // n also guards the length cap
 pub fn state_signature(states: impl IntoIterator<Item = BreathState>) -> Option<u128> {
     let mut sig: u128 = 1; // leading 1 marks the length
     let mut n = 0usize;
     for s in states {
-        if n >= 60 {
+        if n >= MAX_SIGNATURE_LEN {
             return None;
         }
         sig = (sig << 2) | s.index() as u128;
@@ -185,9 +190,9 @@ mod tests {
 
     #[test]
     fn signature_overflows_to_none() {
-        let long = vec![BreathState::Exhale; 61];
+        let long = vec![BreathState::Exhale; MAX_SIGNATURE_LEN + 1];
         assert_eq!(state_signature(long), None);
-        let ok = vec![BreathState::Exhale; 60];
+        let ok = vec![BreathState::Exhale; MAX_SIGNATURE_LEN];
         assert!(state_signature(ok).is_some());
     }
 }

@@ -26,7 +26,7 @@ use tsm_core::metrics::{Counter, Hist};
 use tsm_core::session::{HandleRejection, SessionStatus};
 use tsm_core::SessionHealth;
 
-/// Serving configuration (see `tsm serve --help` for the CLI surface).
+/// Serving configuration (see `tsm help` for the CLI surface).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (port 0 picks an ephemeral

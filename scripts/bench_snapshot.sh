@@ -45,19 +45,18 @@ trap 'rm -f "$raw"' EXIT
 echo "== building benches (release) =="
 cargo build --release -p tsm-bench --benches
 
-echo "== checking scalar/batched scoring equivalence (release) =="
-# The scoring numbers below are only comparable if both modes return the
-# same answers. Prove it before measuring: the property suite's
-# batched-vs-scalar bit-identity tests must pass in release mode (the
-# same optimization level the benches run at).
+echo "== checking search equivalence against the oracle (release) =="
+# The matching numbers below are only comparable if every plan returns
+# the oracle's answers. Prove it before measuring: the property suite's
+# oracle test and the f32 tier's admissibility test must pass in release
+# mode (the same optimization level the benches run at).
 cargo test --release -p tsm-core --test matcher_properties -- --quiet \
-    batched_scoring_is_bit_identical_to_scalar \
+    all_variants_return_identical_ordered_topk \
     f32_tier_never_prunes_an_admissible_window
 
-echo "== running matching + distances + scoring benches =="
+echo "== running matching + distances benches =="
 CRITERION_SNAPSHOT="$raw" cargo bench -p tsm-bench --bench matching
 CRITERION_SNAPSHOT="$raw" cargo bench -p tsm-bench --bench distances
-CRITERION_SNAPSHOT="$raw" cargo bench -p tsm-bench --bench scoring
 
 python3 - "$raw" "$out" "$label" "$commit" <<'EOF'
 import json, sys, datetime

@@ -1,13 +1,13 @@
-//! Cross-crate matching consistency: index vs scan on realistic data,
-//! provenance weighting end-to-end, and the Euclidean baseline's blind
-//! spot.
+//! Cross-crate matching consistency: the online search vs the oracle on
+//! realistic data, provenance weighting end-to-end, and the Euclidean
+//! baseline's blind spot.
 
 use tsm_baselines::matcher::{EuclideanMatcher, EuclideanMatcherConfig};
 use tsm_bench::{build_bundle, BundleConfig};
 use tsm_core::matcher::{Matcher, QuerySubseq, SearchOptions};
-use tsm_core::Params;
-use tsm_db::{SourceRelation, StateOrderIndex, SubseqRef};
-use tsm_model::SegmenterConfig;
+use tsm_core::{CachedMatcher, Params};
+use tsm_db::{SourceRelation, SubseqRef};
+use tsm_model::{SegmenterConfig, MAX_SIGNATURE_LEN};
 use tsm_signal::CohortConfig;
 
 fn bundle() -> tsm_bench::StoreBundle {
@@ -24,13 +24,16 @@ fn bundle() -> tsm_bench::StoreBundle {
     })
 }
 
+/// `CachedMatcher::find_matches` — the online entry point — equals the
+/// naive oracle on both of its plans: pruned through the cached index for
+/// 9-segment queries, and the scan fallback for a query longer than a
+/// state signature can key.
 #[test]
 fn index_and_scan_agree_on_simulated_data() {
     let b = bundle();
-    let params = Params::default();
-    let matcher = Matcher::new(b.store.clone(), params);
-    let index = StateOrderIndex::build(&b.store, 9);
-    assert!(!index.is_empty());
+    let matcher = Matcher::new(b.store.clone(), Params::default());
+    let cached = CachedMatcher::new(matcher.clone());
+    let opts = SearchOptions::default();
     let mut compared = 0;
     for stream in b.store.streams().iter().take(4) {
         let nseg = stream.plr.num_segments();
@@ -39,13 +42,42 @@ fn index_and_scan_agree_on_simulated_data() {
                 continue;
             };
             let q = QuerySubseq::from_view(&view);
-            let scan = matcher.find_matches(&q);
-            let indexed = matcher.find_matches_indexed(&q, &index, &SearchOptions::default());
-            assert_eq!(scan, indexed);
+            assert_eq!(
+                matcher.find_matches_naive(&q, &opts),
+                cached.find_matches(&q, &opts)
+            );
             compared += 1;
         }
     }
     assert!(compared >= 6);
+    assert_eq!(
+        cached.cache().rebuild_count(),
+        1,
+        "9-segment queries share one index"
+    );
+
+    let len = MAX_SIGNATURE_LEN + 1;
+    let long = b
+        .store
+        .streams()
+        .iter()
+        .find_map(|s| b.store.resolve(SubseqRef::new(s.meta.id, 0, len)))
+        .expect("some 90 s stream outlasts the signature cap");
+    let q = QuerySubseq::from_view(&long);
+    for top_k in [None, Some(3)] {
+        let opts = SearchOptions {
+            top_k,
+            ..Default::default()
+        };
+        let naive = matcher.find_matches_naive(&q, &opts);
+        assert!(!naive.is_empty(), "the long query matched nothing");
+        assert_eq!(naive, cached.find_matches(&q, &opts));
+    }
+    assert_eq!(
+        cached.cache().rebuild_count(),
+        1,
+        "the long query built no index"
+    );
 }
 
 #[test]

@@ -4,10 +4,10 @@
 //! metric; predictions come back as 3-D points.
 
 use tsm_bench::{build_bundle, evaluate_prediction, BundleConfig, PredictionEvalConfig};
-use tsm_core::matcher::{Matcher, QuerySubseq};
+use tsm_core::matcher::{Matcher, QuerySubseq, SearchOptions};
 use tsm_core::params::AmplitudeMetric;
 use tsm_core::predict::{predict_position, AlignMode};
-use tsm_core::Params;
+use tsm_core::{CachedMatcher, Params};
 use tsm_db::SubseqRef;
 use tsm_model::SegmenterConfig;
 use tsm_signal::CohortConfig;
@@ -88,6 +88,47 @@ fn spatial_and_axis_metrics_agree_on_sign_but_differ_in_value() {
     // add off-axis deviation), so the spatial match set is a subset at
     // equal delta.
     assert!(ms.len() <= ma.len());
+}
+
+/// Under the spatial metric no window can batch, so the scan and the
+/// cached pruned plan score every window with the scalar scorer. Both
+/// must still equal the naive oracle bit for bit.
+#[test]
+fn spatial_metric_plans_equal_the_oracle() {
+    let b = bundle();
+    let params = Params {
+        amplitude_metric: AmplitudeMetric::Spatial,
+        ..Params::default()
+    };
+    let matcher = Matcher::new(b.store.clone(), params);
+    let cached = CachedMatcher::new(matcher.clone());
+    let mut nonempty = 0;
+    for stream in b.store.streams().iter().take(3) {
+        let nseg = stream.plr.num_segments();
+        for (start, len) in [(0usize, 6usize), (3, 9), (nseg / 2, 12)] {
+            let Some(view) = b.store.resolve(SubseqRef::new(stream.meta.id, start, len)) else {
+                continue;
+            };
+            let query = QuerySubseq::from_view(&view);
+            for top_k in [None, Some(1), Some(5)] {
+                for delta_override in [None, Some(0.5), Some(20.0)] {
+                    let opts = SearchOptions {
+                        top_k,
+                        delta_override,
+                        ..Default::default()
+                    };
+                    let naive = matcher.find_matches_naive(&query, &opts);
+                    assert_eq!(naive, matcher.find_matches_with(&query, &opts));
+                    assert_eq!(naive, cached.find_matches(&query, &opts));
+                    nonempty += usize::from(!naive.is_empty());
+                }
+            }
+        }
+    }
+    assert!(
+        nonempty > 10,
+        "only {nonempty} spatial searches found matches"
+    );
 }
 
 #[test]
