@@ -96,9 +96,8 @@ pub mod prelude {
     pub use crate::query::{generate_query, QueryOutcome};
     pub use crate::session::{
         external_session, CohortReport, CohortRuntime, DegradationPolicy, GatingController,
-        HandleRejection, PredictionLog, PredictionTick, QueryReply, SessionConfig, SessionConsumer,
-        SessionHandle, SessionHealth, SessionReport, SessionRuntime, SessionSpec, SessionStatus,
-        ShardReport, ShardRouter, TrackingController,
+        PredictionLog, PredictionTick, SessionConfig, SessionConsumer, SessionHealth,
+        SessionReport, SessionRuntime, SessionSpec, ShardReport, ShardRouter, TrackingController,
     };
     pub use crate::similarity::{
         offline_distance, online_distance, vertex_weight, QueryCols, WindowCols, WindowScorer,

@@ -94,8 +94,9 @@ pub enum Counter {
     CohortSessions,
     /// Sessions that ended with an error instead of completing.
     CohortSessionsFailed,
-    /// High-water mark of events pending in any session channel
-    /// (max-merged gauge, see the module docs).
+    /// High-water mark of the work pending on any one session: a replayed
+    /// session's ticks plus its end, or the requests admitted to a serve
+    /// session (max-merged gauge, see the module docs).
     CohortBacklogHwm,
     /// Segmenter resyncs triggered by the ingest guard (gap or
     /// backwards time). Every resync also resets the smoother, so
@@ -114,8 +115,9 @@ pub enum Counter {
     /// Abstentions forced by session health (a subset of
     /// `session.predictions_abstained`).
     AbstainedUnhealthy,
-    /// Recoverable per-sample faults the cohort supervisor absorbed
-    /// instead of failing the session.
+    /// Recoverable per-sample faults the session supervisor
+    /// (`SessionRuntime::ingest`, in replay and serve) absorbed instead
+    /// of failing the session.
     CohortFaultsAbsorbed,
     /// Store loads that went through the salvage path.
     SalvageLoads,

@@ -397,11 +397,11 @@ impl CohortRuntime {
     }
 
     /// Runs one session to completion against `engine`, collecting its
-    /// ticks locally (no per-tick channel traffic), under the per-session
-    /// fault supervisor: recoverable faults (bad samples) are absorbed up
-    /// to the policy's budget — the session degrades and keeps streaming
-    /// instead of dying. Fatal errors, and a blown budget, terminate the
-    /// session with a structured error.
+    /// ticks locally (no per-tick channel traffic), under the session's
+    /// fault supervisor ([`SessionRuntime::ingest`]): recoverable faults
+    /// (bad samples) are absorbed up to the policy's budget — the session
+    /// degrades and keeps streaming instead of dying. Fatal errors, and a
+    /// blown budget, terminate the session with a structured error.
     pub(super) fn drive_session(
         &self,
         engine: &Arc<CachedMatcher>,
@@ -423,34 +423,17 @@ impl CohortRuntime {
             runtime = runtime.with_wal(Arc::clone(wal));
         }
         runtime.add_consumer(Box::new(PredictionLog::new()));
-        let mut recovered = 0usize;
         let mut error = None;
-        let mut since_commit = 0usize;
-        for &s in &spec.samples {
-            match runtime.push(s) {
-                Ok(_) => {}
-                Err(e) if e.is_recoverable() && recovered < self.policy.fault_budget => {
-                    recovered += 1;
-                    engine.metrics().incr(Counter::CohortFaultsAbsorbed);
-                }
-                Err(e) => {
-                    error = Some(if e.is_recoverable() {
-                        TsmError::FaultBudgetExhausted {
-                            absorbed: recovered,
-                        }
-                    } else {
-                        e
-                    });
-                    break;
-                }
+        // A group commit after every full batch (a no-op without a WAL);
+        // the flushed tail is committed below.
+        for batch in spec.samples.chunks(REPLAY_WAL_COMMIT_EVERY) {
+            let mut outcome = runtime.ingest(batch);
+            if outcome.is_ok() && batch.len() == REPLAY_WAL_COMMIT_EVERY {
+                outcome = runtime.wal_commit().map(drop);
             }
-            since_commit += 1;
-            if self.wal.is_some() && since_commit >= REPLAY_WAL_COMMIT_EVERY {
-                since_commit = 0;
-                if let Err(e) = runtime.wal_commit() {
-                    error = Some(e);
-                    break;
-                }
+            if let Err(e) = outcome {
+                error = Some(e);
+                break;
             }
         }
         if error.is_none() {
@@ -489,7 +472,7 @@ impl CohortRuntime {
                 report.samples = runtime.samples_seen();
                 report.health = runtime.health();
                 report.resyncs = runtime.resyncs();
-                report.recovered_faults = recovered;
+                report.recovered_faults = runtime.faults_absorbed();
                 report.complete = true;
             }
         }

@@ -48,8 +48,9 @@ pub struct DegradationPolicy {
     pub recovery_vertices: usize,
     /// Served predictions required to move Recovering → Healthy.
     pub recovery_predictions: usize,
-    /// Recoverable per-sample faults a cohort supervisor absorbs before
-    /// failing the session with
+    /// Recoverable per-sample faults the session's supervisor
+    /// ([`SessionRuntime::ingest`](super::SessionRuntime::ingest)) absorbs
+    /// before failing the session with
     /// [`TsmError::FaultBudgetExhausted`](crate::error::CoreError::FaultBudgetExhausted).
     pub fault_budget: usize,
 }

@@ -56,14 +56,14 @@
 
 mod cohort;
 mod consumers;
-mod handle;
 mod health;
 mod runtime;
 mod shard;
 
 pub use cohort::{CohortReport, CohortRuntime, SessionReport, SessionSpec};
 pub use consumers::{GatingController, PredictionLog, TrackingController};
-pub use handle::{external_session, HandleRejection, QueryReply, SessionHandle, SessionStatus};
 pub use health::{DegradationPolicy, SessionHealth};
-pub use runtime::{PredictionTick, SessionConfig, SessionConsumer, SessionRuntime};
+pub use runtime::{
+    external_session, PredictionTick, SessionConfig, SessionConsumer, SessionRuntime,
+};
 pub use shard::{ShardReport, ShardRouter};

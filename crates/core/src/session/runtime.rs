@@ -165,6 +165,8 @@ pub struct SessionRuntime {
     vertices_since_fault: usize,
     /// Predictions served while Recovering (recovery gate).
     served_in_recovery: usize,
+    /// Recoverable faults [`SessionRuntime::ingest`] has absorbed.
+    faults_absorbed: usize,
     /// Write-ahead log this session commits its vertices to, if any.
     wal: Option<Arc<tsm_db::WalWriter>>,
     /// Index into `live` up to which vertices are committed to the WAL.
@@ -275,6 +277,7 @@ impl SessionRuntime {
             epoch_start: 0,
             vertices_since_fault: 0,
             served_in_recovery: 0,
+            faults_absorbed: 0,
             wal: None,
             wal_logged: 0,
             memo: RefCell::new(None),
@@ -287,7 +290,7 @@ impl SessionRuntime {
     /// writes the session-end record after persisting the stream.
     ///
     /// The runtime never commits implicitly on `push` — the driver
-    /// (session worker, cohort replay) chooses the commit boundary so one
+    /// (serve session, cohort replay) chooses the commit boundary so one
     /// fsync can cover a whole ingest batch.
     pub fn with_wal(mut self, wal: Arc<tsm_db::WalWriter>) -> Self {
         self.wal = Some(wal);
@@ -410,6 +413,11 @@ impl SessionRuntime {
         // push and — unlike the segmenter, which `finish` swaps out for
         // a fresh one — survives the end of the session.
         self.seg_resyncs_seen
+    }
+
+    /// Recoverable faults [`SessionRuntime::ingest`] has absorbed so far.
+    pub fn faults_absorbed(&self) -> usize {
+        self.faults_absorbed
     }
 
     /// The vertices of the current epoch (since the last stream
@@ -562,6 +570,39 @@ impl SessionRuntime {
         }
         self.consumers = consumers;
         Ok(&self.live[before..])
+    }
+
+    /// Feeds a batch of samples under the session's fault supervisor, the
+    /// one every driver shares. Recoverable faults (bad samples) are
+    /// absorbed up to [`DegradationPolicy::fault_budget`] and counted in
+    /// `cohort.faults_absorbed`: the session degrades and keeps streaming.
+    /// The first recoverable fault past the budget ends the batch with
+    /// [`TsmError::FaultBudgetExhausted`]; a fatal error ends it
+    /// unchanged. Samples after the failing one are not pushed. The
+    /// budget spans the session, not the batch.
+    pub fn ingest(&mut self, samples: &[Sample]) -> Result<(), TsmError> {
+        for &s in samples {
+            if let Err(e) = self.push(s) {
+                self.supervise(e)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The supervisor's verdict on one failed push: `Ok` when the fault
+    /// is absorbed, otherwise the error that ends the batch.
+    fn supervise(&mut self, e: TsmError) -> Result<(), TsmError> {
+        if !e.is_recoverable() {
+            return Err(e);
+        }
+        if self.faults_absorbed >= self.config.policy.fault_budget {
+            return Err(TsmError::FaultBudgetExhausted {
+                absorbed: self.faults_absorbed,
+            });
+        }
+        self.faults_absorbed += 1;
+        self.metrics().incr(Counter::CohortFaultsAbsorbed);
+        Ok(())
     }
 
     /// Builds the current dynamic query, if the current epoch of the
@@ -721,6 +762,17 @@ impl SessionRuntime {
     pub fn into_consumers(self) -> Vec<Box<dyn SessionConsumer>> {
         self.consumers
     }
+}
+
+/// Builds a runtime for a session driven from outside, such as a serve
+/// session: a shared-engine session with automatic ticks disabled. Ticks
+/// assume a single in-band driver; an external driver predicts on demand
+/// instead, which keeps `session.ticks == served + abstained` intact.
+pub fn external_session(
+    engine: Arc<CachedMatcher>,
+    config: SessionConfig,
+) -> Result<SessionRuntime, TsmError> {
+    SessionRuntime::with_engine(engine, config.with_cadence(0))
 }
 
 #[cfg(test)]
@@ -900,6 +952,89 @@ mod tests {
         assert_eq!(recovered.meta.session, 7);
         assert_eq!(recovered.plr, live.plr);
         assert_eq!(recovered.raw_len, live.raw_len);
+    }
+
+    /// A session over a metered engine whose supervisor absorbs at most
+    /// `budget` faults, plus `n` good samples to feed it.
+    fn supervised(budget: usize, n: usize) -> (SessionRuntime, Vec<Sample>) {
+        let (store, patient) = seeded_store(42);
+        let engine = Arc::new(CachedMatcher::new(
+            Matcher::new(store, Params::default()).with_metrics(MetricsRegistry::enabled()),
+        ));
+        let mut config = SessionConfig::new(patient, 1).with_segmenter(SegmenterConfig::clean());
+        config.policy.fault_budget = budget;
+        let runtime = external_session(engine, config).unwrap();
+        let mut samples = live_samples(43, 20.0);
+        samples.truncate(n);
+        (runtime, samples)
+    }
+
+    fn nan_at(time: f64) -> Sample {
+        Sample::new_1d(time, f64::NAN)
+    }
+
+    #[test]
+    fn ingest_absorbs_faults_up_to_the_budget() {
+        let (mut runtime, mut samples) = supervised(3, 300);
+        // Three bad samples spread over two batches: the budget spans
+        // the session, and every good sample around them is pushed.
+        for ix in [10, 150, 290] {
+            samples[ix] = nan_at(samples[ix].time);
+        }
+        runtime.ingest(&samples[..200]).unwrap();
+        assert_eq!(runtime.faults_absorbed(), 2);
+        runtime.ingest(&samples[200..]).unwrap();
+        assert_eq!(runtime.faults_absorbed(), 3);
+        assert_eq!(runtime.samples_seen(), samples.len());
+        assert!(!runtime.live_vertices().is_empty());
+    }
+
+    #[test]
+    fn ingest_past_the_budget_reports_exhaustion_and_stops_the_batch() {
+        let (mut runtime, mut samples) = supervised(2, 100);
+        for ix in [5, 6, 7] {
+            samples[ix] = nan_at(samples[ix].time);
+        }
+        let err = runtime.ingest(&samples).unwrap_err();
+        assert_eq!(err, TsmError::FaultBudgetExhausted { absorbed: 2 });
+        assert_eq!(runtime.faults_absorbed(), 2);
+        // The third fault ended the batch: nothing after it was pushed.
+        assert_eq!(runtime.samples_seen(), 8);
+        // A budget of zero fails on the first fault.
+        let (mut strict, _) = supervised(0, 0);
+        let err = strict.ingest(&[nan_at(0.0)]).unwrap_err();
+        assert_eq!(err, TsmError::FaultBudgetExhausted { absorbed: 0 });
+    }
+
+    #[test]
+    fn fatal_errors_pass_the_supervisor_unchanged() {
+        let (mut runtime, _) = supervised(5, 0);
+        let fatal = TsmError::Durability("torn log".into());
+        assert!(!fatal.is_recoverable());
+        assert_eq!(runtime.supervise(fatal.clone()), Err(fatal));
+        assert_eq!(
+            runtime.faults_absorbed(),
+            0,
+            "a fatal error is never absorbed"
+        );
+        let recoverable = TsmError::InvalidInput("bad sample".into());
+        assert_eq!(runtime.supervise(recoverable), Ok(()));
+        assert_eq!(runtime.faults_absorbed(), 1);
+    }
+
+    #[test]
+    fn absorbed_faults_reconcile_with_the_metrics() {
+        let (mut runtime, mut samples) = supervised(4, 120);
+        for ix in (0..120).step_by(20) {
+            samples[ix] = nan_at(samples[ix].time);
+        }
+        // Six faults against a budget of four: four absorbed, then failure.
+        assert!(runtime.ingest(&samples).is_err());
+        let snap = runtime.metrics().snapshot();
+        assert_eq!(runtime.faults_absorbed(), 4);
+        assert_eq!(snap.counter("cohort.faults_absorbed"), 4);
+        assert_eq!(snap.counter("segment.samples_rejected"), 5);
+        snap.check_invariants().unwrap();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic schedule-checker models of the shared-store runtime's
 //! lock-free protocols (see `vendor/schedcheck`).
 //!
-//! Three protocols are modelled and exhaustively checked under the
+//! Two protocols are modelled and exhaustively checked under the
 //! C11-style acquire/release memory model:
 //!
 //! 1. **Store version counter → index cache** (`StreamStore::version` /
@@ -16,14 +16,9 @@
 //!    completion with `Release`; a reader that `Acquire`-observes every
 //!    worker done must see a reconciled tally
 //!    (`scored == abandoned + completed`).
-//! 3. **`SessionHandle` bounded command channel + pending gauge**
-//!    (`SessionHandle::send` / the session worker loop): a caller counts a
-//!    command into the `pending` gauge *before* publishing it on the
-//!    bounded channel; the worker decrements after consuming. The gauge
-//!    must never run ahead of the queue (the decrement would wrap it past
-//!    zero), and a delivered reply must imply a visible outcome.
 //!
-//! (The serve-layer admission-control shed path has its own model in
+//! (The serve layer's acceptor shed path and per-session admission
+//! counter have their own models in
 //! `crates/serve/tests/schedcheck_serve.rs`.)
 //!
 //! Each sound model is paired with a deliberately broken variant (the
@@ -183,104 +178,4 @@ fn tally_flush_relaxed_done_flag_is_caught() {
     assert!(!rep.capped, "model too large to check exhaustively");
     let v = rep.violation.expect("relaxed done flags must be caught");
     assert!(v.assertion.starts_with("flushed tally reconciles"));
-}
-
-/// Builds the `SessionHandle` command-channel model.
-///
-/// Locations: `PENDING` (the handle's pending-command gauge), `CMD` (the
-/// bounded command channel, collapsed to one occupied/empty slot),
-/// `OUTCOME` (the worker-owned result the command produces), `REPLY` (the
-/// per-command capacity-1 reply channel).
-///
-/// `gauge_before_send` selects whether the caller counts the command into
-/// the gauge before or after publishing it — `SessionHandle::send`
-/// deliberately increments first, because the worker's decrement races a
-/// post-send increment and would wrap the gauge past zero. `reply_ord` is
-/// the worker's ordering for the reply publish, the release half of the
-/// pair that makes the command's outcome visible to the caller.
-fn handle_command_channel(gauge_before_send: bool, reply_ord: Ordering) -> Model {
-    let mut m = Model::new();
-    let pending = m.loc("PENDING");
-    let cmd = m.loc("CMD");
-    let outcome = m.loc("OUTCOME");
-    let reply = m.loc("REPLY");
-
-    // Caller: SessionHandle::send — gauge bump and channel publish, in
-    // the order under test. The try_send itself is the Release edge
-    // (channel send synchronizes-with the worker's recv).
-    let mut caller = Thread::new("caller");
-    if gauge_before_send {
-        caller
-            .fetch_add(pending, Ordering::Relaxed, 0, |_| 1)
-            .store(cmd, Ordering::Release, |_| 1);
-    } else {
-        caller
-            .store(cmd, Ordering::Release, |_| 1)
-            .fetch_add(pending, Ordering::Relaxed, 0, |_| 1);
-    }
-    m.add(caller);
-
-    // Worker: the session worker loop — consume the command, decrement
-    // the gauge, run it, publish the reply. The gauge it decrements must
-    // already count the command it just received. `u64::MAX` is the
-    // two's-complement decrement (fetch_sub), as wrapping fetch_add.
-    let mut worker = Thread::new("worker");
-    worker.load(cmd, Ordering::Acquire, 0).if_else(
-        |r| r[0] == 1,
-        |t| {
-            t.fetch_add(pending, Ordering::Relaxed, 1, |_| u64::MAX)
-                .assert_that("pending gauge covers the queued command", |r| r[1] >= 1)
-                .store(outcome, Ordering::Relaxed, |_| 7)
-                .store(reply, reply_ord, |_| 1);
-        },
-        |_| {},
-    );
-    m.add(worker);
-
-    // Requester: the caller's blocking recv on the reply channel. A
-    // delivered reply must carry a visible outcome.
-    let mut requester = Thread::new("requester");
-    requester
-        .load(reply, Ordering::Acquire, 0)
-        .load(outcome, Ordering::Relaxed, 1)
-        .assert_that("reply implies outcome", |r| r[0] != 1 || r[1] == 7);
-    m.add(requester);
-    m
-}
-
-#[test]
-fn handle_command_channel_is_sound() {
-    let rep = handle_command_channel(true, Ordering::Release).check();
-    assert!(!rep.capped, "model too large to check exhaustively");
-    assert!(rep.executions > 0);
-    if let Some(v) = rep.violation {
-        panic!(
-            "sound command channel violated `{}`:\n  {}",
-            v.assertion,
-            v.trace.join("\n  ")
-        );
-    }
-}
-
-#[test]
-fn handle_gauge_after_send_is_caught() {
-    // The exact race `SessionHandle::send` orders against: publish the
-    // command first and the worker can consume it and decrement a gauge
-    // that was never incremented, wrapping it past zero.
-    let rep = handle_command_channel(false, Ordering::Release).check();
-    assert!(!rep.capped, "model too large to check exhaustively");
-    let v = rep.violation.expect("post-send gauge bump must be caught");
-    assert!(v
-        .assertion
-        .starts_with("pending gauge covers the queued command"));
-}
-
-#[test]
-fn handle_relaxed_reply_publish_is_caught() {
-    // Downgrade the reply publish and the requester can observe the
-    // reply before the outcome it is supposed to deliver.
-    let rep = handle_command_channel(true, Ordering::Relaxed).check();
-    assert!(!rep.capped, "model too large to check exhaustively");
-    let v = rep.violation.expect("relaxed reply publish must be caught");
-    assert!(v.assertion.starts_with("reply implies outcome"));
 }

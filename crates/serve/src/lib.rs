@@ -6,13 +6,15 @@
 //! worker pool over `TcpListener`, a minimal protocol reader ([`http`])
 //! with hard head/body caps and socket read timeouts, and a session
 //! table ([`sessions`]) of externally-driven
-//! [`tsm_core::SessionHandle`]s.
+//! [`tsm_core::SessionRuntime`]s, each behind its own lock. The worker
+//! that reads a request runs its session work inline; no session has a
+//! thread of its own.
 //!
 //! ## Endpoints
 //!
 //! | Endpoint | Purpose |
 //! |---|---|
-//! | `POST /ingest/{session}` | Stream `time,x[,y[,z]]` sample lines into a session (creates it on first use). Body may be `Content-Length` or chunked. Returns `202`. |
+//! | `POST /ingest/{session}` | Stream `time,x[,y[,z]]` sample lines into a session (creates it on first use). Body may be `Content-Length` or chunked. Returns `202` once the batch is pushed, or `200` with its `wal_seq` once it is fsynced when the server has a WAL. |
 //! | `GET /query?session=S[&k=K]` | Top-k matches for the session's current dynamic query. |
 //! | `GET /predict?session=S[&dt=T]` | Predicted position `dt` seconds ahead (abstains with `"prediction": null`). |
 //! | `GET /metrics[?check=1]` | The engine's [`tsm_core::MetricsSnapshot`] as JSON; `check=1` runs `check_invariants` first (500 on violation). |
@@ -20,14 +22,17 @@
 //!
 //! ## Backpressure
 //!
-//! Admission control rides the exact-capacity bounded channels the
-//! session layer already uses — nothing in the request path blocks:
+//! Every queue in the request path is bounded, and a full one sheds
+//! instead of blocking:
 //!
 //! * connection queue full → the **acceptor** itself answers `503` +
 //!   `Retry-After` and closes;
-//! * a session's command channel full → `429` + `Retry-After`;
+//! * `--ingest-queue` requests already waiting for a busy session →
+//!   `429` + `Retry-After`;
 //! * session fault budget exhausted → `503` + `Retry-After` (the session
 //!   stops ingesting; queries still work);
+//! * a session whose lock a panicked request poisoned → `503` +
+//!   `Retry-After`;
 //! * session table at `--sessions-max` → `503` + `Retry-After`;
 //! * request head/body over the caps → `413`; idle mid-request past the
 //!   read timeout → `408`; malformed requests → `400`.

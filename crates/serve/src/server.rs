@@ -1,20 +1,25 @@
 //! The listener, worker pool and request routing.
 //!
-//! One acceptor thread owns the `TcpListener` and does nothing but hand
-//! accepted connections to the workers: each worker owns its own small
-//! bounded queue, and the acceptor round-robins `try_send` across them,
-//! starting one past the last queue that accepted. When every queue is
-//! full, the acceptor answers `503` + `Retry-After` inline and closes
-//! the connection — load is shed at the door, the acceptor never blocks
-//! on a slow request. Per-worker queues (rather than one shared channel
-//! behind a mutex) keep the pool free of blocking-under-lock hazards:
-//! a worker parked in `recv()` holds nothing another thread needs
-//! (`cargo xtask hazard` gates exactly that pattern). Per-connection
-//! socket read timeouts and the [`crate::http::Limits`] caps keep a
-//! slow or hostile client from wedging a worker.
+//! Two layers of threads. One acceptor thread owns the `TcpListener`
+//! and does nothing but hand accepted connections to the workers: each
+//! worker owns its own small bounded queue, and the acceptor
+//! round-robins `try_send` across them, starting one past the last
+//! queue that accepted. When every queue is full, the acceptor answers
+//! `503` + `Retry-After` inline and closes the connection — load is
+//! shed at the door, the acceptor never blocks on a slow request.
+//! Per-worker queues (rather than one shared channel behind a mutex)
+//! keep the pool free of blocking-under-lock hazards: a worker parked
+//! in `recv()` holds nothing another thread needs (`cargo xtask
+//! hazard` gates exactly that pattern).
+//!
+//! A worker runs a request's session work inline, under that session's
+//! lock (see [`crate::sessions::Session`]), so the pool is the only set
+//! of threads that does session work. Per-connection socket read
+//! timeouts and the [`crate::http::Limits`] caps keep a slow or hostile
+//! client from wedging a worker.
 
 use crate::http::{read_request, HttpError, Limits, Request, Response};
-use crate::sessions::{SessionError, SessionManager};
+use crate::sessions::{SessionError, SessionManager, SessionStatus};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -23,7 +28,6 @@ use std::sync::Arc;
 use std::time::Duration;
 use tsm_core::json;
 use tsm_core::metrics::{Counter, Hist};
-use tsm_core::session::{HandleRejection, SessionStatus};
 use tsm_core::SessionHealth;
 
 /// Serving configuration (see `tsm help` for the CLI surface).
@@ -36,7 +40,7 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Live session cap (the table sheds with `503` beyond it).
     pub sessions_max: usize,
-    /// Per-session command-channel depth (full → `429`).
+    /// Requests that may wait for a busy session (beyond → `429`).
     pub ingest_queue: usize,
     /// Maximum request body bytes (beyond → `413`).
     pub max_body_bytes: usize,
@@ -44,9 +48,6 @@ pub struct ServeConfig {
     pub max_head_bytes: usize,
     /// Socket read timeout per connection, ms (idle mid-request → `408`).
     pub read_timeout_ms: u64,
-    /// How long a worker waits for a session's reply to a query or
-    /// predict command before shedding with `429`, ms.
-    pub reply_timeout_ms: u64,
     /// Default prediction horizon Δt (s) for `/predict`.
     pub horizon: f64,
     /// `Retry-After` value (s) on shed responses.
@@ -70,7 +71,6 @@ impl Default for ServeConfig {
             max_body_bytes: 1 << 20,
             max_head_bytes: 16 << 10,
             read_timeout_ms: 5_000,
-            reply_timeout_ms: 10_000,
             horizon: 0.3,
             retry_after_s: 1,
             idle_timeout_ms: 0,
@@ -80,8 +80,9 @@ impl Default for ServeConfig {
 }
 
 /// A running server: the acceptor, its worker pool, and the session
-/// table. Dropping (or [`Server::shutdown`]) stops the acceptor, drains
-/// the workers and finishes every live session.
+/// table. Dropping (or [`Server::shutdown`]) stops the acceptor and
+/// drains and joins the workers; the live sessions go with the last
+/// handle on the session table.
 pub struct Server {
     local_addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
@@ -260,7 +261,6 @@ fn shed_at_acceptor(mut stream: TcpStream, manager: &SessionManager, retry_after
 /// between rounds so shutdown can wake it immediately.
 fn maintenance_loop(stop: &AtomicBool, manager: &SessionManager, config: &ServeConfig) {
     let idle = Duration::from_millis(config.idle_timeout_ms);
-    let seal_timeout = Duration::from_millis(config.reply_timeout_ms.max(1));
     // Check often enough that an eviction lands within ~an interval of
     // the deadline, but never spin: at least every 50 ms, at most 1 s.
     let interval = if config.idle_timeout_ms > 0 {
@@ -272,7 +272,7 @@ fn maintenance_loop(stop: &AtomicBool, manager: &SessionManager, config: &ServeC
     // Relaxed: pure stop signal; the join in stop_and_join synchronizes.
     while !stop.load(Ordering::Relaxed) {
         if config.idle_timeout_ms > 0 {
-            manager.evict_idle(idle, seal_timeout);
+            manager.evict_idle(idle);
         }
         if config.checkpoint_every > 0 {
             if let Some(wal) = manager.wal() {
@@ -341,22 +341,15 @@ fn handle_connection(mut stream: TcpStream, manager: &SessionManager, config: &S
     metrics.observe_since(Hist::ServeLatency, started);
 }
 
-fn shed_status(r: HandleRejection) -> u16 {
-    if r.is_retryable() {
-        429
-    } else {
-        503
-    }
-}
-
 fn session_error_response(e: &SessionError, retry_after_s: u32) -> Response {
-    match e {
-        SessionError::TableFull { .. } => Response::shed(503, &e.to_string(), retry_after_s),
-        SessionError::Unknown(_) => Response::error(404, &e.to_string()),
-        SessionError::BadName(_) => Response::error(400, &e.to_string()),
-        SessionError::Runtime(_) => Response::error(500, &e.to_string()),
-        SessionError::Rejected(r) => Response::shed(shed_status(*r), &e.to_string(), retry_after_s),
-    }
+    let status = match e {
+        SessionError::Unknown(_) => return Response::error(404, &e.to_string()),
+        SessionError::BadName(_) => return Response::error(400, &e.to_string()),
+        SessionError::Runtime(_) => return Response::error(500, &e.to_string()),
+        SessionError::Busy => 429,
+        SessionError::TableFull { .. } | SessionError::Failed | SessionError::Poisoned => 503,
+    };
+    Response::shed(status, &e.to_string(), retry_after_s)
 }
 
 fn json_f64(v: f64) -> String {
@@ -392,42 +385,37 @@ fn ingest(req: &Request, name: &str, manager: &SessionManager, config: &ServeCon
         Ok(s) => s,
         Err(e) => return Response::error(400, &format!("ingest body: {e}")),
     };
-    let handle = match manager.get_or_create(name) {
-        Ok(h) => h,
+    let committed = match manager
+        .get_or_create(name)
+        .and_then(|session| session.ingest(&samples))
+    {
+        Ok(committed) => committed,
         Err(e) => return session_error_response(&e, config.retry_after_s),
     };
     let accepted = samples.len();
-    if manager.is_durable() {
-        // The durable contract: push + WAL fsync complete before the
-        // acknowledgement leaves, so a `200` here survives a crash.
-        return match handle.ingest_durable(samples, reply_timeout(config)) {
-            Ok(Ok(seq)) => Response::json(
-                200,
-                format!(
-                    "{{\"session\": {}, \"accepted\": {accepted}, \"durable\": true, \
-                     \"wal_seq\": {}}}\n",
-                    json::string(name),
-                    seq.map_or("null".into(), |s| s.to_string()),
-                ),
-            ),
-            Ok(Err(e)) => Response::error(500, &format!("durable ingest: {e}")),
-            Err(r) => session_error_response(&SessionError::Rejected(r), config.retry_after_s),
-        };
-    }
-    match handle.try_ingest(samples) {
-        Ok(()) => Response::json(
+    if !manager.is_durable() {
+        return Response::json(
             202,
             format!(
                 "{{\"session\": {}, \"accepted\": {accepted}}}\n",
                 json::string(name)
             ),
-        ),
-        Err(r) => session_error_response(&SessionError::Rejected(r), config.retry_after_s),
+        );
     }
-}
-
-fn reply_timeout(config: &ServeConfig) -> Duration {
-    Duration::from_millis(config.reply_timeout_ms.max(1))
+    // The durable contract: push + WAL fsync completed before the
+    // acknowledgement leaves, so a `200` here survives a crash.
+    match committed {
+        Ok(seq) => Response::json(
+            200,
+            format!(
+                "{{\"session\": {}, \"accepted\": {accepted}, \"durable\": true, \
+                 \"wal_seq\": {}}}\n",
+                json::string(name),
+                seq.map_or("null".into(), |s| s.to_string()),
+            ),
+        ),
+        Err(e) => Response::error(500, &format!("durable ingest: {e}")),
+    }
 }
 
 fn query(req: &Request, manager: &SessionManager, config: &ServeConfig) -> Response {
@@ -441,12 +429,8 @@ fn query(req: &Request, manager: &SessionManager, config: &ServeConfig) -> Respo
             _ => return Response::error(400, &format!("bad 'k' value '{raw}'")),
         },
     };
-    let handle = match manager.get(name) {
-        Ok(h) => h,
-        Err(e) => return session_error_response(&e, config.retry_after_s),
-    };
-    match handle.query(top_k, reply_timeout(config)) {
-        Err(r) => session_error_response(&SessionError::Rejected(r), config.retry_after_s),
+    match manager.get(name).and_then(|session| session.query(top_k)) {
+        Err(e) => session_error_response(&e, config.retry_after_s),
         Ok(None) => Response::json(
             200,
             format!(
@@ -492,12 +476,8 @@ fn predict(req: &Request, manager: &SessionManager, config: &ServeConfig) -> Res
             _ => return Response::error(400, &format!("bad 'dt' value '{raw}'")),
         },
     };
-    let handle = match manager.get(name) {
-        Ok(h) => h,
-        Err(e) => return session_error_response(&e, config.retry_after_s),
-    };
-    match handle.predict(dt, reply_timeout(config)) {
-        Err(r) => session_error_response(&SessionError::Rejected(r), config.retry_after_s),
+    match manager.get(name).and_then(|session| session.predict(dt)) {
+        Err(e) => session_error_response(&e, config.retry_after_s),
         Ok(None) => Response::json(
             200,
             format!(

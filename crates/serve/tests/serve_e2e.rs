@@ -3,6 +3,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tsm_core::index_cache::CachedMatcher;
@@ -246,42 +247,91 @@ fn stalled_connections_time_out_with_408() {
 fn saturated_session_sheds_with_429_and_retry_after() {
     let config = ServeConfig {
         ingest_queue: 1,
-        workers: 2,
+        workers: 4,
         ..ServeConfig::default()
     };
     let server = start_server(75, config);
     let addr = server.local_addr();
-    // Each giant batch occupies the session worker for a while; with a
-    // capacity-1 command channel the queue fills after one pending batch
-    // and further posts must shed with 429 + Retry-After, never block.
+    // Six clients post large batches to one session at once. The session
+    // runs one batch at a time and lets one more wait, so a third
+    // concurrent request must shed with 429 + Retry-After, never block.
+    // Six connections fit the acceptor's queues, so nothing else sheds.
     let batch = csv_body(76, 240.0);
-    let mut saw_429 = false;
-    for _ in 0..50 {
-        let raw = format!(
-            "POST /ingest/hot HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{batch}",
-            batch.len()
-        );
-        let (status, text) = send_raw(addr, raw.as_bytes());
-        match status {
-            202 => {}
-            429 => {
-                assert!(
-                    text.contains("Retry-After:"),
-                    "429 without Retry-After: {text}"
-                );
-                tsm_core::json::validate(&body_of(&text)).unwrap();
-                saw_429 = true;
-                break;
-            }
-            other => panic!("unexpected status {other}: {text}"),
+    let raw = format!(
+        "POST /ingest/hot HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{batch}",
+        batch.len()
+    );
+    let saw_429 = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for _ in 0..6 {
+            scope.spawn(|| {
+                for _ in 0..100 {
+                    if saw_429.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    let (status, text) = send_raw(addr, raw.as_bytes());
+                    match status {
+                        202 => {}
+                        429 => {
+                            assert!(
+                                text.contains("Retry-After:"),
+                                "429 without Retry-After: {text}"
+                            );
+                            tsm_core::json::validate(&body_of(&text)).unwrap();
+                            saw_429.store(true, Ordering::Relaxed);
+                        }
+                        other => panic!("unexpected status {other}: {text}"),
+                    }
+                }
+            });
         }
-    }
-    assert!(saw_429, "saturated session never answered 429");
+    });
+    assert!(saw_429.into_inner(), "saturated session never answered 429");
     // The server is still live and the metrics funnel recorded the shed.
     let (status, metrics) = get(addr, "/metrics");
     assert_eq!(status, 200);
     tsm_core::json::validate(&metrics).unwrap();
     assert!(!metrics.contains("\"serve.rejected\": 0"), "{metrics}");
+    server.shutdown();
+}
+
+#[test]
+fn exhausted_fault_budget_sheds_ingest_but_keeps_reads() {
+    let server = start_server(87, ServeConfig::default());
+    let addr = server.local_addr();
+    // One bad sample past the default budget of 64.
+    let poison: String = (0..65).map(|i| format!("{i},NaN\n")).collect();
+    assert_eq!(post(addr, "/ingest/sick", &poison).0, 202);
+
+    let raw = b"POST /ingest/sick HTTP/1.1\r\nHost: t\r\nContent-Length: 8\r\n\r\n99.0,1.0";
+    let (status, text) = send_raw(addr, raw);
+    assert_eq!(status, 503, "{text}");
+    assert!(text.contains("Retry-After:"), "{text}");
+    tsm_core::json::validate(&body_of(&text)).unwrap();
+
+    // Reads keep answering from the data the session already holds.
+    let (status, reply) = get(addr, "/query?session=sick");
+    assert_eq!(status, 200, "{reply}");
+    tsm_core::json::validate(&reply).unwrap();
+    let (status, reply) = get(addr, "/predict?session=sick");
+    assert_eq!(status, 200, "{reply}");
+    tsm_core::json::validate(&reply).unwrap();
+    let (status, health) = get(addr, "/healthz");
+    assert_eq!(status, 200);
+    assert!(health.contains("\"failed\": true"), "{health}");
+
+    let (status, metrics) = get(addr, "/metrics?check=1");
+    assert_eq!(status, 200, "{metrics}");
+    assert_eq!(
+        counter_in(&metrics, "cohort.faults_absorbed"),
+        64,
+        "{metrics}"
+    );
+    assert_eq!(
+        counter_in(&metrics, "cohort.sessions_failed"),
+        1,
+        "{metrics}"
+    );
     server.shutdown();
 }
 
