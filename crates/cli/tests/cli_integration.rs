@@ -1,8 +1,12 @@
 //! End-to-end tests of the `tsm` binary: every subcommand, driven through
 //! a real process.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output, Stdio};
+use std::time::Duration;
+use tsm_signal::{BreathingParams, SignalGenerator};
 
 fn tsm(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tsm"))
@@ -510,4 +514,78 @@ fn loading_garbage_store_fails_cleanly() {
     assert!(!o.status.success());
     assert!(stderr(&o).contains("not a tsm-db store"));
     std::fs::remove_file(&path).ok();
+}
+
+/// Kills the child process when dropped, so a failed assertion does not
+/// leave a server running.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Sends one HTTP/1.1 request and returns its status and full response.
+fn http(addr: &str, request: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("server accepts connections");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(request.as_bytes()).unwrap();
+    let mut text = String::new();
+    stream.read_to_string(&mut text).expect("server answers");
+    let status = text
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("unparseable response: {text:?}"));
+    (status, text)
+}
+
+#[test]
+fn serve_keeps_serving_as_a_live_process() {
+    let mut server = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_tsm"))
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs"),
+    );
+    // Hold the read end until the server is killed, so a late log line
+    // cannot hit a closed pipe.
+    let mut stderr_lines = BufReader::new(server.0.stderr.take().unwrap()).lines();
+    let line = stderr_lines
+        .next()
+        .expect("serve logs its address")
+        .unwrap();
+    let addr = line
+        .strip_prefix("tsm serve listening on ")
+        .unwrap_or_else(|| panic!("unexpected first line {line:?}"))
+        .to_string();
+
+    let body: String = SignalGenerator::new(BreathingParams::default(), 31)
+        .generate(60.0)
+        .iter()
+        .map(|s| format!("{},{}\n", s.time, s.position[0]))
+        .collect();
+    let (status, text) = http(
+        &addr,
+        &format!(
+            "POST /ingest/a HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert_eq!(status, 202, "{text}");
+    for target in ["/predict?session=a", "/healthz"] {
+        let (status, text) = http(&addr, &format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n"));
+        assert_eq!(status, 200, "{target}: {text}");
+    }
+    assert!(
+        server.0.try_wait().unwrap().is_none(),
+        "tsm serve exited while it should be serving"
+    );
+    drop(server);
 }

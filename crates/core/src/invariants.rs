@@ -16,6 +16,10 @@
 //!   here means the pruning lower bound is unsound (false dismissals).
 //! * **Bounded collection** — a top-k [`matcher`](crate::matcher)
 //!   collector never holds more than `k` results.
+//! * **Strict result order** — a search's finished results are strictly
+//!   increasing under the matcher's `(distance, stream, start)` order: no
+//!   window appears twice and no two results tie, which is what lets the
+//!   final sort be unstable without changing the order.
 //! * **Tally reconciliation** — a [`SearchTally`] always satisfies
 //!   `windows_scored == windows_abandoned + windows_completed` and the
 //!   candidate funnel `bucket ≥ amp_band ≥ dur_band`, including after
@@ -29,7 +33,9 @@
 //! are only called where those values are in scope anyway; the
 //! `debug_assert!` inside guarantees release builds do no work.
 
+use crate::matcher::{cmp_results, MatchResult};
 use crate::metrics::SearchTally;
+use std::cmp::Ordering;
 use tsm_db::{FeatureEntry, SegmentFeatures, StreamFeatures};
 
 /// Absolute slack for comparisons between independently recomputed
@@ -44,6 +50,18 @@ pub fn heap_bounded(len: usize, cap: Option<usize>) {
     debug_assert!(
         cap.is_none_or(|k| len <= k),
         "bounded collector overflow: {len} entries with cap {cap:?}",
+    );
+}
+
+/// A finished search's results are strictly increasing under
+/// `cmp_results`: sorted, and no two of them tie.
+#[inline]
+pub fn results_strictly_ordered(results: &[MatchResult]) {
+    debug_assert!(
+        results
+            .windows(2)
+            .all(|w| cmp_results(&w[0], &w[1]) == Ordering::Less),
+        "search results not strictly ordered by (distance, stream, start)",
     );
 }
 

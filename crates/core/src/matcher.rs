@@ -138,7 +138,7 @@ pub struct MatchResult {
 /// The total result order: by distance, ties broken by `(stream, start)`.
 /// Equal to the historical "stable sort by distance over scan order", and
 /// shared by both plans.
-fn cmp_results(a: &MatchResult, b: &MatchResult) -> Ordering {
+pub(crate) fn cmp_results(a: &MatchResult, b: &MatchResult) -> Ordering {
     a.distance
         .total_cmp(&b.distance)
         .then_with(|| a.subseq.stream.0.cmp(&b.subseq.stream.0))
@@ -901,7 +901,11 @@ impl Matcher {
     }
 
     fn finish(out: &mut Vec<MatchResult>, options: &SearchOptions) {
-        out.sort_by(cmp_results);
+        // `cmp_results` orders any two distinct windows, and a search
+        // yields each window at most once, so no two results tie and the
+        // unstable sort gives the stable sort's order.
+        out.sort_unstable_by(cmp_results);
+        invariants::results_strictly_ordered(out);
         if let Some(k) = options.top_k {
             out.truncate(k);
         }

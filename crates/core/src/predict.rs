@@ -80,7 +80,10 @@ pub fn predict_position(
             AlignMode::FirstVertex => first.position,
             AlignMode::LastVertex => last.position,
         };
-        let future = stream.plr.position_at(last.time + dt);
+        // The future lies a few segments past the window's last vertex:
+        // step there from that vertex rather than search the stream.
+        let last_index = m.subseq.start as usize + m.subseq.len as usize;
+        let future = stream.plr.position_after(last_index, last.time + dt);
         acc = acc + (future - c_anchor) * m.ws;
         wsum += m.ws;
         voters += 1;

@@ -17,9 +17,8 @@
 //!    worker done must see a reconciled tally
 //!    (`scored == abandoned + completed`).
 //!
-//! (The serve layer's acceptor shed path and per-session admission
-//! counter have their own models in
-//! `crates/serve/tests/schedcheck_serve.rs`.)
+//! (The serve layer's per-session admission counter has its own model
+//! in `crates/serve/tests/schedcheck_serve.rs`.)
 //!
 //! Each sound model is paired with a deliberately broken variant (the
 //! exact `Relaxed` downgrade the lint rule `explicit-atomic-ordering`

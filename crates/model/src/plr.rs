@@ -191,6 +191,28 @@ impl PlrTrajectory {
         }
     }
 
+    /// [`position_at`](Self::position_at) for a caller that knows a
+    /// vertex at or before `t`: steps forward from vertex `from` instead
+    /// of binary-searching the whole trajectory, so a time a few segments
+    /// past `from` costs a few comparisons. It finds the same segment, so
+    /// the result is bit-equal to `position_at(t)`; when `from` is out of
+    /// range or `t` is before vertex `from` (or NaN), it is
+    /// `position_at(t)`.
+    pub fn position_after(&self, from: usize, t: f64) -> crate::position::Position {
+        let v = &self.vertices;
+        let n = v.len();
+        if n < 2 || !v.get(from).is_some_and(|start| start.time <= t) {
+            return self.position_at(t);
+        }
+        // Segment i spans [v[i].time, v[i + 1].time); past the end, the
+        // last segment extrapolates (as in `segment_index_at`).
+        let mut i = from.min(n - 2);
+        while i + 2 < n && v[i + 1].time <= t {
+            i += 1;
+        }
+        Segment::between(&v[i], &v[i + 1]).position_at(t)
+    }
+
     /// State at time `t` (state of the containing segment).
     pub fn state_at(&self, t: f64) -> BreathState {
         match self.segment_index_at(t) {

@@ -324,3 +324,37 @@ proptest! {
     }
 
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Stepping forward from a vertex at or before `t` finds the segment
+    /// the whole-trajectory search finds, so `position_after` is
+    /// bit-equal to `position_at` for every start vertex and every time
+    /// from that vertex to the trajectory's end: vertex times, random
+    /// times in between, and the end itself.
+    #[test]
+    fn position_after_is_bit_equal_to_position_at(
+        (period, amplitude, duration, seed) in waveform_params(),
+        fracs in proptest::collection::vec(0.0f64..1.0, 8),
+    ) {
+        let samples = generate(period, amplitude, duration, seed);
+        let vertices = tsm_model::segmenter::segment_signal(&samples, SegmenterConfig::clean());
+        prop_assume!(!vertices.is_empty());
+        let plr = PlrTrajectory::from_vertices(vertices).unwrap();
+        let end = plr.end_time();
+        for (from, v) in plr.vertices().iter().enumerate() {
+            let later = plr.vertices()[from..].iter().map(|w| w.time);
+            let between = fracs.iter().map(|f| v.time + f * (end - v.time));
+            for t in later.chain(between).chain([end]) {
+                let (stepped, searched) = (plr.position_after(from, t), plr.position_at(t));
+                let same = stepped
+                    .coords()
+                    .iter()
+                    .zip(searched.coords())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                prop_assert!(same, "from {} t {}: {:?} vs {:?}", from, t, stepped, searched);
+            }
+        }
+    }
+}

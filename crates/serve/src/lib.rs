@@ -2,13 +2,13 @@
 //!
 //! A std-only HTTP/1.1 front-end over the subsequence-matching engine:
 //! the network boundary for the paper's online loop. No async runtime,
-//! no HTTP crate — a hand-rolled listener ([`server`]) with a small
-//! worker pool over `TcpListener`, a minimal protocol reader ([`http`])
-//! with hard head/body caps and socket read timeouts, and a session
-//! table ([`sessions`]) of externally-driven
+//! no HTTP crate — a hand-rolled listener ([`server`]) whose small
+//! worker pool accepts on one `TcpListener`, a minimal protocol reader
+//! ([`http`]) with hard head/body caps and socket read timeouts, and a
+//! session table ([`sessions`]) of externally-driven
 //! [`tsm_core::SessionRuntime`]s, each behind its own lock. The worker
-//! that reads a request runs its session work inline; no session has a
-//! thread of its own.
+//! that accepts a connection reads its request and runs the session work
+//! inline; no session has a thread of its own.
 //!
 //! ## Endpoints
 //!
@@ -22,11 +22,12 @@
 //!
 //! ## Backpressure
 //!
-//! Every queue in the request path is bounded, and a full one sheds
-//! instead of blocking:
+//! With every worker busy, a new connection waits in the kernel's
+//! accept queue (the listen backlog) until a worker takes it; the server
+//! itself holds no connection it is not serving. Once a worker has read
+//! a request, every queue the request can join is bounded, and a full
+//! one sheds instead of blocking:
 //!
-//! * connection queue full → the **acceptor** itself answers `503` +
-//!   `Retry-After` and closes;
 //! * `--ingest-queue` requests already waiting for a busy session →
 //!   `429` + `Retry-After`;
 //! * session fault budget exhausted → `503` + `Retry-After` (the session

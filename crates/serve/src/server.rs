@@ -1,16 +1,12 @@
 //! The listener, worker pool and request routing.
 //!
-//! Two layers of threads. One acceptor thread owns the `TcpListener`
-//! and does nothing but hand accepted connections to the workers: each
-//! worker owns its own small bounded queue, and the acceptor
-//! round-robins `try_send` across them, starting one past the last
-//! queue that accepted. When every queue is full, the acceptor answers
-//! `503` + `Retry-After` inline and closes the connection — load is
-//! shed at the door, the acceptor never blocks on a slow request.
-//! Per-worker queues (rather than one shared channel behind a mutex)
-//! keep the pool free of blocking-under-lock hazards: a worker parked
-//! in `recv()` holds nothing another thread needs (`cargo xtask
-//! hazard` gates exactly that pattern).
+//! One layer of threads. Every worker blocks in `accept` on the shared
+//! `TcpListener` and serves the connection it took, so the thread the
+//! kernel wakes for a connection reads the request, runs it and writes
+//! the answer: no thread hands a socket to another. When every worker is
+//! busy, new connections wait in the kernel's accept queue (the listen
+//! backlog) until one is free; the server never holds a connection it is
+//! not serving.
 //!
 //! A worker runs a request's session work inline, under that session's
 //! lock (see [`crate::sessions::Session`]), so the pool is the only set
@@ -23,7 +19,6 @@ use crate::sessions::{SessionError, SessionManager, SessionStatus};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
 use tsm_core::json;
@@ -36,7 +31,9 @@ pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (port 0 picks an ephemeral
     /// port; see [`Server::local_addr`]).
     pub addr: String,
-    /// Worker threads handling requests.
+    /// Worker threads, each accepting and serving one connection at a
+    /// time (at least one). With all of them busy, new connections wait
+    /// in the kernel's accept queue.
     pub workers: usize,
     /// Live session cap (the table sheds with `503` beyond it).
     pub sessions_max: usize,
@@ -79,54 +76,34 @@ impl Default for ServeConfig {
     }
 }
 
-/// A running server: the acceptor, its worker pool, and the session
-/// table. Dropping (or [`Server::shutdown`]) stops the acceptor and
-/// drains and joins the workers; the live sessions go with the last
-/// handle on the session table.
+/// A running server: its worker pool and the session table. Dropping
+/// (or [`Server::shutdown`]) stops and joins the workers; the live
+/// sessions go with the last handle on the session table.
 pub struct Server {
     local_addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     maintenance: Option<std::thread::JoinHandle<()>>,
     manager: Arc<SessionManager>,
 }
 
 impl Server {
-    /// Binds `config.addr` and starts the acceptor and worker pool over
-    /// `manager`'s engine.
+    /// Binds `config.addr` and starts the worker pool over `manager`'s
+    /// engine.
     pub fn start(manager: Arc<SessionManager>, config: ServeConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
+        let listener = Arc::new(TcpListener::bind(&config.addr)?);
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let workers_n = config.workers.max(1);
         let config = Arc::new(config);
-        let mut workers = Vec::with_capacity(workers_n);
-        let mut senders = Vec::with_capacity(workers_n);
-        for _ in 0..workers_n {
-            // Capacity 2 per worker — one connection in flight, one
-            // queued — preserving the old shared pool's aggregate depth
-            // of workers*2; anything beyond is shed at the acceptor.
-            let (tx, rx) = sync_channel::<TcpStream>(2);
-            senders.push(tx);
-            let manager = Arc::clone(&manager);
-            let config = Arc::clone(&config);
-            workers.push(std::thread::spawn(move || {
-                worker_loop(rx, &manager, &config)
-            }));
-        }
-        let acceptor_stop = Arc::clone(&stop);
-        let acceptor_manager = Arc::clone(&manager);
-        let retry_after = config.retry_after_s;
-        let acceptor = std::thread::spawn(move || {
-            accept_loop(
-                listener,
-                senders,
-                &acceptor_stop,
-                &acceptor_manager,
-                retry_after,
-            )
-        });
+        let workers = (0..config.workers.max(1))
+            .map(|_| {
+                let listener = Arc::clone(&listener);
+                let stop = Arc::clone(&stop);
+                let manager = Arc::clone(&manager);
+                let config = Arc::clone(&config);
+                std::thread::spawn(move || serve_loop(&listener, &stop, &manager, &config))
+            })
+            .collect();
         let maintenance = (config.idle_timeout_ms > 0
             || (config.checkpoint_every > 0 && manager.is_durable()))
         .then(|| {
@@ -138,7 +115,6 @@ impl Server {
         Ok(Server {
             local_addr,
             stop,
-            acceptor: Some(acceptor),
             workers,
             maintenance,
             manager,
@@ -155,42 +131,44 @@ impl Server {
         &self.manager
     }
 
-    /// Blocks until the acceptor exits (i.e. until another thread calls
-    /// [`Server::shutdown`] or the process dies).
+    /// Serves until the process dies: blocks until every worker has
+    /// exited, which only a panic in each of them makes happen.
     pub fn wait(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            // lint:allow(no-silent-result-drop): a panicked acceptor is
-            // already fatal for serving; join is for lifecycle only.
-            let _ = acceptor.join();
-        }
+        self.join_workers();
     }
 
-    /// Stops accepting, drains the worker pool and joins every thread.
+    /// Stops accepting, finishes the requests in flight and joins every
+    /// thread.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        // Relaxed: the self-connection below is the actual wake-up edge;
-        // the flag only needs to eventually be seen.
+        // Relaxed: the self-connections below are the actual wake-up
+        // edge; the flag only needs to eventually be seen.
         self.stop.store(true, Ordering::Relaxed);
-        // Wake the acceptor out of accept() by connecting to ourselves.
-        // lint:allow(no-silent-result-drop): if the connect fails the
-        // listener is already gone, which is what we wanted.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            // lint:allow(no-silent-result-drop): join is lifecycle only.
-            let _ = acceptor.join();
+        // Wake every worker out of accept() by connecting to ourselves,
+        // once per worker: each worker exits on the first connection it
+        // accepts after the flag is set, so a worker busy with a request
+        // finds its wake-up still queued when it comes back to accept.
+        for _ in 0..self.workers.len() {
+            // lint:allow(no-silent-result-drop): if the connect fails the
+            // listener is already gone, which is what we wanted.
+            let _ = TcpStream::connect(self.local_addr);
         }
-        for w in self.workers.drain(..) {
-            // lint:allow(no-silent-result-drop): a panicked worker has
-            // already lost its one connection; join is lifecycle only.
-            let _ = w.join();
-        }
+        self.join_workers();
         if let Some(m) = self.maintenance.take() {
             m.thread().unpark();
             // lint:allow(no-silent-result-drop): join is lifecycle only.
             let _ = m.join();
+        }
+    }
+
+    fn join_workers(&mut self) {
+        for w in self.workers.drain(..) {
+            // lint:allow(no-silent-result-drop): a panicked worker has
+            // already lost its one connection; join is lifecycle only.
+            let _ = w.join();
         }
     }
 }
@@ -199,60 +177,6 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.stop_and_join();
     }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    senders: Vec<SyncSender<TcpStream>>,
-    stop: &AtomicBool,
-    manager: &SessionManager,
-    retry_after_s: u32,
-) {
-    // Round-robin cursor: the worker after the last one that accepted,
-    // so bursts spread across the pool instead of piling on worker 0.
-    let mut next = 0usize;
-    for stream in listener.incoming() {
-        // Relaxed: see Server::stop_and_join — the wake connection, not
-        // the flag, provides the synchronization edge.
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        let Ok(stream) = stream else {
-            continue; // transient accept failure; keep serving
-        };
-        let mut conn = Some(stream);
-        for k in 0..senders.len() {
-            let Some(stream) = conn.take() else { break };
-            let slot = (next + k) % senders.len();
-            match senders[slot].try_send(stream) {
-                Ok(()) => next = (slot + 1) % senders.len(),
-                // A dead (panicked) worker's queue reports Disconnected;
-                // skip it and offer the connection to the next worker.
-                Err(TrySendError::Full(back)) | Err(TrySendError::Disconnected(back)) => {
-                    conn = Some(back);
-                }
-            }
-        }
-        if let Some(stream) = conn {
-            // Every worker busy and every queue full: shed at the door
-            // rather than block the acceptor behind a slow request.
-            shed_at_acceptor(stream, manager, retry_after_s);
-        }
-    }
-}
-
-fn shed_at_acceptor(mut stream: TcpStream, manager: &SessionManager, retry_after_s: u32) {
-    let metrics = manager.engine().metrics();
-    metrics.incr(Counter::ServeRequests);
-    metrics.incr(Counter::ServeRejected);
-    let resp = Response::shed(503, "server at capacity", retry_after_s);
-    // A full send buffer must not stall the acceptor either.
-    // lint:allow(no-silent-result-drop): best-effort shed; the client
-    // sees a closed connection at worst.
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    metrics.add(Counter::ServeBytesOut, resp.body.len() as u64);
-    // lint:allow(no-silent-result-drop): best-effort shed (see above).
-    let _ = resp.write_to(&mut stream);
 }
 
 /// The serve-side maintenance worker: seals idle sessions and
@@ -295,16 +219,29 @@ fn maintenance_loop(stop: &AtomicBool, manager: &SessionManager, config: &ServeC
     }
 }
 
-fn worker_loop(rx: Receiver<TcpStream>, manager: &Arc<SessionManager>, config: &ServeConfig) {
-    // The worker owns its queue outright; blocking here holds no lock.
-    // `recv` errors exactly when the acceptor has exited and dropped
-    // the sending side: shutdown.
-    while let Ok(stream) = rx.recv() {
-        handle_connection(stream, manager, config);
+/// One worker: accept a connection, serve it, repeat. Blocking in
+/// `accept` holds nothing another thread needs; the kernel hands each
+/// connection to one waiting worker.
+fn serve_loop(
+    listener: &TcpListener,
+    stop: &AtomicBool,
+    manager: &SessionManager,
+    config: &ServeConfig,
+) {
+    for stream in listener.incoming() {
+        // Relaxed: see Server::stop_and_join — the wake connection, not
+        // the flag, provides the synchronization edge.
+        if stop.load(Ordering::Relaxed) {
+            return;
+        }
+        let Ok(stream) = stream else {
+            continue; // transient accept failure; keep serving
+        };
+        handle_connection(&stream, manager, config);
     }
 }
 
-fn handle_connection(mut stream: TcpStream, manager: &SessionManager, config: &ServeConfig) {
+fn handle_connection(stream: &TcpStream, manager: &SessionManager, config: &ServeConfig) {
     let metrics = manager.engine().metrics().clone();
     let started = metrics.start();
     // lint:allow(no-silent-result-drop): a socket so broken it cannot
@@ -316,11 +253,7 @@ fn handle_connection(mut stream: TcpStream, manager: &SessionManager, config: &S
         max_head_bytes: config.max_head_bytes,
         max_body_bytes: config.max_body_bytes,
     };
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return, // connection already dead
-    });
-    let response = match read_request(&mut reader, limits) {
+    let response = match read_request(&mut BufReader::new(stream), limits) {
         Ok(req) => {
             metrics.add(Counter::ServeBytesIn, req.body.len() as u64);
             route(&req, manager, config)
@@ -337,7 +270,7 @@ fn handle_connection(mut stream: TcpStream, manager: &SessionManager, config: &S
     metrics.add(Counter::ServeBytesOut, response.body.len() as u64);
     // lint:allow(no-silent-result-drop): the peer may have closed before
     // reading the response; there is no one left to tell.
-    let _ = response.write_to(&mut stream);
+    let _ = response.write_to(&mut &*stream);
     metrics.observe_since(Hist::ServeLatency, started);
 }
 

@@ -243,6 +243,132 @@ fn stalled_connections_time_out_with_408() {
     server.shutdown();
 }
 
+/// Opens a connection that sends half a request line and then stalls.
+fn stall(addr: std::net::SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(b"GET /hea").unwrap();
+    stream
+}
+
+/// Reads a stalled connection's answer, which must be the `408`.
+fn expect_408(mut stream: TcpStream) {
+    let mut buf = Vec::new();
+    stream.read_to_end(&mut buf).expect("server closed cleanly");
+    let text = String::from_utf8_lossy(&buf);
+    assert!(
+        text.starts_with("HTTP/1.1 408 "),
+        "expected 408, got {text:?}"
+    );
+}
+
+#[test]
+fn stalled_client_does_not_delay_other_requests() {
+    let config = ServeConfig {
+        read_timeout_ms: 3000,
+        ..ServeConfig::default()
+    };
+    assert_eq!(config.workers, 4);
+    let server = start_server(80, config);
+    let addr = server.local_addr();
+    let stalled = stall(addr);
+    // Three workers stay free while one waits on the stalled client, so
+    // no request queues behind it.
+    for i in 0..20 {
+        let (status, body) = get(addr, "/healthz");
+        assert_eq!(status, 200, "request {i}: {body}");
+    }
+    // Every request above was answered before the stalled connection's
+    // read timeout: nothing has come back on it yet.
+    stalled.set_nonblocking(true).unwrap();
+    let err = stalled
+        .peek(&mut [0u8; 1])
+        .expect_err("the stalled connection was answered before the other requests finished");
+    assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock, "{err}");
+    stalled.set_nonblocking(false).unwrap();
+    expect_408(stalled);
+    server.shutdown();
+}
+
+#[test]
+fn saturated_pool_waits_instead_of_shedding() {
+    let config = ServeConfig {
+        workers: 1,
+        read_timeout_ms: 500,
+        ..ServeConfig::default()
+    };
+    let server = start_server(81, config);
+    let addr = server.local_addr();
+    // The stalled connection is first in the accept queue, so it holds
+    // the only worker until its read times out.
+    let stalled = stall(addr);
+    let statuses: Vec<(u16, String)> = std::thread::scope(|scope| {
+        let calls: Vec<_> = (0..4)
+            .map(|_| scope.spawn(|| get(addr, "/healthz")))
+            .collect();
+        calls.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    expect_408(stalled);
+    for (status, body) in statuses {
+        assert_eq!(status, 200, "a waiting connection was not served: {body}");
+    }
+    server.shutdown();
+}
+
+/// Runs `stop` on a helper thread and fails unless it returns within
+/// five seconds, so a lost wake-up fails the test instead of hanging it.
+fn assert_returns_promptly(what: &str, stop: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        stop();
+        // The receiver is gone only once the deadline has failed the test.
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+        "{what} did not return within 5 s"
+    );
+}
+
+#[test]
+fn shutdown_is_bounded() {
+    for workers in [1, 4] {
+        for stalled in [false, true] {
+            for by_drop in [false, true] {
+                let config = ServeConfig {
+                    workers,
+                    read_timeout_ms: 300,
+                    ..ServeConfig::default()
+                };
+                let server = start_server(82, config);
+                let addr = server.local_addr();
+                assert_eq!(get(addr, "/healthz").0, 200);
+                // A stalled client keeps one worker inside its request
+                // for up to the read timeout. Give a worker a moment to
+                // take it; the shutdown must be bounded whichever way
+                // that race goes.
+                let client = stalled.then(|| stall(addr));
+                if stalled {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                let what = format!(
+                    "{} with {workers} workers{}",
+                    if by_drop { "drop" } else { "shutdown" },
+                    if stalled { ", one stalled" } else { "" }
+                );
+                if by_drop {
+                    assert_returns_promptly(&what, move || drop(server));
+                } else {
+                    assert_returns_promptly(&what, move || server.shutdown());
+                }
+                drop(client);
+            }
+        }
+    }
+}
+
 #[test]
 fn saturated_session_sheds_with_429_and_retry_after() {
     let config = ServeConfig {
@@ -255,7 +381,8 @@ fn saturated_session_sheds_with_429_and_retry_after() {
     // Six clients post large batches to one session at once. The session
     // runs one batch at a time and lets one more wait, so a third
     // concurrent request must shed with 429 + Retry-After, never block.
-    // Six connections fit the acceptor's queues, so nothing else sheds.
+    // Four workers take four connections at once and the other two wait
+    // in the accept queue, so nothing else sheds.
     let batch = csv_body(76, 240.0);
     let raw = format!(
         "POST /ingest/hot HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{batch}",
