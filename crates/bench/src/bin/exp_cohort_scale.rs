@@ -1,34 +1,22 @@
-//! Experiment: **cohort scale — ramp-to-saturation soak, sharded vs
-//! unsharded.**
+//! Experiment: **cohort scale — ramp-to-saturation soak, pooled vs
+//! per-session.**
 //!
-//! The sharded runtime exists because per-session concurrency does not
-//! survive cohort scale. Before the session layer was restructured, each
-//! live session owned its own worker and its own channel hops — a model
-//! that burns one OS thread per session and interleaves every session's
-//! working set through the scheduler. The sharded runtime routes
-//! sessions onto a fixed pool of shard workers (deterministic
-//! [`tsm_core::session::ShardRouter`] placement), batches tick
-//! processing per shard, and gives each shard its own index cache and
-//! metrics registry so the hot path shares nothing across workers.
+//! Replay hosts sessions the way `tsm serve` does: sessions are data, and
+//! a fixed pool of workers runs them over one shared engine. This binary
+//! measures what that buys over the concurrency model the session layer
+//! started from — one worker per live session — by ramping the
+//! concurrent-session count (1, 2, 4, … 128) and replaying the same
+//! fixed-seed cohort at each point through two regimes, both
+//! instrumented (metrics on — the production posture) and both on the
+//! *same warm* engine:
 //!
-//! This binary ramps the concurrent-session count (1, 2, 4, … 128),
-//! replaying the same fixed-seed cohort at each point through three
-//! regimes, all instrumented (metrics on — the production posture) and
-//! all on *warm* engines:
+//! * **per-session** — one worker per session (`threads = N`), the
+//!   baseline the ramp is measured against;
+//! * **pooled** — a fixed worker pool (`threads = W`, W = the host's
+//!   cores clamped to 2..=8).
 //!
-//! * **per-session** — the unsharded runtime with one worker per
-//!   session (`threads = N`): the concurrency model the session layer
-//!   had before sharding, and the baseline the ramp is measured against;
-//! * **pooled** — the unsharded runtime on a fixed worker pool
-//!   (`threads = W`), isolating what batching alone buys;
-//! * **sharded** — `shards = W`: worker pools *plus* per-shard cache
-//!   and registry ownership and the background maintenance worker.
-//!
-//! Per-session reports must be bit-identical across all three at every
-//! point — this is a throughput experiment, never a results one. The
-//! **saturation knee** is the last ramp point that still improved
-//! sharded throughput by ≥ 5% over the previous point: beyond it,
-//! adding sessions no longer buys aggregate throughput on this host.
+//! Per-session reports must be bit-identical across both at every point —
+//! this is a throughput experiment, never a results one.
 //!
 //! Run with `--release`; `--quick` shortens the ramp and the sessions;
 //! `--json <path>` writes the curve as a JSON document (consumed by
@@ -63,8 +51,8 @@ fn seeded_store() -> SharedStore {
 }
 
 /// The full fixed-seed cohort; ramp points replay prefixes of it, so a
-/// session's identity (and therefore its home shard) never depends on
-/// the ramp point it first appears at.
+/// session's identity never depends on the ramp point it first appears
+/// at.
 fn cohort_specs(n: usize, duration_s: f64) -> Vec<SessionSpec> {
     (0..n)
         .map(|i| {
@@ -81,12 +69,6 @@ fn cohort_specs(n: usize, duration_s: f64) -> Vec<SessionSpec> {
         .collect()
 }
 
-fn instrumented_engine(store: &SharedStore, params: &Params) -> Arc<CachedMatcher> {
-    Arc::new(CachedMatcher::new(
-        Matcher::new(store.clone(), params.clone()).with_metrics(MetricsRegistry::enabled()),
-    ))
-}
-
 struct Mode {
     wall_s: f64,
     pps: f64,
@@ -97,13 +79,12 @@ struct RampPoint {
     predictions: usize,
     per_session: Mode,
     pooled: Mode,
-    sharded: Mode,
 }
 
 impl RampPoint {
-    /// Sharded throughput over the per-session (pre-refactor) baseline.
+    /// Pooled throughput over the per-session baseline.
     fn speedup(&self) -> f64 {
-        self.sharded.pps / self.per_session.pps
+        self.pooled.pps / self.per_session.pps
     }
 }
 
@@ -186,53 +167,42 @@ fn main() {
     };
     let specs = cohort_specs(*ramp.last().expect("non-empty ramp"), duration_s);
 
-    // Persistent engines: per-length feature indexes stay warm across
+    // One persistent engine: per-length feature indexes stay warm across
     // ramp points, so the curve measures steady-state replay throughput,
-    // not cold index builds. The two unsharded regimes share one engine
-    // (they differ only in thread count); the sharded runtime forks its
-    // own per-shard engines from a second one.
-    let unsharded_engine = instrumented_engine(&store, &params);
-    let pooled = CohortRuntime::with_engine(unsharded_engine.clone())
-        .with_segmenter(SegmenterConfig::clean())
-        .with_threads(workers);
-    let sharded = CohortRuntime::with_engine(instrumented_engine(&store, &params))
-        .with_segmenter(SegmenterConfig::clean())
-        .with_shards(workers);
+    // not cold index builds. Both regimes run on it and differ only in
+    // thread count.
+    let engine = Arc::new(CachedMatcher::new(
+        Matcher::new(store, params).with_metrics(MetricsRegistry::enabled()),
+    ));
+    let runtime = |threads: usize| {
+        CohortRuntime::with_engine(engine.clone())
+            .expect("bench parameters are valid")
+            .with_segmenter(SegmenterConfig::clean())
+            .with_threads(threads)
+    };
+    let pooled = runtime(workers);
 
     banner(&format!(
-        "Cohort scale: per-session (threads=N) vs pooled (threads={workers}) \
-         vs sharded (shards={workers}), instrumented"
+        "Cohort scale: per-session (threads=N) vs pooled (threads={workers}), instrumented"
     ));
 
-    // Warmup: one small replay each, building every index the ramp will
-    // touch and paging the store.
-    let warm = specs.len().min(workers);
-    replay_point(&pooled, &specs[..warm]);
-    replay_point(&sharded, &specs[..warm]);
+    // Warmup: one small replay, building every index the ramp will touch
+    // and paging the store.
+    replay_point(&pooled, &specs[..specs.len().min(workers)]);
 
     let mut points: Vec<RampPoint> = Vec::new();
     for &n in ramp {
         let slice = &specs[..n];
-        // The pre-refactor model: one worker thread per live session, on
-        // the shared (warm) unsharded engine.
-        let per_session_rt = CohortRuntime::with_engine(unsharded_engine.clone())
-            .with_segmenter(SegmenterConfig::clean())
-            .with_threads(n);
-        let reps = reps_for(n);
+        let per_session_rt = runtime(n);
         let mut reports =
-            replay_best_of(&[&per_session_rt, &pooled, &sharded], slice, reps).into_iter();
-        let (base, pool, shard) = (
+            replay_best_of(&[&per_session_rt, &pooled], slice, reps_for(n)).into_iter();
+        let (base, pool) = (
             reports.next().expect("per-session report"),
             reports.next().expect("pooled report"),
-            reports.next().expect("sharded report"),
         );
         assert_eq!(
             base.sessions, pool.sessions,
             "pooled replay diverged at {n} sessions"
-        );
-        assert_eq!(
-            base.sessions, shard.sessions,
-            "sharded replay diverged at {n} sessions"
         );
         let predictions = base.total_predictions();
         assert!(predictions > 0, "no predictions at {n} sessions");
@@ -241,17 +211,7 @@ fn main() {
             predictions,
             per_session: mode(&base),
             pooled: mode(&pool),
-            sharded: mode(&shard),
         });
-    }
-
-    // The knee: the last ramp point that still improved sharded
-    // throughput by >= 5% over the previous point.
-    let mut knee = points[0].sessions;
-    for pair in points.windows(2) {
-        if pair[1].sharded.pps >= pair[0].sharded.pps * 1.05 {
-            knee = pair[1].sessions;
-        }
     }
 
     table(
@@ -260,7 +220,6 @@ fn main() {
             "predictions",
             "per-session p/s",
             "pooled p/s",
-            "sharded p/s",
             "speedup",
         ],
         &points
@@ -271,39 +230,16 @@ fn main() {
                     p.predictions.to_string(),
                     format!("{:.1}", p.per_session.pps),
                     format!("{:.1}", p.pooled.pps),
-                    format!("{:.1}", p.sharded.pps),
                     format!("{:.2}x", p.speedup()),
                 ]
             })
             .collect::<Vec<_>>(),
     );
-    println!();
-    println!(
-        "saturation knee: {knee} sessions (last point with >= 5% gain over \
-         the previous sharded point)"
-    );
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    if host_cpus < 2 {
-        println!(
-            "note: host exposes {host_cpus} CPU — shard workers time-slice \
-             one core, so the speedup over per-session concurrency is pure \
-             scheduling and working-set relief; cross-core contention \
-             relief needs a multicore capture"
-        );
-    }
-    if let Some(p) = points.iter().find(|p| p.sessions >= 64) {
-        println!(
-            "at {} sessions: sharded {:.1} p/s vs per-session {:.1} p/s \
-             ({:.2}x), pooled {:.1} p/s",
-            p.sessions,
-            p.sharded.pps,
-            p.per_session.pps,
-            p.speedup(),
-            p.pooled.pps,
-        );
-    }
+    println!();
+    println!("host_cpus: {host_cpus}, pool workers: {workers}");
 
     if let Some(path) = json_path {
         let mode_json = |m: &Mode| {
@@ -317,13 +253,11 @@ fn main() {
             .map(|p| {
                 format!(
                     "    {{ \"sessions\": {}, \"predictions\": {}, \
-                     \"per_session\": {}, \"pooled\": {}, \"sharded\": {}, \
-                     \"speedup\": {:.4} }}",
+                     \"per_session\": {}, \"pooled\": {}, \"speedup\": {:.4} }}",
                     p.sessions,
                     p.predictions,
                     mode_json(&p.per_session),
                     mode_json(&p.pooled),
-                    mode_json(&p.sharded),
                     p.speedup()
                 )
             })
@@ -333,7 +267,7 @@ fn main() {
             "{{\n  \"workers\": {workers},\n  \"host_cpus\": {host_cpus},\n  \
              \"quick\": {quick},\n  \
              \"session_duration_s\": {duration_s},\n  \"ramp\": [\n{}\n  ],\n  \
-             \"knee_sessions\": {knee},\n  \"speedup_at_max_sessions\": {speedup_at_tail:.4}\n}}\n",
+             \"speedup_at_max_sessions\": {speedup_at_tail:.4}\n}}\n",
             ramp_json.join(",\n")
         );
         std::fs::write(&path, json).expect("write json snapshot");

@@ -62,7 +62,7 @@ impl Args {
     }
 
     /// A numeric flag with a default. A present-but-empty flag
-    /// (`--shards` with no value) and any unparseable value are
+    /// (`--threads` with no value) and any unparseable value are
     /// structured errors naming the flag — never a panic, never a silent
     /// fallback to the default.
     pub fn num_flag<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
@@ -163,9 +163,9 @@ mod tests {
 
         // Negative into an unsigned target: blamed on the sign, not a
         // generic parse failure.
-        let a = parse(&["--shards", "-1"]);
-        let err = a.num_flag("shards", 1usize).unwrap_err();
-        assert!(err.contains("--shards"), "{err}");
+        let a = parse(&["--workers", "-1"]);
+        let err = a.num_flag("workers", 1usize).unwrap_err();
+        assert!(err.contains("--workers"), "{err}");
         assert!(err.contains("must not be negative"), "{err}");
         // ...but a signed target accepts it.
         assert_eq!(parse(&["--dt", "-1"]).num_flag("dt", 0i64).unwrap(), -1);
@@ -183,8 +183,8 @@ mod tests {
         assert!(err.contains("out of range"), "{err}");
 
         // Present but valueless: an error, never a silent default.
-        let a = parse(&["--shards", "--quick"]);
-        let err = a.num_flag("shards", 4usize).unwrap_err();
-        assert!(err.contains("--shards requires a numeric value"), "{err}");
+        let a = parse(&["--workers", "--quick"]);
+        let err = a.num_flag("workers", 4usize).unwrap_err();
+        assert!(err.contains("--workers requires a numeric value"), "{err}");
     }
 }

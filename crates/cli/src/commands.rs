@@ -37,19 +37,16 @@ USAGE:
                                        (default 20)
   tsm predict  --store FILE --patient ID [--duration SECS] [--dt SECS]
                [--seed X] [--delta D]  replay a fresh session, report error
-  tsm replay   --store FILE --sessions N [--threads T] [--shards S]
+  tsm replay   --store FILE --sessions N [--threads T]
                [--duration SECS] [--dt SECS] [--every K] [--seed X]
                [--metrics [FILE]] [--faults SEED|PLANFILE]
-                                       replay N concurrent sessions against
-                                       one shared store, report throughput
-                                       (--shards S > 1 hashes sessions to S
-                                       shard workers with per-shard index
-                                       caches — same reports, less
-                                       contention; --metrics dumps an
-                                       instrumentation snapshot to FILE, or
-                                       stdout; --faults runs each session
-                                       through the deterministic fault
-                                       injector)
+                                       replay N concurrent sessions on T
+                                       worker threads against one shared
+                                       store, report throughput (--metrics
+                                       dumps an instrumentation snapshot to
+                                       FILE, or stdout; --faults runs each
+                                       session through the deterministic
+                                       fault injector)
   tsm chaos    [--plans N] [--seed X] [--duration SECS] [--threads T]
                                        robustness soak: N fault-injected
                                        sessions must degrade gracefully,
@@ -419,10 +416,6 @@ pub fn replay(args: &Args) -> Result<(), String> {
     if threads == 0 {
         return Err("--threads must be at least 1".into());
     }
-    let shards = args.num_flag("shards", 1usize)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
     let duration = args.num_flag("duration", 60.0f64)?;
     let dt = args.num_flag("dt", 0.3f64)?;
     let every = args.num_flag("every", 30usize)?;
@@ -471,26 +464,14 @@ pub fn replay(args: &Args) -> Result<(), String> {
         Matcher::new(shared, Params::default()).with_metrics(metrics.clone()),
     ));
     let runtime = CohortRuntime::with_engine(engine)
+        .map_err(|e| e.to_string())?
         .with_horizon(dt)
         .with_cadence(every)
-        .with_threads(threads)
-        .with_shards(shards);
-    if shards > 1 {
-        eprintln!(
-            "replaying {sessions} sessions x {duration:.0}s on {shards} shards \
-             (per-shard index caches){} ...",
-            if faults.is_some() {
-                " with fault injection"
-            } else {
-                ""
-            }
-        );
-    } else {
-        eprintln!(
-            "replaying {sessions} sessions x {duration:.0}s on {threads} threads (one shared store){} ...",
-            if faults.is_some() { " with fault injection" } else { "" }
-        );
-    }
+        .with_threads(threads);
+    eprintln!(
+        "replaying {sessions} sessions x {duration:.0}s on {threads} threads (one shared store){} ...",
+        if faults.is_some() { " with fault injection" } else { "" }
+    );
     let report = runtime.replay(&specs);
 
     println!(
@@ -512,17 +493,6 @@ pub fn replay(args: &Args) -> Result<(), String> {
     for r in &report.sessions {
         if let Some(err) = &r.error {
             eprintln!("warning: session {} failed: {err}", r.session);
-        }
-    }
-    if !report.shards.is_empty() {
-        println!();
-        for shard in &report.shards {
-            println!(
-                "shard {:>2}: {:>3} sessions, {} index rebuilds",
-                shard.shard,
-                shard.sessions.len(),
-                shard.rebuilds
-            );
         }
     }
     println!(
@@ -600,7 +570,9 @@ pub fn chaos(args: &Args) -> Result<(), String> {
     let engine = Arc::new(CachedMatcher::new(
         Matcher::new(store, params).with_metrics(metrics.clone()),
     ));
-    let runtime = CohortRuntime::with_engine(engine).with_threads(threads.max(1));
+    let runtime = CohortRuntime::with_engine(engine)
+        .map_err(|e| e.to_string())?
+        .with_threads(threads.max(1));
     eprintln!("soaking {plans} faulted sessions x {duration:.0}s on {threads} threads ...");
     let report = runtime.replay(&specs);
 

@@ -8,7 +8,6 @@
 //! tsm match    --store cohort.tsmdb --stream 0 --start 4 --len 9
 //! tsm predict  --store cohort.tsmdb --patient 0 --duration 60 --dt 0.3
 //! tsm replay   --store cohort.tsmdb --sessions 4 --threads 4
-//! tsm replay   --store cohort.tsmdb --sessions 64 --shards 8   # sharded
 //! tsm chaos    --plans 8 --seed 99                 # fault-injection soak
 //! tsm cluster  --store cohort.tsmdb --k 4
 //! tsm serve    --store cohort.tsmdb --addr 127.0.0.1:7878   # HTTP front-end
@@ -78,7 +77,7 @@ fn run(raw: Vec<String>) -> Result<(), String> {
         ),
         "replay" => (
             commands::replay,
-            "store salvage metrics sessions threads shards duration dt every seed faults",
+            "store salvage metrics sessions threads duration dt every seed faults",
         ),
         "chaos" => (commands::chaos, "plans seed duration threads"),
         "cluster" => (commands::cluster, "store salvage k len stride"),

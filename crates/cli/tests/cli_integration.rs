@@ -281,6 +281,15 @@ fn unknown_flags_are_rejected_with_the_flag_named() {
     }
     assert!(!wal.exists(), "a rejected serve created its WAL directory");
 
+    // `--shards` is not a replay flag: replay has one session host.
+    let o = tsm(&["replay", "--store", store, "--shards", "2"]);
+    assert!(!o.status.success(), "replay --shards must be rejected");
+    let err = stderr(&o);
+    assert!(
+        err.contains("unknown flag --shards for `tsm replay`"),
+        "{err}"
+    );
+
     std::fs::remove_file(&store_path).ok();
 }
 
@@ -290,11 +299,11 @@ fn malformed_numeric_flags_are_rejected_with_the_flag_named() {
     let store = store_path.to_str().unwrap();
 
     // Negative into an unsigned flag: a structured error, not a panic or
-    // a silent fall-back to the default shard count.
-    let o = tsm(&["replay", "--store", store, "--shards", "-1"]);
-    assert!(!o.status.success(), "--shards -1 must be rejected");
+    // a silent fall-back to the default thread count.
+    let o = tsm(&["replay", "--store", store, "--threads", "-1"]);
+    assert!(!o.status.success(), "--threads -1 must be rejected");
     let err = stderr(&o);
-    assert!(err.contains("--shards"), "{err}");
+    assert!(err.contains("--threads"), "{err}");
     assert!(err.contains("must not be negative"), "{err}");
 
     // Overflowing: a value no usize can hold.
@@ -414,8 +423,8 @@ fn replay_with_metrics_writes_a_reconciling_snapshot() {
 }
 
 #[test]
-fn replay_sharded_matches_unsharded_output() {
-    let store_path = small_store("sharded.tsmdb");
+fn replay_output_is_independent_of_pool_size() {
+    let store_path = small_store("poolsize.tsmdb");
     let store = store_path.to_str().unwrap();
     let common = [
         "replay",
@@ -428,28 +437,25 @@ fn replay_sharded_matches_unsharded_output() {
         "--seed",
         "7",
     ];
+    let run = |threads: &'static str| {
+        let mut args: Vec<&str> = common.to_vec();
+        args.extend_from_slice(&["--threads", threads]);
+        tsm(&args)
+    };
 
-    let unsharded = tsm(&common);
-    assert!(unsharded.status.success(), "{}", stderr(&unsharded));
-
-    let mut sharded_args: Vec<&str> = common.to_vec();
-    sharded_args.extend_from_slice(&["--shards", "2"]);
-    let sharded = tsm(&sharded_args);
-    assert!(sharded.status.success(), "{}", stderr(&sharded));
+    let serial = run("1");
+    assert!(serial.status.success(), "{}", stderr(&serial));
+    let pooled = run("3");
+    assert!(pooled.status.success(), "{}", stderr(&pooled));
     assert!(
-        stderr(&sharded).contains("2 shards"),
-        "sharded banner missing: {}",
-        stderr(&sharded)
-    );
-    assert!(
-        stdout(&sharded).contains("shard "),
-        "shard attribution missing: {}",
-        stdout(&sharded)
+        stderr(&pooled).contains("on 3 threads"),
+        "pool banner missing: {}",
+        stderr(&pooled)
     );
 
     // Same seeds, same store: the per-session table (every prediction,
     // tick, vertex and health column) must match line for line. Only the
-    // wall-clock summary and shard attribution may differ.
+    // wall-clock summary may differ.
     let table = |out: &std::process::Output| -> Vec<String> {
         stdout(out)
             .lines()
@@ -458,20 +464,17 @@ fn replay_sharded_matches_unsharded_output() {
             .map(str::to_owned)
             .collect()
     };
-    let base_table = table(&unsharded);
+    let base_table = table(&serial);
     assert!(
         base_table.len() > 4,
         "no session table: {}",
-        stdout(&unsharded)
+        stdout(&serial)
     );
-    assert_eq!(base_table, table(&sharded), "sharded replay diverged");
+    assert_eq!(base_table, table(&pooled), "pooled replay diverged");
 
-    // --shards 0 is rejected like --threads 0.
-    let mut bad_args: Vec<&str> = common.to_vec();
-    bad_args.extend_from_slice(&["--shards", "0"]);
-    let bad = tsm(&bad_args);
-    assert!(!bad.status.success(), "--shards 0 must be rejected");
-    assert!(stderr(&bad).contains("--shards"), "{}", stderr(&bad));
+    let bad = run("0");
+    assert!(!bad.status.success(), "--threads 0 must be rejected");
+    assert!(stderr(&bad).contains("--threads"), "{}", stderr(&bad));
 
     std::fs::remove_file(&store_path).ok();
 }

@@ -82,36 +82,6 @@ impl IndexCache {
         built
     }
 
-    /// Rebuilds every cached index whose build version trails the store,
-    /// returning how many were refreshed. This is the maintenance-worker
-    /// entry point: rebuild work triggered by a store-version bump
-    /// happens *here*, off the search path, and the next
-    /// [`IndexCache::index_for`] of a refreshed length is a plain cache
-    /// hit instead of a miss-plus-inline-rebuild. Refreshes count into
-    /// the cache's rebuild total and the `cache.daemon_rebuilds` counter,
-    /// never into lookups or misses (nothing looked an index up).
-    pub fn refresh_stale(&self) -> usize {
-        let version = self.store.version();
-        let stale: Vec<usize> = {
-            let g = self.inner.lock();
-            g.iter()
-                .filter(|(_, (v, _))| *v != version)
-                .map(|(&len, _)| len)
-                .collect()
-        };
-        // Build outside the lock — concurrent searches keep hitting the
-        // old (still internally consistent) index until the swap.
-        for &len in &stale {
-            let built = Arc::new(FeatureIndex::build(&self.store, len, self.axis));
-            self.inner.lock().insert(len, (version, built));
-            // Relaxed: monotone statistics counter (see index_for).
-            self.rebuilds.fetch_add(1, Ordering::Relaxed);
-            self.metrics.incr(Counter::CacheRebuilds);
-            self.metrics.incr(Counter::CacheDaemonRebuilds);
-        }
-        stale.len()
-    }
-
     /// How many index builds the cache has performed — a lock-free read,
     /// safe to poll from a hot monitoring loop.
     pub fn rebuild_count(&self) -> u64 {
@@ -273,55 +243,6 @@ mod tests {
             matcher.find_matches_with(&q, &opts),
             cached.find_matches(&q, &opts)
         );
-    }
-
-    #[test]
-    fn refresh_stale_rebuilds_off_the_search_path() {
-        use crate::metrics::MetricsRegistry;
-        let store = StreamStore::new();
-        let p = store.add_patient(PatientAttributes::new());
-        let id = store.add_stream(p, 0, plr(8, 10.0), 960);
-        let metrics = MetricsRegistry::enabled();
-        let cached = CachedMatcher::new(
-            Matcher::new(store.clone(), Params::default()).with_metrics(metrics.clone()),
-        );
-        let view = store.resolve(SubseqRef::new(id, 0, 9)).unwrap();
-        let q = QuerySubseq::from_view(&view);
-        let opts = SearchOptions::default();
-
-        // Warm: one miss, one inline rebuild.
-        cached.find_matches(&q, &opts);
-        let warm = metrics.snapshot();
-        assert_eq!(warm.counter("cache.misses"), 1);
-        assert_eq!(warm.counter("cache.rebuilds"), 1);
-        assert_eq!(warm.counter("cache.daemon_rebuilds"), 0);
-
-        // A store-version bump makes the entry stale; the maintenance
-        // pass refreshes it without touching the lookup funnel.
-        store.add_stream(p, 1, plr(8, 10.1), 960);
-        assert_eq!(cached.cache().refresh_stale(), 1);
-        assert_eq!(cached.cache().refresh_stale(), 0, "refresh is idempotent");
-        let refreshed = metrics.snapshot();
-        assert_eq!(refreshed.counter("cache.rebuilds"), 2);
-        assert_eq!(refreshed.counter("cache.daemon_rebuilds"), 1);
-        assert_eq!(
-            refreshed.counter("cache.lookups"),
-            warm.counter("cache.lookups"),
-            "maintenance must not count as lookups"
-        );
-
-        // The refreshed index serves the next search as a *hit* — the
-        // version bump never forced a rebuild inside a search call — and
-        // the results match a fresh scan of the grown store.
-        let matches = cached.find_matches(&q, &opts);
-        let after = metrics.snapshot();
-        assert_eq!(after.counter("cache.misses"), 1, "search saw a stale index");
-        assert_eq!(after.counter("cache.rebuilds"), 2);
-        assert_eq!(
-            matches,
-            Matcher::new(store, Params::default()).find_matches_with(&q, &opts)
-        );
-        after.check_invariants().unwrap();
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub mod prelude {
     pub use crate::session::{
         external_session, CohortReport, CohortRuntime, DegradationPolicy, GatingController,
         PredictionLog, PredictionTick, SessionConfig, SessionConsumer, SessionHealth,
-        SessionReport, SessionRuntime, SessionSpec, ShardReport, ShardRouter, TrackingController,
+        SessionReport, SessionRuntime, SessionSpec, TrackingController,
     };
     pub use crate::similarity::{
         offline_distance, online_distance, vertex_weight, QueryCols, WindowCols, WindowScorer,

@@ -622,20 +622,6 @@ impl Matcher {
         &self.metrics
     }
 
-    /// A fork of this matcher recording into its own registry: same store
-    /// handle (an `Arc` clone — both forks observe the same version
-    /// counter), same parameters, but independent metrics, so a shard
-    /// worker stops bumping counter cachelines shared with its siblings.
-    /// Fold the fork's work back with
-    /// [`MetricsRegistry::absorb`](crate::metrics::MetricsRegistry::absorb).
-    pub fn fork_with_metrics(&self, metrics: MetricsRegistry) -> Self {
-        Matcher {
-            store: self.store.clone(),
-            params: self.params.clone(),
-            metrics,
-        }
-    }
-
     /// The parameters in use.
     pub fn params(&self) -> &Params {
         &self.params

@@ -18,7 +18,7 @@
 //! * `match.batch_lanes_abandoned + match.f32_prune_rescans <=
 //!   min(match.windows_scored, 8 · match.batch_groups_scored)`
 //! * `cache.hits + cache.misses == cache.lookups`
-//! * `cache.rebuilds == cache.misses + cache.daemon_rebuilds`
+//! * `cache.rebuilds == cache.misses`
 //! * `cohort.sessions_failed <= cohort.sessions`
 //! * `session.predictions_served + session.predictions_abstained == session.ticks`
 //! * `session.abstained_unhealthy <= session.predictions_abstained`
@@ -69,9 +69,8 @@ pub enum Counter {
     CacheHits,
     /// Lookups that had to (re)build an index.
     CacheMisses,
-    /// Index builds performed (== misses + daemon rebuilds; kept separate
-    /// so the cache's own rebuild counter and the registry can be
-    /// cross-checked).
+    /// Index builds performed (== misses; kept separate so the cache's
+    /// own rebuild counter and the registry can be cross-checked).
     CacheRebuilds,
     /// Raw samples accepted by the segmenter.
     SegmenterSamples,
@@ -133,9 +132,6 @@ pub enum Counter {
     BatchLanesAbandoned,
     /// f32-tier survivors re-scored by the exact f64 scorer.
     F32PruneRescans,
-    /// Index rebuilds performed by the maintenance worker (refresh of a
-    /// stale entry off the search path), a subset of `cache.rebuilds`.
-    CacheDaemonRebuilds,
     /// HTTP requests the serve front-end answered (every response
     /// written, including parse failures and requests shed by admission
     /// control).
@@ -210,7 +206,6 @@ const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "match.batch_groups_scored",
     "match.batch_lanes_abandoned",
     "match.f32_prune_rescans",
-    "cache.daemon_rebuilds",
     "serve.requests",
     "serve.rejected",
     "serve.bytes_in",
@@ -463,48 +458,6 @@ impl MetricsRegistry {
         self.add(Counter::F32PruneRescans, t.f32_prune_rescans);
     }
 
-    /// Folds a snapshot (typically a shard registry's interval `diff`)
-    /// into this registry: counters add, `_hwm` gauges raise, histograms
-    /// add bucket-wise. This is the registry-side of the snapshot
-    /// monoid — `parent.absorb(&delta)` is equivalent to merging the
-    /// delta into every future snapshot of `parent`. Unknown names (from
-    /// a newer build's snapshot) are ignored. No-op when disabled.
-    pub fn absorb(&self, delta: &MetricsSnapshot) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        for (name, &v) in &delta.counters {
-            if v == 0 {
-                continue;
-            }
-            let Some(i) = COUNTER_NAMES.iter().position(|n| n == name) else {
-                continue;
-            };
-            if is_hwm(name) {
-                // Relaxed: max-merge gauge; commutative, order-insensitive.
-                inner.counters[i].fetch_max(v, Ordering::Relaxed);
-            } else {
-                // Relaxed: monotone counter; never orders other memory.
-                inner.counters[i].fetch_add(v, Ordering::Relaxed);
-            }
-        }
-        for (name, h) in &delta.histograms {
-            let Some(i) = HIST_NAMES.iter().position(|n| n == name) else {
-                continue;
-            };
-            let mine = &inner.hists[i];
-            // Relaxed throughout: monotone statistics (see HistInner).
-            mine.count.fetch_add(h.count, Ordering::Relaxed);
-            mine.sum.fetch_add(h.sum, Ordering::Relaxed); // Relaxed: see above.
-            for (b, &n) in h.buckets.iter().enumerate().take(HIST_BUCKETS) {
-                if n != 0 {
-                    // Relaxed: monotone statistics (see above).
-                    mine.buckets[b].fetch_add(n, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
     /// A point-in-time copy of every counter and histogram. A disabled
     /// registry snapshots as empty.
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -702,12 +655,8 @@ impl MetricsSnapshot {
             ));
         }
         let rebuilds = self.counter("cache.rebuilds");
-        let daemon_rebuilds = self.counter("cache.daemon_rebuilds");
-        if rebuilds != misses + daemon_rebuilds {
-            return Err(format!(
-                "cache rebuilds ({rebuilds}) != misses ({misses}) + \
-                 daemon_rebuilds ({daemon_rebuilds})"
-            ));
+        if rebuilds != misses {
+            return Err(format!("cache rebuilds ({rebuilds}) != misses ({misses})"));
         }
         let cohort_sessions = self.counter("cohort.sessions");
         let cohort_failed = self.counter("cohort.sessions_failed");
@@ -906,37 +855,6 @@ mod tests {
         // Gauges keep the later value.
         assert_eq!(d.counter("cohort.backlog_hwm"), 4);
         assert_eq!(d.histograms["match.search_latency_ns"].count, 1);
-    }
-
-    #[test]
-    fn absorb_folds_a_shard_interval_into_the_parent() {
-        let parent = MetricsRegistry::enabled();
-        parent.add(Counter::Searches, 2);
-        parent.record_max(Counter::CohortBacklogHwm, 3);
-        parent.observe_ns(Hist::SearchLatency, 100);
-        let shard = MetricsRegistry::enabled();
-        shard.add(Counter::Searches, 5);
-        shard.record_max(Counter::CohortBacklogHwm, 7);
-        shard.observe_ns(Hist::SearchLatency, 900);
-        shard.observe_ns(Hist::SearchLatency, 1_000_000);
-        parent.absorb(&shard.snapshot());
-        let snap = parent.snapshot();
-        // Counters add, gauges max-merge, histograms add bucket-wise —
-        // exactly the snapshot-level merge.
-        assert_eq!(snap.counter("match.searches"), 7);
-        assert_eq!(snap.counter("cohort.backlog_hwm"), 7);
-        let h = &snap.histograms["match.search_latency_ns"];
-        assert_eq!(h.count, 3);
-        assert_eq!(h.sum, 1_001_000);
-        assert_eq!(h.buckets.iter().sum::<u64>(), 3);
-        // absorb(diff) == snapshot merge of the two registries.
-        let merged = MetricsRegistry::enabled();
-        merged.absorb(&snap);
-        assert_eq!(merged.snapshot(), snap);
-        // Disabled parents ignore the fold.
-        let disabled = MetricsRegistry::disabled();
-        disabled.absorb(&snap);
-        assert!(disabled.snapshot().is_empty());
     }
 
     #[test]

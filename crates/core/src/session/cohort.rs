@@ -4,7 +4,6 @@
 use super::consumers::PredictionLog;
 use super::health::{DegradationPolicy, SessionHealth};
 use super::runtime::{PredictionTick, SessionConfig, SessionRuntime};
-use super::shard::{ShardReport, ShardSet};
 use crate::error::TsmError;
 use crate::index_cache::CachedMatcher;
 use crate::matcher::{Matcher, SearchOptions};
@@ -74,6 +73,13 @@ impl SessionReport {
         }
     }
 
+    /// Marks the session terminated by `err`.
+    fn failed(mut self, err: TsmError) -> Self {
+        self.error = Some(err);
+        self.health = SessionHealth::Degraded;
+        self
+    }
+
     /// Number of ticks with an actual prediction.
     pub fn predictions(&self) -> usize {
         self.ticks.iter().filter(|t| t.outcome.is_some()).count()
@@ -91,10 +97,6 @@ impl SessionReport {
 pub struct CohortReport {
     /// Per-session reports, in spec order.
     pub sessions: Vec<SessionReport>,
-    /// Per-shard attribution, in shard order — empty on the unsharded
-    /// path. The per-session reports above are identical either way;
-    /// this only records *where* each session ran.
-    pub shards: Vec<ShardReport>,
     /// Wall-clock time of the whole replay.
     pub wall: Duration,
 }
@@ -142,33 +144,21 @@ impl CohortReport {
 }
 
 /// Drives N patient sessions against one shared store: every session is a
-/// [`SessionRuntime`] whose engine depends on the regime — the one shared
-/// engine when unsharded, the session's shard engine when sharded (see
-/// [`CohortRuntime::with_shards`]). Each session's report travels back to
-/// the collector as **one** bounded-channel message (the batched design:
-/// no per-tick channel hops). Replays are read-only — the store is never
-/// mutated, so serial, parallel and sharded schedules produce identical
-/// per-session reports.
+/// [`SessionRuntime`] over the one shared engine, run by a fixed pool of
+/// worker threads — sessions are data, not threads. Each session's report
+/// travels back to the collector as **one** bounded-channel message (no
+/// per-tick channel hops). Replays are read-only — the store is never
+/// mutated, so every pool size produces identical per-session reports.
 pub struct CohortRuntime {
-    pub(super) engine: Arc<CachedMatcher>,
-    pub(super) segmenter: SegmenterConfig,
-    pub(super) align: AlignMode,
-    pub(super) options: SearchOptions,
-    pub(super) horizon: f64,
-    pub(super) predict_every: usize,
-    pub(super) threads: usize,
-    pub(super) policy: DegradationPolicy,
-    pub(super) shards: Option<ShardSet>,
-    pub(super) wal: Option<Arc<tsm_db::WalWriter>>,
-    pub(super) checkpoint_every: u64,
+    engine: Arc<CachedMatcher>,
+    segmenter: SegmenterConfig,
+    align: AlignMode,
+    options: SearchOptions,
+    horizon: f64,
+    predict_every: usize,
+    threads: usize,
+    policy: DegradationPolicy,
 }
-
-/// How many samples a replayed session streams between WAL group
-/// commits (~8.5 s of signal at the paper's 30 Hz). Replay is a batch
-/// workload with no acknowledgement contract, so commits only bound how
-/// much a crash can lose — one fsync per sample would serialize the
-/// whole cohort on the log.
-const REPLAY_WAL_COMMIT_EVERY: usize = 256;
 
 impl std::fmt::Debug for CohortRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -176,7 +166,6 @@ impl std::fmt::Debug for CohortRuntime {
             .field("horizon", &self.horizon)
             .field("predict_every", &self.predict_every)
             .field("threads", &self.threads)
-            .field("shards", &self.num_shards())
             .finish()
     }
 }
@@ -185,17 +174,21 @@ impl CohortRuntime {
     /// Creates a cohort runtime with its own shared engine over `store`.
     /// Defaults: default segmenter, 0.3 s horizon, a prediction tick
     /// every 30 samples (~1 Hz at the paper's 30 Hz sampling), one
-    /// thread, unsharded.
+    /// thread.
     pub fn new(store: impl Into<SharedStore>, params: Params) -> Result<Self, TsmError> {
-        params.validate().map_err(TsmError::InvalidParams)?;
-        Ok(Self::with_engine(Arc::new(CachedMatcher::new(
-            Matcher::new(store, params),
-        ))))
+        Self::with_engine(Arc::new(CachedMatcher::new(Matcher::new(store, params))))
     }
 
-    /// Creates a cohort runtime over an existing shared engine.
-    pub fn with_engine(engine: Arc<CachedMatcher>) -> Self {
-        CohortRuntime {
+    /// Creates a cohort runtime over an existing shared engine. The
+    /// engine's parameters are validated — an invalid configuration is an
+    /// error, not a cohort of silently empty sessions.
+    pub fn with_engine(engine: Arc<CachedMatcher>) -> Result<Self, TsmError> {
+        engine
+            .matcher()
+            .params()
+            .validate()
+            .map_err(TsmError::InvalidParams)?;
+        Ok(CohortRuntime {
             engine,
             segmenter: SegmenterConfig::default(),
             align: AlignMode::default(),
@@ -204,54 +197,7 @@ impl CohortRuntime {
             predict_every: 30,
             threads: 1,
             policy: DegradationPolicy::default(),
-            shards: None,
-            wal: None,
-            checkpoint_every: 0,
-        }
-    }
-
-    /// Attaches a write-ahead log: every replayed session group-commits
-    /// its vertices periodically (and at session end), then writes a
-    /// `stored: false` end record — replay never mutates the store, so
-    /// recovery treats replayed sessions as discarded rather than
-    /// materializing them. A commit failure terminates the session with
-    /// the non-recoverable [`TsmError::Durability`].
-    pub fn with_wal(mut self, wal: Arc<tsm_db::WalWriter>) -> Self {
-        self.wal = Some(wal);
-        self
-    }
-
-    /// Checkpoints the WAL into a snapshot whenever at least `every`
-    /// appends have accumulated since the last one (`0` disables — the
-    /// default). Sharded replays check on the background maintenance
-    /// worker, off the session hot path; every replay also checks once
-    /// at the end.
-    pub fn with_checkpoint_every(mut self, every: u64) -> Self {
-        self.checkpoint_every = every;
-        self
-    }
-
-    /// Runs a WAL checkpoint when the configured append threshold has
-    /// been reached. Cheap no-op otherwise (two atomic-ish reads under
-    /// the writer's state lock).
-    pub(super) fn maybe_checkpoint(&self) {
-        let Some(wal) = &self.wal else { return };
-        if self.checkpoint_every == 0 || wal.appends_since_checkpoint() < self.checkpoint_every {
-            return;
-        }
-        let metrics = self.engine.metrics();
-        match wal.checkpoint(self.store()) {
-            Ok(Some(report)) => {
-                metrics.incr(Counter::SnapshotCheckpoints);
-                metrics.add(Counter::SnapshotRecords, report.snapshot_streams);
-            }
-            // None: another checkpointer got there first — nothing to do.
-            Ok(None) => {}
-            // A failed checkpoint is retried at the next threshold
-            // crossing; the WAL segments it would have compacted stay on
-            // disk, so durability is unaffected.
-            Err(_) => {}
-        }
+        })
     }
 
     /// Overrides the segmenter configuration.
@@ -285,8 +231,6 @@ impl CohortRuntime {
     }
 
     /// Sets the worker-thread count for [`CohortRuntime::replay`].
-    /// Ignored while sharded ([`CohortRuntime::with_shards`]) — a sharded
-    /// replay runs one worker per shard.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -298,8 +242,7 @@ impl CohortRuntime {
         self
     }
 
-    /// The shared matching engine (the parent engine; shard engines are
-    /// forks of it, see [`CohortRuntime::with_shards`]).
+    /// The shared matching engine.
     pub fn engine(&self) -> &Arc<CachedMatcher> {
         &self.engine
     }
@@ -312,20 +255,15 @@ impl CohortRuntime {
     /// Replays every spec to completion and returns the per-session
     /// reports in spec order.
     ///
-    /// Unsharded, sessions are distributed round-robin over the worker
-    /// threads; sharded, the [`super::ShardRouter`] places each session
-    /// on its home shard. Either way a session's completed report comes
-    /// back as one bounded-channel message and a worker panic is
-    /// contained: sessions whose report never arrived are re-run
-    /// serially.
+    /// Sessions are distributed round-robin over the worker threads. A
+    /// session's completed report comes back as one bounded-channel
+    /// message, and a worker panic is contained: sessions whose report
+    /// never arrived are re-run serially.
     pub fn replay(&self, specs: &[SessionSpec]) -> CohortReport {
         // lint:allow(no-instant-now-in-hot-path): cohort wall-clock for
         // the report, taken once per replay — not a per-window hot path.
         let start = Instant::now();
-        let (sessions, shards) = match &self.shards {
-            Some(set) => self.replay_sharded(specs, set),
-            None => (self.replay_unsharded(specs), Vec::new()),
-        };
+        let sessions = self.replay_sessions(specs);
         let metrics = self.engine.metrics();
         metrics.add(
             Counter::CohortSessionsFailed,
@@ -337,24 +275,17 @@ impl CohortRuntime {
         if let Some(hwm) = sessions.iter().map(|s| s.ticks.len() as u64 + 1).max() {
             metrics.record_max(Counter::CohortBacklogHwm, hwm);
         }
-        // End-of-replay checkpoint check (the sharded maintenance worker
-        // also checks in-flight).
-        self.maybe_checkpoint();
         CohortReport {
             sessions,
-            shards,
             wall: start.elapsed(),
         }
     }
 
-    /// The round-robin replay over one shared engine.
-    fn replay_unsharded(&self, specs: &[SessionSpec]) -> Vec<SessionReport> {
+    /// The round-robin replay over the worker pool.
+    fn replay_sessions(&self, specs: &[SessionSpec]) -> Vec<SessionReport> {
         let threads = self.threads.min(specs.len().max(1));
         if threads <= 1 {
-            return specs
-                .iter()
-                .map(|spec| self.drive_session(&self.engine, spec))
-                .collect();
+            return specs.iter().map(|spec| self.drive_session(spec)).collect();
         }
         let mut batches: Vec<Vec<usize>> = (0..threads).map(|_| Vec::new()).collect();
         for i in 0..specs.len() {
@@ -372,7 +303,7 @@ impl CohortRuntime {
                 let tx = tx.clone();
                 scope.spawn(move |_| {
                     for i in batch {
-                        let report = self.drive_session(&self.engine, &specs[i]);
+                        let report = self.drive_session(&specs[i]);
                         // lint:allow(no-silent-result-drop): capacity
                         // covers every session and the receiver outlives
                         // the scope — a send cannot fail here.
@@ -392,21 +323,18 @@ impl CohortRuntime {
         slots
             .into_iter()
             .enumerate()
-            .map(|(i, slot)| slot.unwrap_or_else(|| self.drive_session(&self.engine, &specs[i])))
+            .map(|(i, slot)| slot.unwrap_or_else(|| self.drive_session(&specs[i])))
             .collect()
     }
 
-    /// Runs one session to completion against `engine`, collecting its
-    /// ticks locally (no per-tick channel traffic), under the session's
-    /// fault supervisor ([`SessionRuntime::ingest`]): recoverable faults
-    /// (bad samples) are absorbed up to the policy's budget — the session
-    /// degrades and keeps streaming instead of dying. Fatal errors, and a
-    /// blown budget, terminate the session with a structured error.
-    pub(super) fn drive_session(
-        &self,
-        engine: &Arc<CachedMatcher>,
-        spec: &SessionSpec,
-    ) -> SessionReport {
+    /// Runs one session to completion against the shared engine,
+    /// collecting its ticks locally (no per-tick channel traffic), under
+    /// the session's fault supervisor ([`SessionRuntime::ingest`]):
+    /// recoverable faults (bad samples) are absorbed up to the policy's
+    /// budget — the session degrades and keeps streaming instead of
+    /// dying. Fatal errors, and a blown budget, terminate the session
+    /// with a structured error.
+    fn drive_session(&self, spec: &SessionSpec) -> SessionReport {
         let mut report = SessionReport::empty(spec);
         let config = SessionConfig::new(spec.patient, spec.session)
             .with_segmenter(self.segmenter.clone())
@@ -415,67 +343,30 @@ impl CohortRuntime {
             .with_horizon(self.horizon)
             .with_cadence(self.predict_every)
             .with_policy(self.policy);
-        // Parameters were validated when the engine was built.
-        let Ok(mut runtime) = SessionRuntime::with_engine(engine.clone(), config) else {
-            return report;
+        // `CohortRuntime::with_engine` already validated these parameters;
+        // should the session still refuse to start, its report says why.
+        let mut runtime = match SessionRuntime::with_engine(Arc::clone(&self.engine), config) {
+            Ok(runtime) => runtime,
+            Err(err) => return report.failed(err),
         };
-        if let Some(wal) = &self.wal {
-            runtime = runtime.with_wal(Arc::clone(wal));
-        }
         runtime.add_consumer(Box::new(PredictionLog::new()));
-        let mut error = None;
-        // A group commit after every full batch (a no-op without a WAL);
-        // the flushed tail is committed below.
-        for batch in spec.samples.chunks(REPLAY_WAL_COMMIT_EVERY) {
-            let mut outcome = runtime.ingest(batch);
-            if outcome.is_ok() && batch.len() == REPLAY_WAL_COMMIT_EVERY {
-                outcome = runtime.wal_commit().map(drop);
-            }
-            if let Err(e) = outcome {
-                error = Some(e);
-                break;
-            }
-        }
-        if error.is_none() {
+        let outcome = runtime.ingest(&spec.samples);
+        if outcome.is_ok() {
             runtime.finish();
-            // Commit the flushed tail, then mark the session closed as
-            // *discarded*: replay never adds streams to the store, so a
-            // recovery must not materialize it either.
-            match runtime.wal_commit() {
-                Ok(_) => {
-                    if let Some(wal) = &self.wal {
-                        // lint:allow(no-silent-result-drop): a missing end
-                        // record only pins WAL segments; the next recovery
-                        // reconciles it.
-                        let _ = wal.append_end(
-                            spec.patient.0,
-                            spec.session,
-                            runtime.samples_seen() as u64,
-                            false,
-                        );
-                    }
-                }
-                Err(e) => error = Some(e),
-            }
         }
         report.ticks = runtime
             .consumer::<PredictionLog>()
             .map(|log| log.ticks.clone())
             .unwrap_or_default();
-        match error {
-            Some(err) => {
-                report.error = Some(err);
-                report.health = SessionHealth::Degraded;
-            }
-            None => {
-                report.vertices = runtime.live_vertices().len();
-                report.samples = runtime.samples_seen();
-                report.health = runtime.health();
-                report.resyncs = runtime.resyncs();
-                report.recovered_faults = runtime.faults_absorbed();
-                report.complete = true;
-            }
+        if let Err(err) = outcome {
+            return report.failed(err);
         }
+        report.vertices = runtime.live_vertices().len();
+        report.samples = runtime.samples_seen();
+        report.health = runtime.health();
+        report.resyncs = runtime.resyncs();
+        report.recovered_faults = runtime.faults_absorbed();
+        report.complete = true;
         report
     }
 }
@@ -524,7 +415,6 @@ mod tests {
         let report = runtime.replay(&specs);
         assert_eq!(shared.version(), v0, "replay must be read-only");
         assert_eq!(report.sessions.len(), 3);
-        assert!(report.shards.is_empty(), "unsharded replay reported shards");
         for (r, spec) in report.sessions.iter().zip(&specs) {
             assert!(r.complete);
             assert_eq!(r.session, spec.session);
@@ -649,74 +539,17 @@ mod tests {
     }
 
     #[test]
-    fn replayed_sessions_log_as_discarded_not_stored() {
-        let (store, patient) = seeded_store(60);
-        let backend: Arc<dyn tsm_db::DurableBackend> = Arc::new(tsm_db::MemBackend::new());
-        let wal = Arc::new(
-            tsm_db::recover(Arc::clone(&backend), tsm_db::WalConfig::default())
-                .unwrap()
-                .writer,
-        );
+    fn invalid_engine_params_are_an_error_not_silent_sessions() {
+        let (store, _) = seeded_store(60);
         let params = Params {
-            min_matches: 1,
+            delta: 0.0,
             ..Params::default()
         };
-        let runtime = CohortRuntime::new(store, params)
-            .unwrap()
-            .with_segmenter(SegmenterConfig::clean())
-            .with_wal(Arc::clone(&wal));
-        let specs: Vec<SessionSpec> = (0..2)
-            .map(|i| SessionSpec {
-                patient,
-                session: i + 1,
-                samples: live_samples(61 + i as u64, 40.0),
-            })
-            .collect();
-        let report = runtime.replay(&specs);
-        assert!(report.sessions.iter().all(|s| s.complete));
-        drop((runtime, wal));
-        // Replay is read-only, so recovery must see the sessions closed
-        // as discarded and materialize nothing.
-        let rec = tsm_db::recover(backend, tsm_db::WalConfig::default()).unwrap();
-        assert_eq!(rec.report.sessions_discarded, 2, "{}", rec.report);
-        assert_eq!(rec.report.sessions_recovered, 0);
-        assert_eq!(rec.store.num_streams(), 0);
-        assert!(rec.report.last_seq > 0);
-    }
-
-    #[test]
-    fn end_of_replay_checkpoint_compacts_the_log() {
-        let (store, patient) = seeded_store(64);
-        let backend: Arc<dyn tsm_db::DurableBackend> = Arc::new(tsm_db::MemBackend::new());
-        let wal = Arc::new(
-            tsm_db::recover(Arc::clone(&backend), tsm_db::WalConfig::default())
-                .unwrap()
-                .writer,
-        );
-        let params = Params {
-            min_matches: 1,
-            ..Params::default()
-        };
-        let runtime = CohortRuntime::new(store, params)
-            .unwrap()
-            .with_segmenter(SegmenterConfig::clean())
-            .with_wal(Arc::clone(&wal))
-            .with_checkpoint_every(1);
-        let specs = [SessionSpec {
-            patient,
-            session: 1,
-            samples: live_samples(65, 40.0),
-        }];
-        runtime.replay(&specs);
-        drop((runtime, wal));
-        // All sessions ended before the end-of-replay checkpoint, so the
-        // snapshot covers everything: recovery starts from it and replays
-        // no records — but the store image (the seeded stream) survives.
-        let rec = tsm_db::recover(backend, tsm_db::WalConfig::default()).unwrap();
-        assert!(rec.report.snapshot_seq.is_some(), "{}", rec.report);
-        assert_eq!(rec.report.replayed_records, 0);
-        assert_eq!(rec.store.num_streams(), 1);
-        assert!(rec.report.features_verified);
+        let engine = Arc::new(CachedMatcher::new(Matcher::new(store, params)));
+        assert!(matches!(
+            CohortRuntime::with_engine(engine),
+            Err(TsmError::InvalidParams(_))
+        ));
     }
 
     #[test]

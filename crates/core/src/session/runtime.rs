@@ -289,9 +289,9 @@ impl SessionRuntime {
     /// live buffer to `wal`, and [`SessionRuntime::finish_into_store`]
     /// writes the session-end record after persisting the stream.
     ///
-    /// The runtime never commits implicitly on `push` — the driver
-    /// (serve session, cohort replay) chooses the commit boundary so one
-    /// fsync can cover a whole ingest batch.
+    /// The runtime never commits implicitly on `push` — its caller (a
+    /// serve session) chooses the commit boundary so one fsync can cover
+    /// a whole ingest batch.
     pub fn with_wal(mut self, wal: Arc<tsm_db::WalWriter>) -> Self {
         self.wal = Some(wal);
         self

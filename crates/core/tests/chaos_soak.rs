@@ -50,7 +50,9 @@ fn soak_runtime(store: StreamStore, metrics: &MetricsRegistry, threads: usize) -
     let engine = Arc::new(CachedMatcher::new(
         Matcher::new(store, params).with_metrics(metrics.clone()),
     ));
-    CohortRuntime::with_engine(engine).with_threads(threads)
+    CohortRuntime::with_engine(engine)
+        .expect("soak parameters are valid")
+        .with_threads(threads)
 }
 
 /// The seed matrix CI soaks on: eight random plans, reproducible forever.

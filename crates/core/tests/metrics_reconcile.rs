@@ -102,6 +102,7 @@ fn session_replay_counters_reconcile_and_diff() {
         Matcher::new(store.into_shared(), params).with_metrics(metrics.clone()),
     ));
     let runtime = CohortRuntime::with_engine(engine)
+        .unwrap()
         .with_segmenter(SegmenterConfig::clean())
         .with_threads(2);
     let specs: Vec<SessionSpec> = (0..2)
@@ -166,7 +167,7 @@ fn session_replay_counters_reconcile_and_diff() {
 /// four directly-driven sessions ran and produced predictions — the
 /// counter was only bumped on the `CohortRuntime::replay` path. Session
 /// starts are now counted at runtime construction, so *every* driving
-/// style (direct `SessionRuntime`, replay, sharded replay) reconciles
+/// style (direct `SessionRuntime`, serial or pooled replay) reconciles
 /// against the sessions that actually ran.
 #[test]
 fn directly_driven_sessions_count_into_cohort_sessions() {
@@ -198,11 +199,10 @@ fn directly_driven_sessions_count_into_cohort_sessions() {
     assert!(snap.counter("session.ticks") > 0);
 }
 
-/// The sharded replay records into per-shard registries and folds them
-/// back into the parent at the end — the parent interval must reconcile
-/// exactly like an unsharded one.
+/// A pooled replay records every session into the one shared registry —
+/// the interval must reconcile against the reports exactly.
 #[test]
-fn sharded_replay_counters_reconcile_on_the_parent_registry() {
+fn pooled_replay_counters_reconcile() {
     let (store, patient) = seeded_store(66);
     let params = Params {
         min_matches: 1,
@@ -213,8 +213,9 @@ fn sharded_replay_counters_reconcile_on_the_parent_registry() {
         Matcher::new(store.into_shared(), params).with_metrics(metrics.clone()),
     ));
     let runtime = CohortRuntime::with_engine(engine)
+        .unwrap()
         .with_segmenter(SegmenterConfig::clean())
-        .with_shards(2);
+        .with_threads(2);
     let specs: Vec<SessionSpec> = (0..4)
         .map(|i| SessionSpec {
             patient,
@@ -229,7 +230,7 @@ fn sharded_replay_counters_reconcile_on_the_parent_registry() {
 
     interval
         .check_invariants()
-        .expect("absorbed shard counters reconcile");
+        .expect("pooled counters reconcile");
     assert_eq!(
         interval.counter("cohort.sessions"),
         report.sessions.len() as u64

@@ -10,11 +10,11 @@
 //!    `Acquire` before reading the data and tags what it caches; a server
 //!    thread that observes the cache tag must observe data at least as
 //!    fresh as the tag claims.
-//! 2. **Per-worker `SearchTally` flush at the shard-worker join**
-//!    (`CohortRuntime`'s sharded replay / `MetricsRegistry::record_search`):
-//!    shard workers bump relaxed statistics counters and then publish
-//!    completion with `Release`; a reader that `Acquire`-observes every
-//!    worker done must see a reconciled tally
+//! 2. **Per-worker `SearchTally` flush at the pool-worker join**
+//!    (`CohortRuntime`'s pooled replay / `MetricsRegistry::record_search`):
+//!    pool workers bump relaxed statistics counters in the one shared
+//!    registry and then publish completion with `Release`; a reader that
+//!    `Acquire`-observes every worker done must see a reconciled tally
 //!    (`scored == abandoned + completed`).
 //!
 //! (The serve layer's per-session admission counter has its own model
@@ -110,14 +110,14 @@ fn version_protocol_relaxed_cache_publish_is_caught() {
     assert!(v.assertion.starts_with("tag at v1 implies fresh cache"));
 }
 
-/// Builds the tally-flush model: two shard workers fold their per-search
+/// Builds the tally-flush model: two pool workers fold their per-search
 /// `SearchTally` into metrics counters with relaxed `fetch_add`s (exactly
 /// how `MetricsRegistry::add` behaves), then publish completion; a reader
 /// that observes both workers done must see a reconciled tally. In the
-/// real code the reader is `CohortRuntime`'s sharded replay, which
-/// absorbs every shard's registry into the parent once the crossbeam
-/// scope has joined its workers. `done_ord` is the workers'
-/// completion-store ordering — the join edge that scope join provides.
+/// real code the reader is the caller of `CohortRuntime`'s pooled
+/// replay, which reads the one shared registry after the crossbeam scope
+/// has joined its workers. `done_ord` is the workers' completion-store
+/// ordering — the join edge that scope join provides.
 fn tally_flush(done_ord: Ordering) -> Model {
     let mut m = Model::new();
     let scored = m.loc("SCORED");

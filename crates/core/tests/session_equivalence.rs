@@ -1,21 +1,20 @@
-//! Sharded ≡ unsharded: the sharding refactor changes scheduling and
-//! cache ownership, never results. Every scenario here replays one
+//! Pool size never changes results: the cohort runtime schedules
+//! sessions over a worker pool, and every scenario here replays one
 //! fixed-seed cohort — clean sessions, a gap-faulted session (resync +
 //! health machine) and a poisoned session (absorbed recoverable fault) —
-//! through the unsharded runtime (serial and parallel) and through
-//! `shards ∈ {1, 2, 4}`, and requires bit-identical per-session
-//! `SessionReport`s: same ticks, same predictions, same health
-//! transitions, same resync and fault accounting.
+//! serially and on `threads ∈ {2, 4}`, and requires bit-identical
+//! per-session `SessionReport`s: same ticks, same predictions, same
+//! health transitions, same resync and fault accounting.
 //!
-//! This file is the CI sharded-soak stage's target (debug build, fixed
-//! seeds): `cargo test -p tsm-core --test session_equivalence`.
+//! This file is the CI pool-size equivalence stage's target (debug
+//! build, fixed seeds): `cargo test -p tsm-core --test session_equivalence`.
 
 use tsm_core::prelude::*;
 use tsm_db::{PatientAttributes, PatientId, StreamStore};
 use tsm_model::{segment_signal, PlrTrajectory, Sample, SegmenterConfig};
 use tsm_signal::{BreathingParams, SignalGenerator};
 
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+const POOL_SIZES: [usize; 2] = [2, 4];
 
 fn live_samples(seed: u64, duration: f64) -> Vec<Sample> {
     SignalGenerator::new(BreathingParams::default(), seed).generate(duration)
@@ -84,8 +83,21 @@ fn runtime(store: &StreamStore) -> CohortRuntime {
         .with_segmenter(SegmenterConfig::clean())
 }
 
+/// Every report either ran to completion or carries the error that
+/// ended it — never both, never neither.
+fn assert_complete_or_failed(report: &CohortReport) {
+    for s in &report.sessions {
+        assert!(
+            s.complete != s.error.is_some(),
+            "session ({:?}, {}) must be exactly one of complete or failed",
+            s.patient,
+            s.session
+        );
+    }
+}
+
 #[test]
-fn sharded_replay_is_bit_identical_to_unsharded() {
+fn pooled_replay_is_bit_identical_to_serial() {
     let (store, patients) = seeded_store(3, 70);
     let specs = scenario_specs(&patients, 100);
     let baseline = runtime(&store).replay(&specs);
@@ -95,114 +107,48 @@ fn sharded_replay_is_bit_identical_to_unsharded() {
     assert!(baseline.sessions.iter().any(|s| s.resyncs > 0));
     assert!(baseline.sessions.iter().any(|s| s.recovered_faults > 0));
     assert!(baseline.total_predictions() > 0);
+    assert_complete_or_failed(&baseline);
 
-    // Parallel unsharded: same reports.
-    let parallel = runtime(&store).with_threads(4).replay(&specs);
-    assert_eq!(baseline.sessions, parallel.sessions);
-
-    for shards in SHARD_COUNTS {
-        let sharded = runtime(&store).with_shards(shards).replay(&specs);
+    for threads in POOL_SIZES {
+        let pooled = runtime(&store).with_threads(threads).replay(&specs);
         assert_eq!(
-            baseline.sessions, sharded.sessions,
-            "shards={shards} diverged from the unsharded replay"
+            baseline.sessions, pooled.sessions,
+            "threads={threads} diverged from the serial replay"
         );
-        if shards > 1 {
-            // Attribution covers every session exactly once, on its
-            // routed home shard.
-            let router = ShardRouter::new(shards);
-            let mut seen: Vec<usize> = Vec::new();
-            for shard in &sharded.shards {
-                for &i in &shard.sessions {
-                    assert_eq!(
-                        router.route(specs[i].patient, specs[i].session),
-                        shard.shard
-                    );
-                    seen.push(i);
-                }
-            }
-            seen.sort_unstable();
-            assert_eq!(seen, (0..specs.len()).collect::<Vec<_>>());
-        }
+        assert_complete_or_failed(&pooled);
     }
 }
 
 #[test]
-fn repeated_sharded_replays_are_stable() {
-    // Shard engines persist across replays (warm caches); placement and
-    // reports must not drift between calls on the same runtime.
+fn warm_second_replay_is_identical_and_rebuilds_nothing() {
+    // The engine persists across replays (warm index cache); reports
+    // must not drift between calls on the same runtime.
     let (store, patients) = seeded_store(2, 74);
     let specs = scenario_specs(&patients, 140);
-    let rt = runtime(&store).with_shards(4);
+    let rt = runtime(&store).with_threads(4);
     let first = rt.replay(&specs);
+    let rebuilds = rt.engine().cache().rebuild_count();
+    assert!(rebuilds > 0, "the first replay built no index");
     let second = rt.replay(&specs);
     assert_eq!(first.sessions, second.sessions);
-    for (a, b) in first.shards.iter().zip(&second.shards) {
-        assert_eq!(a.shard, b.shard);
-        assert_eq!(a.sessions, b.sessions, "placement drifted between replays");
-        // The first replay built each shard's indexes; the second runs
-        // entirely on warm caches.
-        assert_eq!(b.rebuilds, 0, "shard {} rebuilt on a warm replay", b.shard);
-    }
+    // The first replay built every index; the second runs entirely on
+    // the warm cache.
+    assert_eq!(
+        rt.engine().cache().rebuild_count(),
+        rebuilds,
+        "a warm replay rebuilt an index"
+    );
 }
 
 #[test]
-fn placement_is_a_pure_function_of_identity() {
-    // Property sweep: the route depends only on (patient, session,
-    // shard count) — never on the rest of the cohort, the order specs
-    // arrive in, or which router instance computes it. Mid-cohort pool
-    // resizing is unrepresentable (ShardRouter has no mutator), so the
-    // only way to re-home sessions is to build a new runtime.
-    for shards in SHARD_COUNTS {
-        let router = ShardRouter::new(shards);
-        assert_eq!(router.shards(), shards.max(1));
-        for p in 0..200u32 {
-            for s in 0..6u32 {
-                let home = router.route(PatientId(p), s);
-                assert!(home < shards.max(1));
-                assert_eq!(home, ShardRouter::new(shards).route(PatientId(p), s));
-            }
-        }
-    }
-
-    // Replay-level check: the same session keeps its home shard whether
-    // it replays inside the full cohort or a subset.
-    let (store, patients) = seeded_store(2, 78);
-    let specs = scenario_specs(&patients, 180);
-    let rt = runtime(&store).with_shards(4);
-    let full = rt.replay(&specs);
-    let subset: Vec<SessionSpec> = specs.iter().skip(2).cloned().collect();
-    let partial = rt.replay(&subset);
-    let home = |report: &CohortReport, patient: PatientId, session: u32, specs: &[SessionSpec]| {
-        report
-            .shards
-            .iter()
-            .find(|sh| {
-                sh.sessions
-                    .iter()
-                    .any(|&i| specs[i].patient == patient && specs[i].session == session)
-            })
-            .map(|sh| sh.shard)
-    };
-    for spec in &subset {
-        assert_eq!(
-            home(&full, spec.patient, spec.session, &specs),
-            home(&partial, spec.patient, spec.session, &subset),
-            "session ({:?}, {}) re-homed between cohorts",
-            spec.patient,
-            spec.session
-        );
-    }
-}
-
-#[test]
-fn more_shards_than_sessions_keeps_empty_shards_sane() {
+fn more_threads_than_sessions_is_sane() {
     use std::sync::Arc;
     use tsm_core::index_cache::CachedMatcher;
     use tsm_core::matcher::Matcher;
     use tsm_core::metrics::MetricsRegistry;
 
     let (store, patients) = seeded_store(2, 86);
-    // Three sessions over eight shards: most shards receive nothing.
+    // Three sessions on eight threads: the pool is clamped to the cohort.
     let specs: Vec<SessionSpec> = scenario_specs(&patients, 260).into_iter().take(3).collect();
     let baseline = runtime(&store).replay(&specs);
 
@@ -215,57 +161,29 @@ fn more_shards_than_sessions_keeps_empty_shards_sane() {
         Matcher::new(store.clone(), params).with_metrics(metrics.clone()),
     ));
     let rt = CohortRuntime::with_engine(engine)
+        .unwrap()
         .with_segmenter(SegmenterConfig::clean())
-        .with_shards(8);
-    let sharded = rt.replay(&specs);
+        .with_threads(8);
+    let pooled = rt.replay(&specs);
 
-    // Per-session reports are unchanged by the pathological shard count.
-    assert_eq!(baseline.sessions, sharded.sessions);
+    // Per-session reports are unchanged by the oversized pool.
+    assert_eq!(baseline.sessions, pooled.sessions);
+    assert_complete_or_failed(&pooled);
 
-    // The attribution table has one row per shard, covers every session
-    // exactly once on its routed home, and the zero-session rows are
-    // real, sane entries — not artifacts or omissions.
-    assert_eq!(sharded.shards.len(), 8);
-    assert!(
-        sharded.shards.iter().any(|s| s.sessions.is_empty()),
-        "3 sessions over 8 shards must leave empty shards"
-    );
-    let router = ShardRouter::new(8);
-    let mut seen: Vec<usize> = Vec::new();
-    for row in &sharded.shards {
-        for &i in &row.sessions {
-            assert_eq!(router.route(specs[i].patient, specs[i].session), row.shard);
-            seen.push(i);
-        }
-        if row.sessions.is_empty() {
-            assert_eq!(
-                row.rebuilds, 0,
-                "idle shard {} rebuilt its index",
-                row.shard
-            );
-        }
-    }
-    seen.sort_unstable();
-    assert_eq!(seen, (0..specs.len()).collect::<Vec<_>>());
-
-    // The absorb merge folded idle shard registries into the parent
-    // without breaking the ledger.
+    // The one shared registry reconciles.
     let snapshot = rt.engine().metrics().snapshot();
     if let Err(msg) = snapshot.check_invariants() {
-        panic!("absorbed snapshot does not reconcile: {msg}");
+        panic!("pooled snapshot does not reconcile: {msg}");
     }
     assert!(snapshot.counter("cohort.sessions") >= specs.len() as u64);
 
-    // An empty cohort over many shards is a no-op, not a hang: a full
-    // attribution table of empty rows and no sessions.
+    // An empty cohort on many threads is a no-op, not a hang.
     let empty = rt.replay(&[]);
     assert!(empty.sessions.is_empty());
-    assert_eq!(empty.shards.len(), 8);
-    assert!(empty.shards.iter().all(|s| s.sessions.is_empty()));
 }
 
 #[test]
-fn fault_budget_exhaustion_is_identical_across_shard_counts() {
+fn fault_budget_exhaustion_is_identical_across_pool_sizes() {
     let (store, patients) = seeded_store(2, 82);
     let mut specs = scenario_specs(&patients, 220);
     // Poison one extra session so a zero budget fails it immediately.
@@ -282,15 +200,17 @@ fn fault_budget_exhaustion_is_identical_across_shard_counts() {
     assert!(baseline.sessions[0].error.is_some());
     assert!(!baseline.sessions[0].complete);
     assert_eq!(baseline.sessions[0].health, SessionHealth::Degraded);
-    for shards in SHARD_COUNTS {
-        let sharded = runtime(&store)
+    assert_complete_or_failed(&baseline);
+    for threads in POOL_SIZES {
+        let pooled = runtime(&store)
             .with_policy(zero_budget)
-            .with_shards(shards)
+            .with_threads(threads)
             .replay(&specs);
         assert_eq!(
-            baseline.sessions, sharded.sessions,
-            "shards={shards}: fault-budget semantics diverged"
+            baseline.sessions, pooled.sessions,
+            "threads={threads}: fault-budget semantics diverged"
         );
-        assert_eq!(sharded.fatal_sessions(), failed);
+        assert_eq!(pooled.fatal_sessions(), failed);
+        assert_complete_or_failed(&pooled);
     }
 }

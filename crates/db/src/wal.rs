@@ -57,7 +57,8 @@
 //! cover their records: `covered_seq` is capped at one below the first
 //! record of the oldest still-open session. Sessions closed as
 //! `stored` are in the store image; sessions closed as `discarded`
-//! (e.g. read-only cohort replays) are safe to drop by definition.
+//! (e.g. a session whose stream the store refused) are safe to drop by
+//! definition.
 
 use crate::backend::DurableBackend;
 use crate::persist::{salvage_store, save_store, Fnv, PersistError, RecoveryReport};
@@ -136,8 +137,8 @@ pub enum WalRecordKind {
     /// A batch of vertices appended to an open session.
     VertexBatch,
     /// The session finished and its stream was added to the store
-    /// (`stored: true`), or finished and deliberately dropped
-    /// (`stored: false`, e.g. a read-only cohort replay).
+    /// (`stored: true`), or finished and dropped (`stored: false`, e.g.
+    /// when its live vertices never formed a valid PLR).
     SessionEnd {
         /// Whether the finished stream entered the store.
         stored: bool,

@@ -180,8 +180,7 @@ impl Drop for Server {
 }
 
 /// The serve-side maintenance worker: seals idle sessions and
-/// checkpoints the WAL into snapshots, both off the request path (the
-/// same duty split as the cohort runtime's maintenance daemon). Parks
+/// checkpoints the WAL into snapshots, both off the request path. Parks
 /// between rounds so shutdown can wake it immediately.
 fn maintenance_loop(stop: &AtomicBool, manager: &SessionManager, config: &ServeConfig) {
     let idle = Duration::from_millis(config.idle_timeout_ms);

@@ -11,9 +11,8 @@
 //!    is reported directly as a self-deadlock.
 //! 2. **Blocking-call-under-lock detection** — `send` / `recv` /
 //!    `recv_timeout` / `join` / `thread::park` / `thread::sleep` while
-//!    any guard is live. This is the bug class that wedges an acceptor
-//!    or a shard pool: one stuck thread holds the lock every other
-//!    thread needs.
+//!    any guard is live. This is the bug class that wedges a worker
+//!    pool: one stuck thread holds the lock every other thread needs.
 //! 3. **Channel-topology audit** — every channel constructor must be
 //!    bounded; a bare literal capacity needs a provenance comment on
 //!    or above the line; and a `send` under a lock that some receiver

@@ -1,20 +1,20 @@
 #!/usr/bin/env bash
-# Snapshot the matcher-critical criterion benches into BENCH_matching.json.
+# Snapshot the repository's benches into the BENCH_*.json captures.
 #
-# Runs the `matching` and `distances` benches on the fixed synthetic
-# cohorts they define (seeded generators — the workload is identical
-# across runs and machines) and collects each benchmark's median ns/op
-# into one JSON document at the repo root:
+# Runs the `matching` and `distances` criterion benches on the fixed
+# synthetic cohorts they define (seeded generators — the workload is
+# identical across runs and machines) into BENCH_matching.json (each
+# benchmark's median ns/op), then the `exp_pipeline`, `exp_cohort_scale`
+# and `exp_persistence` experiments into BENCH_pipeline.json,
+# BENCH_cohort.json and BENCH_persistence.json. Every file holds a list
+# of captures, each stamped with its time, label and commit:
 #
-#   {
-#     "captured": "<utc timestamp>",
-#     "label": "<arg, e.g. before/after>",
-#     "results": { "matching/scan/60p": 1234.5, ... }
-#   }
+#   { "captures": [ { ..., "captured": "<utc timestamp>",
+#                     "label": "<arg, e.g. before/after>",
+#                     "commit": "<short hash>" } ] }
 #
 # Usage: scripts/bench_snapshot.sh [label] [output.json]
-# The vendored criterion stand-in appends one JSON line per benchmark to
-# $CRITERION_SNAPSHOT; this script assembles those lines into the map.
+# (output.json names the matching capture; default BENCH_matching.json.)
 
 set -euo pipefail
 
@@ -39,8 +39,49 @@ if [[ -n "$(git status --porcelain 2>/dev/null)" ]]; then
 fi
 echo "== snapshotting at commit $commit (label: $label) =="
 
-raw="$(mktemp)"
-trap 'rm -f "$raw"' EXIT
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+# merge_capture RAW OUT [KEY...]: stamps the JSON document in RAW with the
+# capture time, label and commit, and merges it into OUT's `captures`
+# list — one capture per label, so the file carries the before/after
+# comparison in a single artifact. Each KEY (a dotted path; list indices
+# may be negative) is echoed from the document as a summary.
+merge_capture() {
+    python3 - "$1" "$2" "$label" "$commit" "${@:3}" <<'EOF'
+import json, sys, datetime
+
+raw_path, out_path, label, commit = sys.argv[1:5]
+with open(raw_path) as fh:
+    doc = json.load(fh)
+doc["captured"] = datetime.datetime.now(datetime.timezone.utc).strftime(
+    "%Y-%m-%dT%H:%M:%SZ"
+)
+doc["label"] = label
+doc["commit"] = commit
+
+try:
+    with open(out_path) as fh:
+        prior = json.load(fh)
+    captures = [c for c in prior.get("captures", []) if c.get("label") != label]
+except (FileNotFoundError, json.JSONDecodeError):
+    captures = []
+captures.append(doc)
+with open(out_path, "w") as fh:
+    json.dump({"captures": captures}, fh, indent=2)
+    fh.write("\n")
+
+
+def pick(node, path):
+    for part in path.split("."):
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    return node
+
+
+summary = ", ".join(f"{key} {pick(doc, key)}" for key in sys.argv[5:])
+print(f"wrote {out_path} (label: {label})" + (f": {summary}" if summary else ""))
+EOF
+}
 
 echo "== building benches (release) =="
 cargo build --release -p tsm-bench --benches
@@ -55,155 +96,43 @@ cargo test --release -p tsm-core --test matcher_properties -- --quiet \
     f32_tier_never_prunes_an_admissible_window
 
 echo "== running matching + distances benches =="
-CRITERION_SNAPSHOT="$raw" cargo bench -p tsm-bench --bench matching
-CRITERION_SNAPSHOT="$raw" cargo bench -p tsm-bench --bench distances
+CRITERION_SNAPSHOT="$tmp/matching.jsonl" cargo bench -p tsm-bench --bench matching
+CRITERION_SNAPSHOT="$tmp/matching.jsonl" cargo bench -p tsm-bench --bench distances
+# The vendored criterion stand-in appends one {"id", "median_ns"} line per
+# benchmark; the capture maps each id to its median.
+python3 - "$tmp/matching.jsonl" "$tmp/matching.json" <<'EOF'
+import json, sys
 
-python3 - "$raw" "$out" "$label" "$commit" <<'EOF'
-import json, sys, datetime
-
-raw_path, out_path, label, commit = sys.argv[1:5]
-results = {}
-with open(raw_path) as fh:
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        results[rec["id"]] = rec["median_ns"]
-
-doc = {
-    "captured": datetime.datetime.now(datetime.timezone.utc)
-    .strftime("%Y-%m-%dT%H:%M:%SZ"),
-    "label": label,
-    "commit": commit,
-    "results": dict(sorted(results.items())),
-}
-
-# Merge: keep earlier labelled captures (e.g. "before") alongside this one
-# so the file carries the before/after comparison in a single artifact.
-try:
-    with open(out_path) as fh:
-        prior = json.load(fh)
-    captures = prior.get("captures", [])
-    captures = [c for c in captures if c.get("label") != label]
-except (FileNotFoundError, json.JSONDecodeError):
-    captures = []
-captures.append(doc)
-with open(out_path, "w") as fh:
-    json.dump({"captures": captures}, fh, indent=2)
-    fh.write("\n")
-
-print(f"wrote {len(results)} medians to {out_path} (label: {label})")
+with open(sys.argv[1]) as fh:
+    records = [json.loads(line) for line in fh if line.strip()]
+with open(sys.argv[2], "w") as fh:
+    json.dump({"results": dict(sorted((r["id"], r["median_ns"]) for r in records))}, fh)
 EOF
+merge_capture "$tmp/matching.json" "$out"
 
 echo "== running end-to-end pipeline throughput bench =="
-pipeline_raw="$(mktemp)"
-trap 'rm -f "$raw" "$pipeline_raw"' EXIT
-cargo run --release -p tsm-bench --bin exp_pipeline -- --json "$pipeline_raw"
+cargo run --release -p tsm-bench --bin exp_pipeline -- --json "$tmp/pipeline.json"
+merge_capture "$tmp/pipeline.json" BENCH_pipeline.json speedup metrics_overhead
 
-python3 - "$pipeline_raw" BENCH_pipeline.json "$label" "$commit" <<'EOF'
-import json, sys, datetime
-
-raw_path, out_path, label, commit = sys.argv[1:5]
-with open(raw_path) as fh:
-    doc = json.load(fh)
-doc["captured"] = datetime.datetime.now(datetime.timezone.utc).strftime(
-    "%Y-%m-%dT%H:%M:%SZ"
-)
-doc["label"] = label
-doc["commit"] = commit
-
-# Same merge discipline as BENCH_matching.json: one capture per label.
-try:
-    with open(out_path) as fh:
-        prior = json.load(fh)
-    captures = [c for c in prior.get("captures", []) if c.get("label") != label]
-except (FileNotFoundError, json.JSONDecodeError):
-    captures = []
-captures.append(doc)
-with open(out_path, "w") as fh:
-    json.dump({"captures": captures}, fh, indent=2)
-    fh.write("\n")
-
-print(f"wrote pipeline throughput (speedup {doc['speedup']}x) to {out_path}")
-EOF
-
-echo "== running cohort-scale ramp soak (sharded vs unsharded) =="
-cohort_raw="$(mktemp)"
-trap 'rm -f "$raw" "$pipeline_raw" "$cohort_raw"' EXIT
-cargo run --release -p tsm-bench --bin exp_cohort_scale -- --json "$cohort_raw"
-
-python3 - "$cohort_raw" BENCH_cohort.json "$label" "$commit" <<'EOF'
-import json, sys, datetime
-
-raw_path, out_path, label, commit = sys.argv[1:5]
-with open(raw_path) as fh:
-    doc = json.load(fh)
-doc["captured"] = datetime.datetime.now(datetime.timezone.utc).strftime(
-    "%Y-%m-%dT%H:%M:%SZ"
-)
-doc["label"] = label
-doc["commit"] = commit
-
-# Same merge discipline as the other BENCH_* files: one capture per label.
-try:
-    with open(out_path) as fh:
-        prior = json.load(fh)
-    captures = [c for c in prior.get("captures", []) if c.get("label") != label]
-except (FileNotFoundError, json.JSONDecodeError):
-    captures = []
-captures.append(doc)
-with open(out_path, "w") as fh:
-    json.dump({"captures": captures}, fh, indent=2)
-    fh.write("\n")
-
-tail = doc["ramp"][-1]
-print(
-    f"wrote cohort ramp (knee {doc['knee_sessions']} sessions, "
-    f"{tail['sessions']}-session speedup {tail['speedup']}x) to {out_path}"
-)
-EOF
+echo "== running cohort-scale ramp soak (pooled vs per-session) =="
+cargo run --release -p tsm-bench --bin exp_cohort_scale -- --json "$tmp/cohort.json"
+merge_capture "$tmp/cohort.json" BENCH_cohort.json host_cpus workers \
+    ramp.-1.sessions ramp.-1.speedup
 
 echo "== running durability bench (WAL append / replay / checkpoint) =="
-persist_raw="$(mktemp)"
-trap 'rm -f "$raw" "$pipeline_raw" "$cohort_raw" "$persist_raw"' EXIT
-cargo run --release -p tsm-bench --bin exp_persistence -- --json "$persist_raw"
-
-python3 - "$persist_raw" BENCH_persistence.json "$label" "$commit" <<'EOF'
-import json, sys, datetime
-
-raw_path, out_path, label, commit = sys.argv[1:5]
-with open(raw_path) as fh:
-    doc = json.load(fh)
-doc["captured"] = datetime.datetime.now(datetime.timezone.utc).strftime(
-    "%Y-%m-%dT%H:%M:%SZ"
-)
-doc["label"] = label
-doc["commit"] = commit
-
+cargo run --release -p tsm-bench --bin exp_persistence -- --json "$tmp/persistence.json"
 # The experiment binary already asserted bit-identity and RPO = 0;
 # re-check the recorded number so a stale capture can never claim it.
-if doc["rpo_lost_records"] != 0:
-    sys.exit(f"durability bench recorded rpo_lost_records={doc['rpo_lost_records']}")
+python3 - "$tmp/persistence.json" <<'EOF'
+import json, sys
 
-# Same merge discipline as the other BENCH_* files: one capture per label.
-try:
-    with open(out_path) as fh:
-        prior = json.load(fh)
-    captures = [c for c in prior.get("captures", []) if c.get("label") != label]
-except (FileNotFoundError, json.JSONDecodeError):
-    captures = []
-captures.append(doc)
-with open(out_path, "w") as fh:
-    json.dump({"captures": captures}, fh, indent=2)
-    fh.write("\n")
-
-append = doc["wal_append_ns"]
-print(
-    f"wrote durability capture (append p50 {append['p50']} ns, "
-    f"replay {doc['wal_replay_ms']} ms, RPO 0) to {out_path}"
-)
+with open(sys.argv[1]) as fh:
+    lost = json.load(fh)["rpo_lost_records"]
+if lost != 0:
+    sys.exit(f"durability bench recorded rpo_lost_records={lost}")
 EOF
+merge_capture "$tmp/persistence.json" BENCH_persistence.json \
+    wal_append_ns.p50 wal_replay_ms rpo_lost_records
 
 echo "== checking metrics overhead =="
 # The exp_pipeline JSON carries `metrics_overhead`: the metrics-enabled

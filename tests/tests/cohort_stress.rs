@@ -59,10 +59,12 @@ fn eight_concurrent_sessions_match_serial_replay() {
 
     let v0 = store.version();
     let serial = CohortRuntime::with_engine(engine.clone())
+        .expect("valid parameters")
         .with_segmenter(SegmenterConfig::clean())
         .with_threads(1)
         .replay(&specs);
     let parallel = CohortRuntime::with_engine(engine)
+        .expect("valid parameters")
         .with_segmenter(SegmenterConfig::clean())
         .with_threads(8)
         .replay(&specs);
@@ -100,6 +102,7 @@ fn shared_engine_reuses_index_builds_across_sessions() {
 
     let shared_engine = Arc::new(CachedMatcher::new(Matcher::new(store.clone(), params())));
     let shared_report = CohortRuntime::with_engine(shared_engine.clone())
+        .expect("valid parameters")
         .with_segmenter(SegmenterConfig::clean())
         .replay(&specs);
     let shared_rebuilds = shared_engine.cache().rebuild_count();
@@ -109,6 +112,7 @@ fn shared_engine_reuses_index_builds_across_sessions() {
     for spec in &specs {
         let engine = Arc::new(CachedMatcher::new(Matcher::new(store.clone(), params())));
         let report = CohortRuntime::with_engine(engine.clone())
+            .expect("valid parameters")
             .with_segmenter(SegmenterConfig::clean())
             .replay(std::slice::from_ref(spec));
         solo_rebuilds += engine.cache().rebuild_count();
