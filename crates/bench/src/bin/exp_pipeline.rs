@@ -1,108 +1,34 @@
 //! Experiment: **end-to-end online pipeline throughput.**
 //!
-//! Before the session runtime, each online subsystem — position
-//! prediction, beam gating, tumor tracking — ran its own replay loop with
-//! its own predictor: three segmentation passes and three matcher calls
-//! per prediction tick, per session. The `SessionRuntime` makes one pass
-//! and fans the shared prediction tick out to all three consumers, and a
-//! cohort shares one `CachedMatcher` so per-length feature indexes are
-//! built once, not once per session.
+//! One `SessionRuntime` per held-out session makes one segmentation pass
+//! and one prediction per tick; gating and tracking are folds over the
+//! recorded tick log, and the cohort shares one `CachedMatcher` so
+//! per-length feature indexes are built once, not once per session.
 //!
-//! This binary replays the same held-out sessions both ways and reports
-//! aggregate predictions/sec. Run with `--release`; pass
-//! `--json <path>` to also write the numbers as a JSON document (consumed
-//! by `scripts/bench_snapshot.sh` into `BENCH_pipeline.json`).
+//! This binary replays the held-out sessions on a plain engine and again
+//! on a metrics-enabled one, and reports aggregate predictions/sec and
+//! the throughput kept with metrics on. Run with `--release`; pass
+//! `--json <path>` to also write the numbers as a JSON document
+//! (consumed by `scripts/bench_snapshot.sh` into `BENCH_pipeline.json`).
 
 use std::sync::Arc;
 use std::time::Instant;
 use tsm_bench::report::{banner, table};
 use tsm_bench::{build_bundle, BundleConfig, EvalStream};
-use tsm_core::gating::{GatingAccumulator, GatingWindow};
+use tsm_core::gating::{gate_ticks, GatingWindow};
 use tsm_core::metrics::MetricsRegistry;
-use tsm_core::pipeline::OnlinePredictor;
-use tsm_core::session::{
-    GatingController, PredictionLog, SessionConfig, SessionRuntime, TrackingController,
-};
+use tsm_core::session::{SessionConfig, SessionRuntime};
+use tsm_core::tracking::{track_ticks, TrackingStats};
 use tsm_core::{CachedMatcher, Matcher, Params};
-use tsm_db::SharedStore;
-use tsm_model::{Position, SegmenterConfig};
+use tsm_model::SegmenterConfig;
 use tsm_signal::CohortConfig;
 
 const DT: f64 = 0.3;
 const EVERY: usize = 30;
 const WINDOW_MM: f64 = 3.0;
 
-/// The legacy architecture: three disconnected single-purpose loops per
-/// session, each with its own predictor re-segmenting the live signal and
-/// re-matching against the store.
-fn legacy_session(
-    store: &SharedStore,
-    params: &Params,
-    seg: &SegmenterConfig,
-    eval: &EvalStream,
-) -> usize {
-    let axis = params.axis;
-    let window = GatingWindow::at_exhale_end(&eval.truth, axis, WINDOW_MM);
-    let new_predictor = || {
-        OnlinePredictor::new(
-            store.clone(),
-            params.clone(),
-            seg.clone(),
-            eval.patient,
-            eval.session,
-        )
-        .expect("valid parameters")
-    };
-
-    // Loop 1: prediction.
-    let mut predictor = new_predictor();
-    let mut outcomes = 0usize;
-    for (i, &s) in eval.samples.iter().enumerate() {
-        predictor.push(s).expect("finite sample");
-        if i % EVERY == 0 && i >= EVERY && predictor.predict(DT).is_some() {
-            outcomes += 1;
-        }
-    }
-
-    // Loop 2: gating (full re-replay).
-    let mut predictor = new_predictor();
-    let mut acc = GatingAccumulator::new();
-    for (i, &s) in eval.samples.iter().enumerate() {
-        predictor.push(s).expect("finite sample");
-        if i % EVERY == 0 && i >= EVERY {
-            let Some(last) = predictor.live_vertices().last() else {
-                continue;
-            };
-            let target = last.time + DT;
-            let beam = predictor
-                .predict(DT)
-                .is_some_and(|o| window.contains(o.position[axis]));
-            acc.record(beam, window.contains(eval.truth.position_at(target)[axis]));
-        }
-    }
-
-    // Loop 3: tracking (another full re-replay).
-    let mut predictor = new_predictor();
-    let mut last_aim: Option<Position> = None;
-    let mut errors = 0usize;
-    for (i, &s) in eval.samples.iter().enumerate() {
-        predictor.push(s).expect("finite sample");
-        if i % EVERY == 0 && i >= EVERY {
-            if let Some(o) = predictor.predict(DT) {
-                last_aim = Some(o.position);
-            }
-            if predictor.live_vertices().last().is_some() && last_aim.is_some() {
-                errors += 1;
-            }
-        }
-    }
-
-    assert!(acc.ticks() > 0 && errors > 0, "gating/tracking loops idle");
-    outcomes
-}
-
-/// The session runtime: one pass, one prediction per tick, fanned out to
-/// the prediction log, the gating controller and the tracking controller.
+/// One session: one pass, one prediction per tick, then gating and
+/// tracking folded over the tick log. Returns the predictions made.
 fn runtime_session(engine: &Arc<CachedMatcher>, seg: &SegmenterConfig, eval: &EvalStream) -> usize {
     let axis = engine.matcher().params().axis;
     let window = GatingWindow::at_exhale_end(&eval.truth, axis, WINDOW_MM);
@@ -110,22 +36,19 @@ fn runtime_session(engine: &Arc<CachedMatcher>, seg: &SegmenterConfig, eval: &Ev
         .with_segmenter(seg.clone())
         .with_horizon(DT)
         .with_cadence(EVERY);
-    let mut runtime = SessionRuntime::with_engine(engine.clone(), config)
-        .expect("valid parameters")
-        .with_consumer(Box::new(PredictionLog::new()))
-        .with_consumer(Box::new(GatingController::new(
-            window,
-            axis,
-            eval.truth.clone(),
-        )))
-        .with_consumer(Box::new(TrackingController::new(eval.truth.clone(), axis)));
+    let mut runtime =
+        SessionRuntime::with_engine(engine.clone(), config).expect("valid parameters");
     for &s in &eval.samples {
         runtime.push(s).expect("finite sample");
     }
-    runtime
-        .consumer::<PredictionLog>()
-        .expect("log attached")
-        .predictions()
+    let ticks = runtime.ticks();
+    let (_, gating) = gate_ticks(ticks, &eval.truth, axis, window);
+    let tracking = TrackingStats::from_errors(track_ticks(ticks, &eval.truth, axis));
+    assert!(
+        gating.ticks > 0 && tracking.ticks > 0,
+        "gating/tracking folds idle"
+    );
+    ticks.iter().filter(|t| t.outcome.is_some()).count()
 }
 
 fn main() {
@@ -154,20 +77,9 @@ fn main() {
     let seg = SegmenterConfig::default();
     assert_eq!(bundle.eval.len(), sessions, "one held-out stream each");
 
-    banner("Online pipeline: legacy three-loop replay vs session runtime");
+    banner("Online pipeline: session runtime, metrics off and on");
 
-    // Legacy: 4 sequential sessions, each running prediction, gating and
-    // tracking as separate full replays with their own predictors.
-    let started = Instant::now();
-    let legacy_predictions: usize = bundle
-        .eval
-        .iter()
-        .map(|e| legacy_session(&store, &params, &seg, e))
-        .sum();
-    let legacy_wall = started.elapsed();
-
-    // Runtime: the same 4 sessions on one shared engine, one pass each,
-    // every prediction tick fanned out to all three consumers.
+    // The held-out sessions on one shared engine, one pass each.
     let engine = Arc::new(CachedMatcher::new(Matcher::new(
         store.clone(),
         params.clone(),
@@ -179,12 +91,7 @@ fn main() {
         .map(|e| runtime_session(&engine, &seg, e))
         .sum();
     let runtime_wall = started.elapsed();
-
-    assert_eq!(
-        legacy_predictions, runtime_predictions,
-        "the runtime must produce exactly the legacy predictions"
-    );
-    assert!(legacy_predictions > 0, "no predictions at all");
+    assert!(runtime_predictions > 0, "no predictions at all");
 
     // Instrumented: the same sessions again on a metrics-enabled engine,
     // measuring what the observability layer costs when switched on.
@@ -208,10 +115,8 @@ fn main() {
         .check_invariants()
         .expect("metrics counters reconcile");
 
-    let legacy_pps = legacy_predictions as f64 / legacy_wall.as_secs_f64();
     let runtime_pps = runtime_predictions as f64 / runtime_wall.as_secs_f64();
     let instrumented_pps = instrumented_predictions as f64 / instrumented_wall.as_secs_f64();
-    let speedup = runtime_pps / legacy_pps;
     // >1.0 would mean metrics made the replay *faster* (noise); <1.0 is
     // the fractional throughput kept with instrumentation on.
     let metrics_overhead = instrumented_pps / runtime_pps;
@@ -219,12 +124,6 @@ fn main() {
     table(
         &["architecture", "predictions", "wall (s)", "predictions/s"],
         &[
-            vec![
-                "legacy 3-loop".into(),
-                legacy_predictions.to_string(),
-                format!("{:.3}", legacy_wall.as_secs_f64()),
-                format!("{legacy_pps:.1}"),
-            ],
             vec![
                 "session runtime".into(),
                 runtime_predictions.to_string(),
@@ -241,8 +140,7 @@ fn main() {
     );
     println!();
     println!(
-        "aggregate speedup at {sessions} sessions: {speedup:.2}x \
-         (index rebuilds on shared engine: {})",
+        "{sessions} sessions, index rebuilds on shared engine: {}",
         engine.cache().rebuild_count()
     );
     println!(
@@ -254,18 +152,14 @@ fn main() {
 
     if let Some(path) = json_path {
         let json = format!(
-            "{{\n  \"sessions\": {sessions},\n  \"predictions\": {legacy_predictions},\n  \
-             \"legacy\": {{ \"wall_s\": {:.6}, \"predictions_per_sec\": {:.3} }},\n  \
+            "{{\n  \"sessions\": {sessions},\n  \"predictions\": {runtime_predictions},\n  \
              \"runtime\": {{ \"wall_s\": {:.6}, \"predictions_per_sec\": {:.3} }},\n  \
              \"runtime_metrics\": {{ \"wall_s\": {:.6}, \"predictions_per_sec\": {:.3} }},\n  \
-             \"speedup\": {:.4},\n  \"metrics_overhead\": {:.4},\n  \"metrics\": {}\n}}\n",
-            legacy_wall.as_secs_f64(),
-            legacy_pps,
+             \"metrics_overhead\": {:.4},\n  \"metrics\": {}\n}}\n",
             runtime_wall.as_secs_f64(),
             runtime_pps,
             instrumented_wall.as_secs_f64(),
             instrumented_pps,
-            speedup,
             metrics_overhead,
             snapshot.to_json(),
         );

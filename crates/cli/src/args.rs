@@ -43,7 +43,6 @@ impl Args {
     }
 
     /// A string flag with a default.
-    #[allow(dead_code)] // part of the general-purpose parser surface
     pub fn str_flag(&self, key: &str, default: &str) -> String {
         self.flags
             .get(key)
@@ -74,6 +73,23 @@ impl Args {
         }
         v.parse()
             .map_err(|_| format!("--{key}: {}", describe_numeric_error(v)))
+    }
+
+    /// A duration flag in seconds: a finite number above zero, or at
+    /// zero too when `zero_ok` (where zero switches the feature off).
+    /// NaN, infinities and negatives are errors naming the flag, so a bad
+    /// duration can never reach a loop bound or a timer.
+    pub fn secs_flag(&self, key: &str, default: f64, zero_ok: bool) -> Result<f64, String> {
+        let v = self.num_flag(key, default)?;
+        let in_range = if zero_ok { v >= 0.0 } else { v > 0.0 };
+        if v.is_finite() && in_range {
+            Ok(v)
+        } else {
+            let bound = if zero_ok { ">= 0" } else { "> 0" };
+            Err(format!(
+                "--{key}: '{v}' is not a finite number of seconds {bound}"
+            ))
+        }
     }
 
     /// Whether a boolean flag is present.
@@ -151,6 +167,27 @@ mod tests {
         assert!(Args::parse(["--".to_string()]).is_err());
         let a = parse(&["--k", "x"]);
         assert!(a.num_flag("k", 0usize).is_err());
+    }
+
+    #[test]
+    fn secs_flag_accepts_finite_durations_only() {
+        let a = parse(&["--dt", "0.25", "--idle", "0"]);
+        assert_eq!(a.secs_flag("dt", 1.0, false).unwrap(), 0.25);
+        assert_eq!(a.secs_flag("missing", 60.0, false).unwrap(), 60.0);
+        assert_eq!(a.secs_flag("idle", 5.0, true).unwrap(), 0.0);
+        let err = a.secs_flag("idle", 5.0, false).unwrap_err();
+        assert!(err.contains("--idle: '0'") && err.contains("> 0"), "{err}");
+        for bad in ["nan", "-1", "inf", "-inf"] {
+            let a = parse(&["--dt", bad]);
+            for zero_ok in [false, true] {
+                let err = a.secs_flag("dt", 1.0, zero_ok).unwrap_err();
+                assert!(err.contains("--dt") && err.contains("seconds"), "{err}");
+            }
+        }
+        let err = parse(&["--dt", "soon"])
+            .secs_flag("dt", 1.0, false)
+            .unwrap_err();
+        assert!(err.contains("'soon' is not a number"), "{err}");
     }
 
     #[test]

@@ -8,8 +8,7 @@ use tsm_core::index_cache::CachedMatcher;
 use tsm_core::matcher::{Matcher, QuerySubseq, SearchOptions};
 use tsm_core::metrics::{Counter, MetricsRegistry};
 use tsm_core::patient_distance::patient_distance_matrix;
-use tsm_core::pipeline::OnlinePredictor;
-use tsm_core::session::{CohortRuntime, SessionHealth, SessionSpec};
+use tsm_core::session::{CohortRuntime, SessionConfig, SessionHealth, SessionRuntime, SessionSpec};
 use tsm_core::stream_distance::StreamDistanceConfig;
 use tsm_core::Params;
 use tsm_db::{
@@ -142,7 +141,7 @@ pub fn simulate(args: &Args) -> Result<(), String> {
         n_patients: args.num_flag("patients", 12usize)?,
         sessions_per_patient: args.num_flag("sessions", 2usize)?,
         streams_per_session: args.num_flag("streams", 2usize)?,
-        stream_duration_s: args.num_flag("duration", 120.0f64)?,
+        stream_duration_s: args.secs_flag("duration", 120.0, false)?,
         dim: args.num_flag("dim", 1usize)?,
         seed: args.num_flag("seed", 0xC0FFEEu64)?,
     };
@@ -325,8 +324,8 @@ pub fn predict(args: &Args) -> Result<(), String> {
             "patient {patient} not in store (or has no streams)"
         ));
     }
-    let duration = args.num_flag("duration", 60.0f64)?;
-    let dt = args.num_flag("dt", 0.3f64)?;
+    let duration = args.secs_flag("duration", 60.0, false)?;
+    let dt = args.secs_flag("dt", 0.3, false)?;
     let seed = args.num_flag("seed", 12345u64)?;
     let mut params = Params::default();
     params.delta = args.num_flag("delta", params.delta)?;
@@ -350,23 +349,23 @@ pub fn predict(args: &Args) -> Result<(), String> {
         .max()
         .unwrap_or(0)
         + 1;
-    let mut predictor = OnlinePredictor::new(store.clone(), params, seg, patient, session)
-        .map_err(|e| e.to_string())?;
-    let mut errors = Vec::new();
-    for (i, &s) in samples.iter().enumerate() {
-        predictor.push(s).map_err(|e| e.to_string())?;
-        if i % 30 == 0 && i > 0 {
-            if let Some(outcome) = predictor.predict(dt) {
-                let t_last = predictor
-                    .live_vertices()
-                    .last()
-                    .map(|v| v.time)
-                    .unwrap_or(0.0);
-                let e = (outcome.position[0] - truth.position_at(t_last + dt)[0]).abs();
-                errors.push(e);
-            }
-        }
+    // One prediction `dt` ahead every 30 samples (once a second at 30 Hz).
+    let config = SessionConfig::new(patient, session)
+        .with_segmenter(seg)
+        .with_horizon(dt)
+        .with_cadence(30);
+    let mut runtime = SessionRuntime::new(store, params, config).map_err(|e| e.to_string())?;
+    for &s in &samples {
+        runtime.push(s).map_err(|e| e.to_string())?;
     }
+    let mut errors: Vec<f64> = runtime
+        .ticks()
+        .iter()
+        .filter_map(|tick| {
+            let outcome = tick.outcome.as_ref()?;
+            Some((outcome.position[0] - truth.position_at(tick.target_time?)[0]).abs())
+        })
+        .collect();
     if errors.is_empty() {
         return Err("no predictions produced (stream too short?)".into());
     }
@@ -416,8 +415,8 @@ pub fn replay(args: &Args) -> Result<(), String> {
     if threads == 0 {
         return Err("--threads must be at least 1".into());
     }
-    let duration = args.num_flag("duration", 60.0f64)?;
-    let dt = args.num_flag("dt", 0.3f64)?;
+    let duration = args.secs_flag("duration", 60.0, false)?;
+    let dt = args.secs_flag("dt", 0.3, false)?;
     let every = args.num_flag("every", 30usize)?;
     let seed = args.num_flag("seed", 12345u64)?;
     let faults = args.flags.get("faults").filter(|v| !v.is_empty());
@@ -524,7 +523,7 @@ pub fn chaos(args: &Args) -> Result<(), String> {
         return Err("--plans must be at least 1".into());
     }
     let seed = args.num_flag("seed", 0xC4A05u64)?;
-    let duration = args.num_flag("duration", 60.0f64)?;
+    let duration = args.secs_flag("duration", 60.0, false)?;
     let threads = args.num_flag("threads", plans.min(8))?;
 
     // A small in-memory reference store for the sessions to match
@@ -687,7 +686,7 @@ pub fn wal_soak(args: &Args) -> Result<(), String> {
     use std::io::Write as _;
     let dir = args.require("wal")?;
     let seed = args.num_flag("seed", 7u64)?;
-    let duration = args.num_flag("duration", 600.0f64)?;
+    let duration = args.secs_flag("duration", 600.0, false)?;
     let batch = args.num_flag("batch", 4usize)?;
     if batch == 0 {
         return Err("--batch must be at least 1".into());
@@ -750,8 +749,9 @@ pub fn serve(args: &Args) -> Result<(), String> {
         sessions_max: args.num_flag("sessions-max", defaults.sessions_max)?,
         workers: args.num_flag("workers", defaults.workers)?,
         ingest_queue: args.num_flag("ingest-queue", defaults.ingest_queue)?,
-        horizon: args.num_flag("dt", defaults.horizon)?,
-        idle_timeout_ms: (args.num_flag("idle-timeout", 0.0f64)? * 1000.0) as u64,
+        horizon: args.secs_flag("dt", defaults.horizon, false)?,
+        // Rounded up, so a positive timeout never becomes 0 ms (off).
+        idle_timeout_ms: (args.secs_flag("idle-timeout", 0.0, true)? * 1000.0).ceil() as u64,
         checkpoint_every: args.num_flag("checkpoint-every", 0u64)?,
         ..defaults
     };
@@ -763,9 +763,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
     }
     if config.ingest_queue == 0 {
         return Err("--ingest-queue must be at least 1".into());
-    }
-    if !(config.horizon.is_finite() && config.horizon > 0.0) {
-        return Err("--dt must be a positive horizon in seconds".into());
     }
     if config.checkpoint_every > 0 && !args.flags.contains_key("wal") {
         return Err("--checkpoint-every needs --wal DIR".into());

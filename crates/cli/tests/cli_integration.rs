@@ -357,6 +357,42 @@ fn malformed_numeric_flags_are_rejected_with_the_flag_named() {
     let err = stderr(&o);
     assert!(err.contains("--k requires a numeric value"), "{err}");
 
+    // Durations in seconds: NaN, negatives and infinities are errors, so
+    // none can reach a loop bound or a timer. `--idle-timeout` alone may
+    // be 0 (eviction off). The serve cases carry an address no socket can
+    // bind, so a missed check fails at once instead of serving forever.
+    let out_path = tmpfile("badsecs.tsmdb");
+    let out = out_path.to_str().unwrap();
+    let wal_path = tmpfile("badsecs-wal");
+    let wal = wal_path.to_str().unwrap();
+    let cases: [&[&str]; 12] = [
+        &["predict", "--store", store, "--dt", "nan"],
+        &["predict", "--store", store, "--duration", "-5"],
+        &["replay", "--store", store, "--dt", "nan"],
+        &["replay", "--store", store, "--dt", "-1"],
+        &["replay", "--store", store, "--duration", "inf"],
+        &["simulate", "--out", out, "--duration", "-5"],
+        &["chaos", "--duration", "-5"],
+        &["wal-soak", "--wal", wal, "--duration", "0"],
+        &["serve", "--addr", "256.0.0.1:0", "--dt", "nan"],
+        &["serve", "--addr", "256.0.0.1:0", "--idle-timeout", "-1"],
+        &["serve", "--addr", "256.0.0.1:0", "--idle-timeout", "nan"],
+        &["serve", "--addr", "256.0.0.1:0", "--idle-timeout", "inf"],
+    ];
+    for args in cases {
+        let o = tsm(args);
+        assert!(!o.status.success(), "{args:?} must be rejected");
+        let flag = args[args.len() - 2];
+        let err = stderr(&o);
+        assert!(err.contains(flag), "{args:?}: {err}");
+        assert!(
+            err.contains("is not a finite number of seconds"),
+            "{args:?}: {err}"
+        );
+    }
+    assert!(!out_path.exists(), "a rejected simulate wrote a store");
+    assert!(!wal_path.exists(), "a rejected wal-soak opened its log");
+
     std::fs::remove_file(&store_path).ok();
 }
 

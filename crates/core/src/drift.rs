@@ -9,7 +9,6 @@
 //! wanders. This module watches the end-of-exhale levels and raises an
 //! alarm when they drift beyond a clinical tolerance.
 
-use crate::params::Params;
 use serde::{Deserialize, Serialize};
 use tsm_model::{BreathState, IncrementalLineFit, Vertex};
 
@@ -77,11 +76,6 @@ impl DriftMonitor {
             levels: Vec::new(),
             fit: IncrementalLineFit::new(),
         }
-    }
-
-    /// A monitor using the matching parameters' axis.
-    pub fn for_params(params: &Params) -> Self {
-        Self::new(DriftConfig::default(), params.axis)
     }
 
     /// Feeds one closed vertex; only end-of-exhale vertices contribute.

@@ -17,6 +17,7 @@
 //! * **recall** — of the in-window time, how much was treated (missed
 //!   opportunity prolongs treatment).
 
+use crate::session::PredictionTick;
 use serde::{Deserialize, Serialize};
 use tsm_model::PlrTrajectory;
 
@@ -89,9 +90,9 @@ impl GatingStats {
 /// The streaming core of [`simulate_gating`]: integer precision/recall
 /// counters fed one `(beam_on, truth_inside)` decision at a time.
 ///
-/// Extracted so that online consumers (the session runtime's gating
-/// controller) accumulate *exactly* the statistics the offline simulation
-/// produces — same counters, same final arithmetic, bit-identical
+/// Extracted so that gating a session's tick log ([`gate_ticks`])
+/// accumulates *exactly* the statistics the offline simulation produces
+/// — same counters, same final arithmetic, bit-identical
 /// [`GatingStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GatingAccumulator {
@@ -171,6 +172,32 @@ pub fn simulate_gating(
         t += tick;
     }
     acc.stats()
+}
+
+/// Gates a session's recorded prediction ticks
+/// ([`SessionRuntime::ticks`](crate::session::SessionRuntime::ticks)):
+/// each tick's beam decision is [`PredictionTick::beam_on`] — on only
+/// while the session is Healthy and the prediction lies in `window` —
+/// scored against the true position at the tick's predicted-for instant.
+/// Ticks fired before the first vertex closed have no target and are
+/// skipped. Returns every decision, in tick order, and their statistics.
+pub fn gate_ticks(
+    ticks: &[PredictionTick],
+    truth: &PlrTrajectory,
+    axis: usize,
+    window: GatingWindow,
+) -> (Vec<bool>, GatingStats) {
+    let mut acc = GatingAccumulator::new();
+    let decisions = ticks
+        .iter()
+        .filter_map(|tick| {
+            let target = tick.target_time?;
+            let beam = tick.beam_on(window, axis);
+            acc.record(beam, window.contains(truth.position_at(target)[axis]));
+            Some(beam)
+        })
+        .collect();
+    (decisions, acc.stats())
 }
 
 /// The ideal (zero-latency) policy: gate on the true current position.

@@ -20,10 +20,11 @@
 //!   distance-matrix **clustering** with correlation discovery
 //!   ([`mod@stream_distance`], [`mod@patient_distance`], [`cluster`],
 //!   [`correlate`]).
-//! * An **online pipeline** gluing segmentation, querying, matching and
-//!   prediction into the real-time loop the paper deploys ([`pipeline`]),
-//!   and the Section-6 **generalization profiles** for other structured
-//!   domains ([`framework`]).
+//! * An **online session runtime** gluing segmentation, querying,
+//!   matching and prediction into the real-time loop the paper deploys,
+//!   one prediction per tick serving prediction, gating and tracking
+//!   ([`session`], [`pipeline`]), and the Section-6 **generalization
+//!   profiles** for other structured domains ([`framework`]).
 //!
 //! ## Quickstart
 //!
@@ -83,7 +84,9 @@ pub mod prelude {
     pub use crate::drift::{DriftConfig, DriftMonitor, DriftReport};
     pub use crate::error::{CoreError, TsmError};
     pub use crate::framework::DomainProfile;
-    pub use crate::gating::{simulate_gating, GatingAccumulator, GatingStats, GatingWindow};
+    pub use crate::gating::{
+        gate_ticks, simulate_gating, GatingAccumulator, GatingStats, GatingWindow,
+    };
     pub use crate::index_cache::{CachedMatcher, IndexCache, IndexCacheStats};
     pub use crate::matcher::{MatchResult, Matcher, QuerySubseq, SearchOptions};
     pub use crate::metrics::{
@@ -91,20 +94,19 @@ pub mod prelude {
     };
     pub use crate::params::Params;
     pub use crate::patient_distance::patient_distance;
-    pub use crate::pipeline::{OnlinePredictor, PredictionOutcome};
+    pub use crate::pipeline::PredictionOutcome;
     pub use crate::predict::{predict_position, predict_position_anchored, AlignMode};
     pub use crate::query::{generate_query, QueryOutcome};
     pub use crate::session::{
-        external_session, CohortReport, CohortRuntime, DegradationPolicy, GatingController,
-        PredictionLog, PredictionTick, SessionConfig, SessionConsumer, SessionHealth,
-        SessionReport, SessionRuntime, SessionSpec, TrackingController,
+        external_session, CohortReport, CohortRuntime, DegradationPolicy, PredictionTick,
+        SessionConfig, SessionHealth, SessionReport, SessionRuntime, SessionSpec,
     };
     pub use crate::similarity::{
         offline_distance, online_distance, vertex_weight, QueryCols, WindowCols, WindowScorer,
     };
     pub use crate::stability::{is_stable, stability};
     pub use crate::stream_distance::{stream_distance, StreamDistanceConfig};
-    pub use crate::tracking::{simulate_tracking, TrackingStats};
+    pub use crate::tracking::{simulate_tracking, track_ticks, TrackingStats};
     pub use crate::tuning::{CoordinateDescentTuner, TuningResult, TuningSpace};
 }
 

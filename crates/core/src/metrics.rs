@@ -234,8 +234,6 @@ impl Counter {
 pub enum Hist {
     /// Wall time of one prediction tick (segment + query + search + vote).
     TickLatency,
-    /// Wall time of fanning one tick out to a single consumer.
-    ConsumerDispatch,
     /// Wall time of one whole matcher search.
     SearchLatency,
     /// Wall time of one HTTP request in the serve front-end (parse
@@ -247,7 +245,6 @@ const HIST_COUNT: usize = Hist::ServeLatency as usize + 1;
 
 const HIST_NAMES: [&str; HIST_COUNT] = [
     "session.tick_latency_ns",
-    "session.consumer_dispatch_ns",
     "match.search_latency_ns",
     "serve.request_latency_ns",
 ];

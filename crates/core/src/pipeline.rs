@@ -7,19 +7,13 @@
 //! searched, and the retrieved futures vote on the tumor's position at
 //! `t + Δt`.
 //!
-//! [`OnlinePredictor`] is the single-consumer convenience wrapper around
-//! [`crate::session::SessionRuntime`] — one session, predictions on
-//! demand. Applications that also gate or track, or that drive several
-//! concurrent sessions, should use the session runtime directly and
-//! attach consumers; see [`crate::session`].
+//! The loop itself is [`crate::session::SessionRuntime`]: push samples
+//! and call [`predict`](crate::session::SessionRuntime::predict) on
+//! demand, or set a cadence and read the recorded
+//! [`crate::session::PredictionTick`]s. This module holds what one
+//! prediction returns.
 
-use crate::error::TsmError;
-use crate::matcher::{QuerySubseq, SearchOptions};
-use crate::params::Params;
-use crate::predict::AlignMode;
-use crate::session::{SessionConfig, SessionRuntime};
-use tsm_db::{PatientId, SharedStore, StreamId};
-use tsm_model::{Position, Sample, SegmenterConfig, Vertex};
+use tsm_model::Position;
 
 /// Outcome of one prediction request (with diagnostics the experiments
 /// record).
@@ -35,92 +29,12 @@ pub struct PredictionOutcome {
     pub query_stable: bool,
 }
 
-/// The online predictor: segmenter + live buffer + matcher, wrapped
-/// around one consumer-less [`SessionRuntime`].
-#[derive(Debug)]
-pub struct OnlinePredictor {
-    runtime: SessionRuntime,
-}
-
-impl OnlinePredictor {
-    /// Creates a predictor for a session of `patient`, searching `store`
-    /// (a shared handle — pass an existing `Arc<StreamStore>` to share
-    /// the database, or a bare store to wrap one). Invalid parameters are
-    /// an error, not a panic.
-    pub fn new(
-        store: impl Into<SharedStore>,
-        params: Params,
-        segmenter_config: SegmenterConfig,
-        patient: PatientId,
-        session: u32,
-    ) -> Result<Self, TsmError> {
-        let config = SessionConfig::new(patient, session).with_segmenter(segmenter_config);
-        Ok(OnlinePredictor {
-            runtime: SessionRuntime::new(store, params, config)?,
-        })
-    }
-
-    /// Overrides the prediction alignment mode.
-    pub fn with_align(mut self, align: AlignMode) -> Self {
-        self.runtime.config_mut().align = align;
-        self
-    }
-
-    /// Restricts matching (e.g. to the patient's cluster, Section 5.3).
-    pub fn with_search_options(mut self, options: SearchOptions) -> Self {
-        self.runtime.config_mut().options = options;
-        self
-    }
-
-    /// The underlying session runtime.
-    pub fn runtime(&self) -> &SessionRuntime {
-        &self.runtime
-    }
-
-    /// Feeds one raw sample; returns any vertices that closed. Non-finite
-    /// samples are rejected with [`TsmError::InvalidInput`].
-    pub fn push(&mut self, s: Sample) -> Result<&[Vertex], TsmError> {
-        self.runtime.push(s)
-    }
-
-    /// The live PLR buffer accumulated so far.
-    pub fn live_vertices(&self) -> &[Vertex] {
-        self.runtime.live_vertices()
-    }
-
-    /// Raw samples consumed.
-    pub fn samples_seen(&self) -> usize {
-        self.runtime.samples_seen()
-    }
-
-    /// Builds the current dynamic query, if the live buffer is long
-    /// enough.
-    pub fn current_query(&self) -> Option<QuerySubseq> {
-        self.runtime.current_query()
-    }
-
-    /// Predicts the position `dt` seconds after the last closed vertex.
-    ///
-    /// Returns `None` until the live buffer holds at least `L_min`
-    /// segments, or when fewer than `min_matches` similar subsequences are
-    /// found (the paper abstains rather than guess).
-    pub fn predict(&self, dt: f64) -> Option<PredictionOutcome> {
-        self.runtime.predict(dt)
-    }
-
-    /// Ends the session: flushes the segmenter and persists the live
-    /// stream into the store so future sessions can match against it.
-    /// Returns `None` when the live stream never produced a valid PLR.
-    pub fn finish_into_store(self) -> Option<StreamId> {
-        self.runtime.finish_into_store()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use tsm_db::{PatientAttributes, StreamStore};
-    use tsm_model::{segment_signal, PlrTrajectory};
+    use crate::params::Params;
+    use crate::session::{SessionConfig, SessionRuntime};
+    use tsm_db::{PatientAttributes, PatientId, StreamStore};
+    use tsm_model::{segment_signal, PlrTrajectory, SegmenterConfig};
     use tsm_signal::{BreathingParams, SignalGenerator};
 
     fn seeded_store(seed: u64) -> (StreamStore, PatientId) {
@@ -134,6 +48,12 @@ mod tests {
         (store, patient)
     }
 
+    /// A new session (number 1) of `patient`, segmenting clean signals.
+    fn session(store: StreamStore, params: Params, patient: PatientId) -> SessionRuntime {
+        let config = SessionConfig::new(patient, 1).with_segmenter(SegmenterConfig::clean());
+        SessionRuntime::new(store, params, config).unwrap()
+    }
+
     #[test]
     fn predicts_after_warmup_and_beats_worst_case() {
         let (store, patient) = seeded_store(11);
@@ -141,34 +61,31 @@ mod tests {
             min_matches: 1,
             ..Params::default()
         };
-        let mut predictor = OnlinePredictor::new(
-            store,
-            params,
-            SegmenterConfig::clean(),
-            patient,
-            1, // a new session
-        )
-        .unwrap();
+        // A prediction 0.3 s ahead once a second.
+        let config = SessionConfig::new(patient, 1)
+            .with_segmenter(SegmenterConfig::clean())
+            .with_horizon(0.3)
+            .with_cadence(30);
+        let mut runtime = SessionRuntime::new(store, params, config).unwrap();
         // Live breathing, same patient parameters, different seed.
         let mut generator = SignalGenerator::new(BreathingParams::default(), 12);
         let samples = generator.generate(90.0);
-
-        let mut errors = Vec::new();
-        let dt = 0.3;
         let plr_truth = {
             let vertices = segment_signal(&samples, SegmenterConfig::clean());
             PlrTrajectory::from_vertices(vertices).unwrap()
         };
-        for (i, &s) in samples.iter().enumerate() {
-            predictor.push(s).unwrap();
-            if i % 30 == 0 {
-                if let Some(outcome) = predictor.predict(dt) {
-                    let t_last = predictor.live_vertices().last().unwrap().time;
-                    let truth = plr_truth.position_at(t_last + dt);
-                    errors.push((outcome.position[0] - truth[0]).abs());
-                }
-            }
+        for &s in &samples {
+            runtime.push(s).unwrap();
         }
+        let errors: Vec<f64> = runtime
+            .ticks()
+            .iter()
+            .filter_map(|tick| {
+                let outcome = tick.outcome.as_ref()?;
+                let truth = plr_truth.position_at(tick.target_time?);
+                Some((outcome.position[0] - truth[0]).abs())
+            })
+            .collect();
         assert!(errors.len() > 10, "too few predictions: {}", errors.len());
         let mean = errors.iter().sum::<f64>() / errors.len() as f64;
         // 12 mm amplitude breathing: a useful predictor must do far better
@@ -179,46 +96,21 @@ mod tests {
     #[test]
     fn no_prediction_before_warmup() {
         let (store, patient) = seeded_store(13);
-        let predictor = OnlinePredictor::new(
-            store,
-            Params::default(),
-            SegmenterConfig::clean(),
-            patient,
-            1,
-        )
-        .unwrap();
-        assert!(predictor.predict(0.3).is_none());
-        assert!(predictor.current_query().is_none());
-    }
-
-    #[test]
-    fn invalid_params_surface_as_an_error() {
-        let (store, patient) = seeded_store(17);
-        let params = Params {
-            delta: -1.0,
-            ..Params::default()
-        };
-        let result = OnlinePredictor::new(store, params, SegmenterConfig::clean(), patient, 1);
-        assert!(matches!(result, Err(TsmError::InvalidParams(_))));
+        let runtime = session(store, Params::default(), patient);
+        assert!(runtime.predict(0.3).is_none());
+        assert!(runtime.current_query().is_none());
     }
 
     #[test]
     fn finish_persists_the_session() {
         let (store, patient) = seeded_store(14);
         let before = store.num_streams();
-        let mut predictor = OnlinePredictor::new(
-            store.clone(),
-            Params::default(),
-            SegmenterConfig::clean(),
-            patient,
-            1,
-        )
-        .unwrap();
+        let mut runtime = session(store.clone(), Params::default(), patient);
         let mut generator = SignalGenerator::new(BreathingParams::default(), 15);
         for s in generator.generate(60.0) {
-            predictor.push(s).unwrap();
+            runtime.push(s).unwrap();
         }
-        let id = predictor.finish_into_store().expect("stream persisted");
+        let id = runtime.finish_into_store().expect("stream persisted");
         assert_eq!(store.num_streams(), before + 1);
         let stored = store.stream(id).unwrap();
         assert_eq!(stored.meta.patient, patient);
@@ -229,14 +121,9 @@ mod tests {
     #[test]
     fn empty_session_does_not_persist() {
         let (store, patient) = seeded_store(16);
-        let predictor = OnlinePredictor::new(
-            store.clone(),
-            Params::default(),
-            SegmenterConfig::clean(),
-            patient,
-            1,
-        )
-        .unwrap();
-        assert!(predictor.finish_into_store().is_none());
+        let before = store.num_streams();
+        let runtime = session(store.clone(), Params::default(), patient);
+        assert!(runtime.finish_into_store().is_none());
+        assert_eq!(store.num_streams(), before);
     }
 }

@@ -12,7 +12,6 @@
 //! query subsequences."
 
 use crate::params::Params;
-use crate::stability::is_stable;
 use tsm_model::Vertex;
 
 /// Outcome of dynamic query generation over a live vertex buffer.
@@ -88,12 +87,6 @@ pub fn fixed_query(vertices: &[Vertex], len_segments: usize) -> Option<QueryOutc
         stable: true,
         strip_stability: f64::NAN,
     })
-}
-
-/// Convenience re-export of [`crate::stability::is_stable`] over a query's
-/// vertices.
-pub fn query_is_stable(outcome: &QueryOutcome, buffer: &[Vertex], params: &Params) -> bool {
-    is_stable(outcome.vertices(buffer), params)
 }
 
 #[cfg(test)]

@@ -1,15 +1,13 @@
 //! Cohort replay: N sessions against one shared store, with per-session
 //! fault supervision and panic containment.
 
-use super::consumers::PredictionLog;
 use super::health::{DegradationPolicy, SessionHealth};
 use super::runtime::{PredictionTick, SessionConfig, SessionRuntime};
 use crate::error::TsmError;
 use crate::index_cache::CachedMatcher;
-use crate::matcher::{Matcher, SearchOptions};
+use crate::matcher::Matcher;
 use crate::metrics::Counter;
 use crate::params::Params;
-use crate::predict::AlignMode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tsm_db::{PatientId, SharedStore, StreamStore};
@@ -151,20 +149,17 @@ impl CohortReport {
 /// mutated, so every pool size produces identical per-session reports.
 pub struct CohortRuntime {
     engine: Arc<CachedMatcher>,
-    segmenter: SegmenterConfig,
-    align: AlignMode,
-    options: SearchOptions,
-    horizon: f64,
-    predict_every: usize,
+    /// The configuration every session starts from; each session fills
+    /// in its own patient and session number.
+    template: SessionConfig,
     threads: usize,
-    policy: DegradationPolicy,
 }
 
 impl std::fmt::Debug for CohortRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CohortRuntime")
-            .field("horizon", &self.horizon)
-            .field("predict_every", &self.predict_every)
+            .field("horizon", &self.template.horizon)
+            .field("predict_every", &self.template.predict_every)
             .field("threads", &self.threads)
             .finish()
     }
@@ -190,43 +185,26 @@ impl CohortRuntime {
             .map_err(TsmError::InvalidParams)?;
         Ok(CohortRuntime {
             engine,
-            segmenter: SegmenterConfig::default(),
-            align: AlignMode::default(),
-            options: SearchOptions::default(),
-            horizon: 0.3,
-            predict_every: 30,
+            template: SessionConfig::new(PatientId(0), 0).with_cadence(30),
             threads: 1,
-            policy: DegradationPolicy::default(),
         })
     }
 
     /// Overrides the segmenter configuration.
     pub fn with_segmenter(mut self, segmenter: SegmenterConfig) -> Self {
-        self.segmenter = segmenter;
-        self
-    }
-
-    /// Overrides the prediction alignment mode.
-    pub fn with_align(mut self, align: AlignMode) -> Self {
-        self.align = align;
-        self
-    }
-
-    /// Restricts matching for every session.
-    pub fn with_options(mut self, options: SearchOptions) -> Self {
-        self.options = options;
+        self.template.segmenter = segmenter;
         self
     }
 
     /// Overrides the prediction horizon.
     pub fn with_horizon(mut self, horizon: f64) -> Self {
-        self.horizon = horizon;
+        self.template.horizon = horizon;
         self
     }
 
     /// Overrides the prediction cadence (`0` disables ticks).
     pub fn with_cadence(mut self, every: usize) -> Self {
-        self.predict_every = every;
+        self.template.predict_every = every;
         self
     }
 
@@ -238,7 +216,7 @@ impl CohortRuntime {
 
     /// Overrides the degradation policy every session runs under.
     pub fn with_policy(mut self, policy: DegradationPolicy) -> Self {
-        self.policy = policy;
+        self.template.policy = policy;
         self
     }
 
@@ -328,7 +306,7 @@ impl CohortRuntime {
     }
 
     /// Runs one session to completion against the shared engine,
-    /// collecting its ticks locally (no per-tick channel traffic), under
+    /// keeping its tick log locally (no per-tick channel traffic), under
     /// the session's fault supervisor ([`SessionRuntime::ingest`]):
     /// recoverable faults (bad samples) are absorbed up to the policy's
     /// budget — the session degrades and keeps streaming instead of
@@ -336,28 +314,22 @@ impl CohortRuntime {
     /// with a structured error.
     fn drive_session(&self, spec: &SessionSpec) -> SessionReport {
         let mut report = SessionReport::empty(spec);
-        let config = SessionConfig::new(spec.patient, spec.session)
-            .with_segmenter(self.segmenter.clone())
-            .with_align(self.align)
-            .with_options(self.options.clone())
-            .with_horizon(self.horizon)
-            .with_cadence(self.predict_every)
-            .with_policy(self.policy);
+        let config = SessionConfig {
+            patient: spec.patient,
+            session: spec.session,
+            ..self.template.clone()
+        };
         // `CohortRuntime::with_engine` already validated these parameters;
         // should the session still refuse to start, its report says why.
         let mut runtime = match SessionRuntime::with_engine(Arc::clone(&self.engine), config) {
             Ok(runtime) => runtime,
             Err(err) => return report.failed(err),
         };
-        runtime.add_consumer(Box::new(PredictionLog::new()));
         let outcome = runtime.ingest(&spec.samples);
         if outcome.is_ok() {
             runtime.finish();
         }
-        report.ticks = runtime
-            .consumer::<PredictionLog>()
-            .map(|log| log.ticks.clone())
-            .unwrap_or_default();
+        report.ticks = runtime.ticks().to_vec();
         if let Err(err) = outcome {
             return report.failed(err);
         }
@@ -373,7 +345,6 @@ impl CohortRuntime {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{GatingController, PredictionLog, TrackingController};
     use super::*;
     use tsm_db::PatientAttributes;
     use tsm_model::{segment_signal, PlrTrajectory};
@@ -550,16 +521,5 @@ mod tests {
             CohortRuntime::with_engine(engine),
             Err(TsmError::InvalidParams(_))
         ));
-    }
-
-    #[test]
-    fn stock_consumers_are_reexported_through_the_session_module() {
-        // Compile-time check that the split kept the public surface: the
-        // three stock consumers, the report types and the runtimes are
-        // all nameable from `crate::session`.
-        fn assert_consumer<T: super::super::SessionConsumer>() {}
-        assert_consumer::<PredictionLog>();
-        assert_consumer::<GatingController>();
-        assert_consumer::<TrackingController>();
     }
 }

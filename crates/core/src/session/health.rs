@@ -19,10 +19,10 @@ use tsm_model::IngestGuardConfig;
 /// While **Degraded**, prediction ticks abstain outright — the
 /// post-discontinuity query is either stale (old epoch) or too short
 /// (new epoch) to trust. While **Recovering**, predictions are computed
-/// and reported, but safety consumers
-/// ([`GatingController`](crate::session::GatingController)) still fail
-/// safe to beam-hold until the session is Healthy again. Any new fault
-/// drops the session straight back to Degraded.
+/// and reported, but gating
+/// ([`PredictionTick::beam_on`](crate::session::PredictionTick::beam_on))
+/// still fails safe to beam-hold until the session is Healthy again. Any
+/// new fault drops the session straight back to Degraded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionHealth {
     /// Clean stream; predictions served, gating live.

@@ -6,14 +6,13 @@
 //! 33 ms, the signal is segmented once, and the same evolving PLR drives
 //! motion prediction, respiration gating and beam tracking. A
 //! [`SessionRuntime`] is that loop as a value — it owns one guarded
-//! segmenter pass per live session and fans the resulting vertex and
-//! prediction events out to pluggable [`SessionConsumer`]s, all searching
-//! a shared [`tsm_db::SharedStore`] handle through one
-//! [`crate::index_cache::CachedMatcher`]. A prediction is computed
-//! **once** per tick and every consumer sees the same outcome; the legacy
-//! alternative — one full replay (segmentation + matching) per
-//! application — does the matching work as many times as there are
-//! applications.
+//! segmenter pass per live session, searches a shared
+//! [`tsm_db::SharedStore`] handle through one
+//! [`crate::index_cache::CachedMatcher`], and records every cadence tick
+//! in a log ([`SessionRuntime::ticks`]). A prediction is computed
+//! **once** per tick; gating ([`crate::gating::gate_ticks`]) and
+//! tracking ([`crate::tracking::track_ticks`]) are folds over the same
+//! log, so no application repeats the segmentation or the search.
 //!
 //! On top of a single session, a [`CohortRuntime`] replays N sessions
 //! against the same store the way `tsm serve` hosts them: sessions are
@@ -29,6 +28,8 @@
 //! * The store is shared, never copied: every runtime holds the same
 //!   `Arc<StreamStore>`, and [`SessionRuntime::shared_store`] hands the
 //!   same handle out again.
+//! * A session's results are plain data it owns: the live buffer, the
+//!   tick log and the counters, read back through `&self` accessors.
 //! * Replays never mutate the store — [`CohortRuntime::replay`] is
 //!   read-only, so its results are a pure function of (store contents,
 //!   specs) and serial and pooled schedules cannot diverge.
@@ -38,13 +39,9 @@
 //!   holder.
 
 mod cohort;
-mod consumers;
 mod health;
 mod runtime;
 
 pub use cohort::{CohortReport, CohortRuntime, SessionReport, SessionSpec};
-pub use consumers::{GatingController, PredictionLog, TrackingController};
 pub use health::{DegradationPolicy, SessionHealth};
-pub use runtime::{
-    external_session, PredictionTick, SessionConfig, SessionConsumer, SessionRuntime,
-};
+pub use runtime::{external_session, PredictionTick, SessionConfig, SessionRuntime};

@@ -1,8 +1,9 @@
 //! The streaming runtime for one live session: one segmenter pass, one
-//! shared-store engine, many consumers.
+//! shared-store engine, one log of prediction ticks.
 
 use super::health::{DegradationPolicy, SessionHealth};
 use crate::error::TsmError;
+use crate::gating::GatingWindow;
 use crate::index_cache::CachedMatcher;
 use crate::matcher::{Matcher, QuerySubseq, SearchOptions};
 use crate::metrics::{Counter, Hist, MetricsRegistry};
@@ -10,7 +11,6 @@ use crate::params::Params;
 use crate::pipeline::PredictionOutcome;
 use crate::predict::{predict_position, AlignMode};
 use crate::query::generate_query;
-use std::any::Any;
 use std::cell::RefCell;
 use std::sync::Arc;
 use tsm_db::{PatientId, SharedStore, StreamId, StreamStore};
@@ -31,7 +31,7 @@ pub struct SessionConfig {
     pub options: SearchOptions,
     /// Prediction horizon `Δt` in seconds (the latency to cover).
     pub horizon: f64,
-    /// Fire a prediction tick every this many samples; `0` disables
+    /// Record a prediction tick every this many samples; `0` disables
     /// automatic ticks (predictions on demand via
     /// [`SessionRuntime::predict`] only).
     pub predict_every: usize,
@@ -61,18 +61,6 @@ impl SessionConfig {
         self
     }
 
-    /// Overrides the prediction alignment mode.
-    pub fn with_align(mut self, align: AlignMode) -> Self {
-        self.align = align;
-        self
-    }
-
-    /// Restricts matching (e.g. to the patient's cluster, Section 5.3).
-    pub fn with_options(mut self, options: SearchOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// Overrides the prediction horizon.
     pub fn with_horizon(mut self, horizon: f64) -> Self {
         self.horizon = horizon;
@@ -93,10 +81,11 @@ impl SessionConfig {
     }
 }
 
-/// One automatic prediction tick, delivered to every consumer of a
-/// session. The outcome is computed once per tick; `None` means the
-/// predictor abstained (warm-up, or fewer than `min_matches` similar
-/// subsequences).
+/// One automatic prediction tick, as recorded in the session's tick log
+/// ([`SessionRuntime::ticks`]). The outcome is computed once per tick
+/// and serves prediction, gating and tracking alike; `None` means the
+/// predictor abstained (warm-up, an unhealthy session, or fewer than
+/// `min_matches` similar subsequences).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PredictionTick {
     /// Zero-based index of the raw sample that triggered the tick.
@@ -110,44 +99,35 @@ pub struct PredictionTick {
     pub target_time: Option<f64>,
     /// The shared prediction outcome, if the predictor did not abstain.
     pub outcome: Option<PredictionOutcome>,
+    /// Session health when the tick fired, before any recovery step the
+    /// tick itself completes.
+    pub health: SessionHealth,
 }
 
-/// A consumer of one session's event stream. All methods default to
-/// no-ops so a consumer implements only what it observes.
-///
-/// Consumers receive `&SessionRuntime` for read-only context (live
-/// buffer, configuration, store) — they must not assume exclusive access
-/// to anything but their own state.
-pub trait SessionConsumer: Send {
-    /// New vertices were appended to the live PLR buffer.
-    fn on_vertices(&mut self, _session: &SessionRuntime, _new: &[Vertex]) {}
-
-    /// An automatic prediction tick fired (see [`SessionConfig::with_cadence`]).
-    fn on_tick(&mut self, _session: &SessionRuntime, _tick: &PredictionTick) {}
-
-    /// The session ended (segmenter flushed; live buffer final).
-    fn on_finish(&mut self, _session: &SessionRuntime) {}
-
-    /// The concrete consumer, for downcasting results out of a finished
-    /// runtime (see [`SessionRuntime::consumer`]).
-    fn as_any(&self) -> &dyn Any;
-}
-
-impl dyn SessionConsumer {
-    /// Downcasts to a concrete consumer type.
-    pub fn downcast_ref<T: Any>(&self) -> Option<&T> {
-        self.as_any().downcast_ref()
+impl PredictionTick {
+    /// The gating fail-safe: the beam is on only when the session was
+    /// [`SessionHealth::Healthy`] *and* the predicted position lies in
+    /// `window` along `axis`. An abstention keeps the beam off, and a
+    /// degraded or still-recovering session holds it, so a prediction
+    /// computed across a sensor fault never turns the beam on.
+    pub fn beam_on(&self, window: GatingWindow, axis: usize) -> bool {
+        self.health == SessionHealth::Healthy
+            && self
+                .outcome
+                .as_ref()
+                .is_some_and(|o| window.contains(o.position[axis]))
     }
 }
 
 /// The streaming runtime for one live session: one segmenter pass, one
-/// shared-store engine, many consumers.
+/// shared-store engine, one log of prediction ticks.
 pub struct SessionRuntime {
     engine: Arc<CachedMatcher>,
     segmenter: GuardedSegmenter,
     live: Vec<Vertex>,
     config: SessionConfig,
-    consumers: Vec<Box<dyn SessionConsumer>>,
+    /// Every cadence tick fired so far, in order.
+    ticks: Vec<PredictionTick>,
     samples_seen: usize,
     finished: bool,
     /// Smoother resets already flushed to the metrics registry.
@@ -172,8 +152,10 @@ pub struct SessionRuntime {
     /// Index into `live` up to which vertices are committed to the WAL.
     wal_logged: usize,
     /// The last [`SessionRuntime::predict`] answer (see [`PredictMemo`]).
-    /// A `RefCell` keeps `predict` at `&self`; the runtime is already
-    /// `!Sync` through its `Send`-only consumers, so this gives up nothing.
+    /// A `RefCell` keeps `predict` at `&self`. It makes the runtime
+    /// `!Sync`, which gives up nothing: every driver holds its runtime
+    /// exclusively (a serve session behind its mutex, a replayed session
+    /// on one worker).
     memo: RefCell<Option<PredictMemo>>,
 }
 
@@ -221,7 +203,7 @@ impl std::fmt::Debug for SessionRuntime {
             .field("session", &self.config.session)
             .field("live_vertices", &self.live.len())
             .field("samples_seen", &self.samples_seen)
-            .field("consumers", &self.consumers.len())
+            .field("ticks", &self.ticks.len())
             .field("finished", &self.finished)
             .finish()
     }
@@ -254,8 +236,8 @@ impl SessionRuntime {
             .validate()
             .map_err(TsmError::InvalidParams)?;
         // Every successfully started session counts, whether it is driven
-        // directly, through an `OnlinePredictor`, or by a cohort replay —
-        // so `cohort.sessions` reconciles with the sessions that actually
+        // directly, by serve or by a cohort replay — so
+        // `cohort.sessions` reconciles with the sessions that actually
         // ran (the old replay-level bulk add missed every directly-driven
         // session, which is how BENCH_pipeline captures showed 4 sessions
         // of work under `cohort.sessions: 0`).
@@ -268,7 +250,7 @@ impl SessionRuntime {
             live: Vec::new(),
             engine,
             config,
-            consumers: Vec::new(),
+            ticks: Vec::new(),
             samples_seen: 0,
             finished: false,
             seg_resets_seen: 0,
@@ -348,17 +330,6 @@ impl SessionRuntime {
         self.engine.metrics()
     }
 
-    /// Attaches a consumer (builder form).
-    pub fn with_consumer(mut self, consumer: Box<dyn SessionConsumer>) -> Self {
-        self.consumers.push(consumer);
-        self
-    }
-
-    /// Attaches a consumer.
-    pub fn add_consumer(&mut self, consumer: Box<dyn SessionConsumer>) {
-        self.consumers.push(consumer);
-    }
-
     /// The session configuration.
     pub fn config(&self) -> &SessionConfig {
         &self.config
@@ -402,6 +373,13 @@ impl SessionRuntime {
         self.samples_seen
     }
 
+    /// Every prediction tick fired so far, in order (empty at cadence
+    /// `0`). Gating and tracking are folds over this log
+    /// ([`crate::gating::gate_ticks`], [`crate::tracking::track_ticks`]).
+    pub fn ticks(&self) -> &[PredictionTick] {
+        &self.ticks
+    }
+
     /// Current session health.
     pub fn health(&self) -> SessionHealth {
         self.health
@@ -436,10 +414,9 @@ impl SessionRuntime {
         self.served_in_recovery = 0;
     }
 
-    /// Feeds one raw sample: segments it, notifies consumers of any
-    /// vertices that closed, and — when a prediction cadence is set —
-    /// computes the shared prediction tick and fans it out. Returns the
-    /// newly closed vertices.
+    /// Feeds one raw sample: segments it and — when a prediction cadence
+    /// is set — computes the tick's one prediction and records the tick
+    /// in [`SessionRuntime::ticks`]. Returns the newly closed vertices.
     ///
     /// Non-finite samples (NaN / ±inf) are rejected *before* they can
     /// reach the segmenter, so a corrupt tick never damages the live PLR
@@ -520,15 +497,8 @@ impl SessionRuntime {
                 metrics.incr(Counter::HealthRecovering);
             }
         }
-        // Take the consumers out so they can borrow `self` read-only.
-        let mut consumers = std::mem::take(&mut self.consumers);
-        if self.live.len() > before {
-            for c in consumers.iter_mut() {
-                c.on_vertices(self, &self.live[before..]);
-            }
-        }
         let every = self.config.predict_every;
-        if !consumers.is_empty() && every > 0 && ix.is_multiple_of(every) && ix >= every {
+        if every > 0 && ix.is_multiple_of(every) && ix >= every {
             metrics.incr(Counter::SessionTicks);
             let outcome = if self.health == SessionHealth::Degraded {
                 // The post-fault query is stale or too short to trust:
@@ -541,34 +511,30 @@ impl SessionRuntime {
                 metrics.observe_since(Hist::TickLatency, tick_start);
                 outcome
             };
-            metrics.incr(if outcome.is_some() {
+            let served = outcome.is_some();
+            metrics.incr(if served {
                 Counter::PredictionsServed
             } else {
                 Counter::PredictionsAbstained
             });
-            let tick = PredictionTick {
+            self.ticks.push(PredictionTick {
                 sample_ix: ix,
                 time: s.time,
                 horizon: self.config.horizon,
                 target_time: self.live.last().map(|v| v.time + self.config.horizon),
                 outcome,
-            };
-            for c in consumers.iter_mut() {
-                let dispatch_start = metrics.start();
-                c.on_tick(self, &tick);
-                metrics.observe_since(Hist::ConsumerDispatch, dispatch_start);
-            }
-            if self.health == SessionHealth::Recovering && tick.outcome.is_some() {
+                health: self.health,
+            });
+            if self.health == SessionHealth::Recovering && served {
                 self.served_in_recovery += 1;
                 if self.served_in_recovery >= self.config.policy.recovery_predictions {
-                    // Transition *after* dispatch: gating held the beam
-                    // through the tick that completed recovery.
+                    // Transition *after* recording: the tick that
+                    // completed recovery still holds the beam.
                     self.health = SessionHealth::Healthy;
                     metrics.incr(Counter::HealthRecovered);
                 }
             }
         }
-        self.consumers = consumers;
         Ok(&self.live[before..])
     }
 
@@ -669,8 +635,8 @@ impl SessionRuntime {
         outcome
     }
 
-    /// Ends the session: flushes the segmenter tail into the live buffer
-    /// and notifies consumers. Idempotent; does **not** touch the store.
+    /// Ends the session: flushes the segmenter tail into the live buffer.
+    /// Idempotent; does **not** touch the store.
     pub fn finish(&mut self) {
         if self.finished {
             return;
@@ -690,16 +656,6 @@ impl SessionRuntime {
         if emitted > 0 {
             self.engine.metrics().add(Counter::VerticesEmitted, emitted);
         }
-        let mut consumers = std::mem::take(&mut self.consumers);
-        if self.live.len() > before {
-            for c in consumers.iter_mut() {
-                c.on_vertices(self, &self.live[before..]);
-            }
-        }
-        for c in consumers.iter_mut() {
-            c.on_finish(self);
-        }
-        self.consumers = consumers;
     }
 
     /// Ends the session and persists the live stream into the shared
@@ -744,24 +700,6 @@ impl SessionRuntime {
         }
         id
     }
-
-    /// The attached consumers.
-    pub fn consumers(&self) -> &[Box<dyn SessionConsumer>] {
-        &self.consumers
-    }
-
-    /// The first attached consumer of concrete type `T`, for reading
-    /// results back out (e.g. a
-    /// [`GatingController`](crate::session::GatingController)'s
-    /// statistics).
-    pub fn consumer<T: Any>(&self) -> Option<&T> {
-        self.consumers.iter().find_map(|c| c.downcast_ref::<T>())
-    }
-
-    /// Detaches and returns all consumers.
-    pub fn into_consumers(self) -> Vec<Box<dyn SessionConsumer>> {
-        self.consumers
-    }
 }
 
 /// Builds a runtime for a session driven from outside, such as a serve
@@ -777,9 +715,8 @@ pub fn external_session(
 
 #[cfg(test)]
 mod tests {
-    use super::super::consumers::{GatingController, PredictionLog};
     use super::*;
-    use crate::gating::GatingWindow;
+    use crate::gating::gate_ticks;
     use tsm_db::PatientAttributes;
     use tsm_model::segment_signal;
     use tsm_signal::{BreathingParams, SignalGenerator};
@@ -817,8 +754,12 @@ mod tests {
         ));
     }
 
+    fn predictions(ticks: &[PredictionTick]) -> usize {
+        ticks.iter().filter(|t| t.outcome.is_some()).count()
+    }
+
     #[test]
-    fn ticks_fire_on_cadence_and_share_one_outcome() {
+    fn ticks_fire_on_cadence_into_the_log() {
         let (store, patient) = seeded_store(22);
         let params = Params {
             min_matches: 1,
@@ -827,26 +768,29 @@ mod tests {
         let config = SessionConfig::new(patient, 1)
             .with_segmenter(SegmenterConfig::clean())
             .with_cadence(30);
-        let mut runtime = SessionRuntime::new(store, params, config)
-            .unwrap()
-            .with_consumer(Box::new(PredictionLog::new()))
-            .with_consumer(Box::new(PredictionLog::new()));
+        let mut runtime = SessionRuntime::new(store, params, config).unwrap();
         let samples = live_samples(23, 60.0);
         for &s in &samples {
             runtime.push(s).unwrap();
+            // A tick fired on this sample aims one horizon past the last
+            // vertex closed so far.
+            if let Some(tick) = runtime.ticks().last() {
+                if tick.sample_ix + 1 == runtime.samples_seen() {
+                    let last = runtime.live_vertices().last().map(|v| v.time);
+                    assert_eq!(tick.target_time, last.map(|t| t + tick.horizon));
+                }
+            }
         }
-        let logs: Vec<&PredictionLog> = runtime
-            .consumers()
-            .iter()
-            .filter_map(|c| c.downcast_ref::<PredictionLog>())
-            .collect();
-        assert_eq!(logs.len(), 2);
         // Cadence: one tick per 30 samples, starting at sample 30.
-        let expected = (samples.len() - 1) / 30;
-        assert_eq!(logs[0].ticks.len(), expected);
-        assert!(logs[0].predictions() > 5);
-        // Both consumers saw the *same* outcomes.
-        assert_eq!(logs[0].ticks, logs[1].ticks);
+        let ticks = runtime.ticks();
+        assert_eq!(ticks.len(), (samples.len() - 1) / 30);
+        for (k, tick) in ticks.iter().enumerate() {
+            assert_eq!(tick.sample_ix, 30 * (k + 1));
+            assert_eq!(tick.time.to_bits(), samples[tick.sample_ix].time.to_bits());
+            assert_eq!(tick.horizon, 0.3);
+            assert_eq!(tick.health, SessionHealth::Healthy);
+        }
+        assert!(predictions(ticks) > 5);
     }
 
     #[test]
@@ -860,9 +804,7 @@ mod tests {
         let config = SessionConfig::new(patient, 1)
             .with_segmenter(SegmenterConfig::clean())
             .with_cadence(30);
-        let mut auto = SessionRuntime::new(shared.clone(), params.clone(), config.clone())
-            .unwrap()
-            .with_consumer(Box::new(PredictionLog::new()));
+        let mut auto = SessionRuntime::new(shared.clone(), params.clone(), config.clone()).unwrap();
         let mut manual =
             SessionRuntime::new(shared, params, config.clone().with_cadence(0)).unwrap();
         let mut manual_outcomes = Vec::new();
@@ -875,8 +817,13 @@ mod tests {
                 }
             }
         }
-        let log = auto.consumer::<PredictionLog>().unwrap();
-        assert_eq!(log.outcomes(), manual_outcomes);
+        let outcomes: Vec<PredictionOutcome> = auto
+            .ticks()
+            .iter()
+            .filter_map(|t| t.outcome.clone())
+            .collect();
+        assert_eq!(outcomes, manual_outcomes);
+        assert!(manual.ticks().is_empty(), "cadence 0 records no ticks");
     }
 
     #[test]
@@ -1077,16 +1024,14 @@ mod tests {
         let config = SessionConfig::new(patient, 1)
             .with_segmenter(SegmenterConfig::clean())
             .with_cadence(30);
-        let mut runtime = SessionRuntime::new(store, params, config)
-            .unwrap()
-            .with_consumer(Box::new(PredictionLog::new()));
+        let mut runtime = SessionRuntime::new(store, params, config).unwrap();
         let samples = live_samples(39, 120.0);
         let mid = samples.len() / 2;
         for &s in &samples[..mid] {
             runtime.push(s).unwrap();
         }
         assert_eq!(runtime.health(), SessionHealth::Healthy);
-        let healthy_predictions = runtime.consumer::<PredictionLog>().unwrap().predictions();
+        let healthy_predictions = predictions(runtime.ticks());
         assert!(healthy_predictions > 0, "warm-up produced no predictions");
         // A 5 s acquisition dropout: the guard resyncs the segmenter and
         // the session degrades.
@@ -1115,10 +1060,10 @@ mod tests {
             "session did not recover from a transient gap"
         );
         assert!(ticks_while_degraded > 0, "gap produced no degraded ticks");
-        // Degraded ticks abstained: outcome is None on each of them.
-        let log = runtime.consumer::<PredictionLog>().unwrap();
-        let degraded_ticks: Vec<_> = log
-            .ticks
+        // Degraded ticks abstained: outcome is None on each of them, and
+        // the log records the health each tick fired under.
+        let ticks = runtime.ticks();
+        let degraded_ticks: Vec<_> = ticks
             .iter()
             .filter(|t| t.time >= t_resume && t.outcome.is_none())
             .collect();
@@ -1127,8 +1072,14 @@ mod tests {
             "expected >= {ticks_while_degraded} abstaining ticks, got {}",
             degraded_ticks.len()
         );
+        let logged_degraded: Vec<_> = ticks
+            .iter()
+            .filter(|t| t.health == SessionHealth::Degraded)
+            .collect();
+        assert_eq!(logged_degraded.len(), ticks_while_degraded);
+        assert!(logged_degraded.iter().all(|t| t.outcome.is_none()));
         // And predictions resumed after recovery.
-        assert!(log.predictions() > healthy_predictions);
+        assert!(predictions(ticks) > healthy_predictions);
     }
 
     #[test]
@@ -1151,47 +1102,49 @@ mod tests {
             center: 0.0,
             width: 1e9,
         };
-        let mut runtime = SessionRuntime::new(store, params, config)
-            .unwrap()
-            .with_consumer(Box::new(GatingController::new(window, 0, truth)));
-        let beam_on = |rt: &SessionRuntime| {
-            rt.consumer::<GatingController>()
-                .unwrap()
-                .decisions()
-                .iter()
-                .filter(|&&b| b)
-                .count()
-        };
-        let ticks_seen =
-            |rt: &SessionRuntime| rt.consumer::<GatingController>().unwrap().decisions().len();
+        let mut runtime = SessionRuntime::new(store, params, config).unwrap();
         let mid = samples.len() / 2;
         for &s in &samples[..mid] {
             runtime.push(s).unwrap();
         }
-        let on_mid = beam_on(&runtime);
-        let ticks_mid = ticks_seen(&runtime);
-        assert!(on_mid > 0, "no beam-on during warm-up");
+        let ticks_mid = runtime.ticks().len();
         let gap = 5.0;
-        let mut checked_degraded_tick = false;
         for &s in &samples[mid..] {
-            let shifted = Sample::new_1d(s.time + gap, s.position[0]);
-            runtime.push(shifted).unwrap();
-            if runtime.health() != SessionHealth::Healthy && ticks_seen(&runtime) > ticks_mid {
-                // Every tick since the fault must have held the beam.
-                checked_degraded_tick = true;
-                assert_eq!(
-                    beam_on(&runtime),
-                    on_mid,
-                    "beam fired while session was {:?}",
-                    runtime.health()
-                );
-            }
+            runtime
+                .push(Sample::new_1d(s.time + gap, s.position[0]))
+                .unwrap();
         }
+        let ticks = runtime.ticks();
+        let (before, after) = ticks.split_at(ticks_mid);
         assert!(
-            checked_degraded_tick,
-            "fault window produced no ticks to check"
+            before.iter().any(|t| t.beam_on(window, 0)),
+            "no beam-on during warm-up"
         );
-        // After recovery the beam re-arms.
-        assert!(beam_on(&runtime) > on_mid);
+        // Every tick since the fault that fired while the session was not
+        // Healthy held the beam — including the Recovering ticks whose
+        // prediction lies in the window.
+        let unhealthy: Vec<_> = after
+            .iter()
+            .filter(|t| t.health != SessionHealth::Healthy)
+            .collect();
+        assert!(!unhealthy.is_empty(), "fault window produced no ticks");
+        assert!(unhealthy.iter().all(|t| !t.beam_on(window, 0)));
+        // Recovering ticks serve predictions the beam must hold — all of
+        // them, including the one that completed recovery.
+        let held = unhealthy
+            .iter()
+            .filter(|t| t.outcome.is_some() && t.health == SessionHealth::Recovering)
+            .count();
+        assert_eq!(held, DegradationPolicy::default().recovery_predictions);
+        // After recovery the beam re-arms, and the fold agrees tick by tick.
+        assert!(after.iter().any(|t| t.beam_on(window, 0)));
+        let (decisions, stats) = gate_ticks(ticks, &truth, 0, window);
+        let expected: Vec<bool> = ticks
+            .iter()
+            .filter(|t| t.target_time.is_some())
+            .map(|t| t.beam_on(window, 0))
+            .collect();
+        assert_eq!(decisions, expected);
+        assert_eq!(stats.ticks, decisions.len());
     }
 }

@@ -11,6 +11,7 @@
 //! seconds in the past; the simulation scores any aiming policy against
 //! the ground-truth trajectory.
 
+use crate::session::PredictionTick;
 use serde::{Deserialize, Serialize};
 use tsm_model::{PlrTrajectory, Position};
 
@@ -32,10 +33,10 @@ pub struct TrackingStats {
 
 impl TrackingStats {
     /// Summarizes a set of instantaneous absolute errors — the exact
-    /// arithmetic [`simulate_tracking`] applies, exposed so that online
-    /// consumers (the session runtime's tracking controller) produce
-    /// bit-identical statistics from the errors they record live. An
-    /// empty set yields `NaN` statistics with zero ticks.
+    /// arithmetic [`simulate_tracking`] applies, exposed so that the
+    /// errors of a session's tick log ([`track_ticks`]) summarize into
+    /// bit-identical statistics. An empty set yields `NaN` statistics
+    /// with zero ticks.
     pub fn from_errors(mut errors: Vec<f64>) -> Self {
         if errors.is_empty() {
             return TrackingStats {
@@ -89,6 +90,26 @@ pub fn simulate_tracking(
         t += tick;
     }
     TrackingStats::from_errors(errors)
+}
+
+/// Tracks the beam over a session's recorded prediction ticks
+/// ([`SessionRuntime::ticks`](crate::session::SessionRuntime::ticks)): a
+/// prediction re-aims the beam, an abstention holds the previous aim,
+/// and each tick with a predicted-for instant and an aim records the
+/// absolute error against the true position there. Returns the errors
+/// in tick order; [`TrackingStats::from_errors`] summarizes them.
+pub fn track_ticks(ticks: &[PredictionTick], truth: &PlrTrajectory, axis: usize) -> Vec<f64> {
+    let mut aim: Option<Position> = None;
+    ticks
+        .iter()
+        .filter_map(|tick| {
+            if let Some(o) = &tick.outcome {
+                aim = Some(o.position);
+            }
+            let target = tick.target_time?;
+            Some((aim?[axis] - truth.position_at(target)[axis]).abs())
+        })
+        .collect()
 }
 
 /// The uncompensated policy: aim at the position observed `latency`

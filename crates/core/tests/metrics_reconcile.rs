@@ -181,22 +181,30 @@ fn directly_driven_sessions_count_into_cohort_sessions() {
         Matcher::new(store.into_shared(), params).with_metrics(metrics.clone()),
     ));
     let sessions_run = 4u64;
+    let (mut ticks, mut served) = (0u64, 0u64);
     for i in 0..sessions_run {
         let config = SessionConfig::new(patient, i as u32 + 1)
             .with_segmenter(SegmenterConfig::clean())
             .with_cadence(30);
-        let mut runtime = SessionRuntime::with_engine(engine.clone(), config)
-            .unwrap()
-            .with_consumer(Box::new(tsm_core::session::PredictionLog::new()));
+        let mut runtime = SessionRuntime::with_engine(engine.clone(), config).unwrap();
         for &s in &live_samples(65 + i, 20.0) {
             runtime.push(s).unwrap();
         }
         runtime.finish();
+        ticks += runtime.ticks().len() as u64;
+        served += runtime
+            .ticks()
+            .iter()
+            .filter(|t| t.outcome.is_some())
+            .count() as u64;
     }
     let snap = metrics.snapshot();
     snap.check_invariants().expect("counters reconcile");
     assert_eq!(snap.counter("cohort.sessions"), sessions_run);
-    assert!(snap.counter("session.ticks") > 0);
+    assert!(ticks > 0);
+    // The tick logs and the tick counters describe the same ticks.
+    assert_eq!(snap.counter("session.ticks"), ticks);
+    assert_eq!(snap.counter("session.predictions_served"), served);
 }
 
 /// A pooled replay records every session into the one shared registry —

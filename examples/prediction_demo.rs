@@ -2,14 +2,14 @@
 //!
 //! A patient has two historical sessions in the database (plus streams
 //! from two other patients). A third session is replayed live through
-//! [`tsm_core::pipeline::OnlinePredictor`]; at one-second intervals the
+//! [`tsm_core::session::SessionRuntime`]; at one-second intervals the
 //! system predicts the tumor position 100/200/300 ms ahead — the latency
 //! window of Figure 1 — and the errors are compared against treating at
 //! the last observed position.
 //!
 //! Run with: `cargo run --release -p tsm-examples --bin prediction_demo`
 
-use tsm_core::pipeline::OnlinePredictor;
+use tsm_core::session::{SessionConfig, SessionRuntime};
 use tsm_core::Params;
 use tsm_db::StreamStore;
 use tsm_examples::{add_patient, store_stream};
@@ -56,14 +56,9 @@ fn main() {
 
     // --- Live session ---------------------------------------------------
     let params = Params::default();
-    let mut predictor = OnlinePredictor::new(
-        store.clone(),
-        params.clone(),
-        seg_config.clone(),
-        our_patient,
-        2,
-    )
-    .expect("default parameters are valid");
+    let config = SessionConfig::new(our_patient, 2).with_segmenter(seg_config.clone());
+    let mut predictor = SessionRuntime::new(store.clone(), params.clone(), config)
+        .expect("default parameters are valid");
     let mut generator = SignalGenerator::new(patient_params, 300)
         .with_noise(NoiseParams::typical())
         .with_episodes(EpisodePlan::occasional());

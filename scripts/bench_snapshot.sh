@@ -112,7 +112,7 @@ merge_capture "$tmp/matching.json" "$out"
 
 echo "== running end-to-end pipeline throughput bench =="
 cargo run --release -p tsm-bench --bin exp_pipeline -- --json "$tmp/pipeline.json"
-merge_capture "$tmp/pipeline.json" BENCH_pipeline.json speedup metrics_overhead
+merge_capture "$tmp/pipeline.json" BENCH_pipeline.json metrics_overhead
 
 echo "== running cohort-scale ramp soak (pooled vs per-session) =="
 cargo run --release -p tsm-bench --bin exp_cohort_scale -- --json "$tmp/cohort.json"

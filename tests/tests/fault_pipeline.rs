@@ -5,7 +5,7 @@
 //! share one code path with the clean replay.
 
 use tsm_core::matcher::{Matcher, QuerySubseq};
-use tsm_core::pipeline::OnlinePredictor;
+use tsm_core::session::{SessionConfig, SessionRuntime};
 use tsm_core::Params;
 use tsm_db::{PatientAttributes, PatientId, SharedStore, StreamStore, SubseqRef};
 use tsm_model::{segment_signal, PlrTrajectory, Sample, SegmenterConfig, Vertex};
@@ -107,14 +107,8 @@ fn empty_plan_yields_bit_identical_predictions() {
         ..Params::default()
     };
     let run = |samples: &[Sample]| {
-        let mut predictor = OnlinePredictor::new(
-            store.clone(),
-            params.clone(),
-            SegmenterConfig::clean(),
-            patient,
-            9,
-        )
-        .unwrap();
+        let config = SessionConfig::new(patient, 9).with_segmenter(SegmenterConfig::clean());
+        let mut predictor = SessionRuntime::new(store.clone(), params.clone(), config).unwrap();
         let mut outcomes = Vec::new();
         for (i, &s) in samples.iter().enumerate() {
             predictor.push(s).unwrap();

@@ -3,7 +3,7 @@
 
 use tsm_baselines::{last_position_prediction, linear_extrapolation_prediction};
 use tsm_bench::{build_bundle, evaluate_prediction, BundleConfig, PredictionEvalConfig};
-use tsm_core::pipeline::OnlinePredictor;
+use tsm_core::session::{SessionConfig, SessionRuntime};
 use tsm_core::Params;
 use tsm_model::{segment_signal, PlrTrajectory, SegmenterConfig};
 use tsm_signal::{BreathingParams, CohortConfig, NoiseParams, SignalGenerator};
@@ -66,14 +66,8 @@ fn online_predictor_session_full_lifecycle() {
     let b = bundle();
     let params = Params::default();
     let patient = b.patients[0];
-    let mut predictor = OnlinePredictor::new(
-        b.store.clone(),
-        params,
-        SegmenterConfig::default(),
-        patient,
-        9,
-    )
-    .unwrap();
+    let config = SessionConfig::new(patient, 9);
+    let mut predictor = SessionRuntime::new(b.store.clone(), params, config).unwrap();
     let mut generator =
         SignalGenerator::new(BreathingParams::default(), 777).with_noise(NoiseParams::typical());
     let samples = generator.generate(90.0);

@@ -1,15 +1,13 @@
-//! Equivalence: one `SessionRuntime` fanning a shared prediction tick out
-//! to prediction, gating and tracking consumers produces **bit-identical**
-//! results to the legacy architecture — three disconnected single-purpose
-//! loops, each re-segmenting the live signal and re-matching against the
-//! store through its own predictor.
+//! Equivalence: one `SessionRuntime` recording one prediction per tick,
+//! with gating and tracking folded over its tick log, produces
+//! **bit-identical** results to the legacy architecture — three
+//! disconnected single-purpose loops, each re-segmenting the live signal
+//! and re-matching against the store through its own on-demand session.
 
-use tsm_core::gating::{GatingAccumulator, GatingWindow};
-use tsm_core::pipeline::OnlinePredictor;
-use tsm_core::session::{
-    GatingController, PredictionLog, SessionConfig, SessionRuntime, TrackingController,
-};
-use tsm_core::tracking::TrackingStats;
+use tsm_core::gating::{gate_ticks, GatingAccumulator, GatingWindow};
+use tsm_core::pipeline::PredictionOutcome;
+use tsm_core::session::{SessionConfig, SessionRuntime};
+use tsm_core::tracking::{track_ticks, TrackingStats};
 use tsm_core::Params;
 use tsm_db::{PatientAttributes, PatientId, SharedStore, StreamStore};
 use tsm_model::{segment_signal, PlrTrajectory, Position, Sample, SegmenterConfig};
@@ -63,15 +61,11 @@ fn params() -> Params {
     }
 }
 
-fn legacy_predictor(store: &SharedStore, patient: PatientId) -> OnlinePredictor {
-    OnlinePredictor::new(
-        store.clone(),
-        params(),
-        SegmenterConfig::clean(),
-        patient,
-        9,
-    )
-    .unwrap()
+/// A legacy loop's own session: cadence 0, so it predicts only when the
+/// loop asks.
+fn legacy_predictor(store: &SharedStore, patient: PatientId) -> SessionRuntime {
+    let config = SessionConfig::new(patient, 9).with_segmenter(SegmenterConfig::clean());
+    SessionRuntime::new(store.clone(), params(), config).unwrap()
 }
 
 #[test]
@@ -137,80 +131,66 @@ fn session_runtime_is_bit_identical_to_three_legacy_loops() {
             .with_segmenter(SegmenterConfig::clean())
             .with_horizon(DT)
             .with_cadence(EVERY);
-        let mut runtime = SessionRuntime::new(store.clone(), params(), config)
-            .unwrap()
-            .with_consumer(Box::new(PredictionLog::new()))
-            .with_consumer(Box::new(GatingController::new(window, AXIS, truth.clone())))
-            .with_consumer(Box::new(TrackingController::new(truth.clone(), AXIS)));
+        let mut runtime = SessionRuntime::new(store.clone(), params(), config).unwrap();
         for &s in &samples {
             runtime.push(s).unwrap();
         }
+        let ticks = runtime.ticks();
 
-        let log = runtime.consumer::<PredictionLog>().unwrap();
+        let outcomes: Vec<PredictionOutcome> =
+            ticks.iter().filter_map(|t| t.outcome.clone()).collect();
         assert_eq!(
-            log.outcomes(),
-            legacy_outcomes,
+            outcomes, legacy_outcomes,
             "prediction outcomes diverged (seed {seed})"
         );
         assert!(!legacy_outcomes.is_empty(), "no predictions (seed {seed})");
 
-        let gating = runtime.consumer::<GatingController>().unwrap();
+        let (decisions, gating) = gate_ticks(ticks, &truth, AXIS, window);
         assert_eq!(
-            gating.decisions(),
-            legacy_decisions.as_slice(),
+            decisions, legacy_decisions,
             "gating decisions diverged (seed {seed})"
         );
         assert_eq!(
-            gating.stats(),
+            gating,
             legacy_acc.stats(),
             "gating stats diverged (seed {seed})"
         );
-        assert!(gating.stats().ticks > 10);
+        assert!(gating.ticks > 10);
 
-        let tracking = runtime.consumer::<TrackingController>().unwrap();
+        let errors = track_ticks(ticks, &truth, AXIS);
         assert_eq!(
-            tracking.errors(),
-            legacy_errors.as_slice(),
+            errors, legacy_errors,
             "tracking errors diverged (seed {seed})"
         );
+        let tracking = TrackingStats::from_errors(errors);
         assert_eq!(
-            tracking.stats(),
+            tracking,
             TrackingStats::from_errors(legacy_errors),
             "tracking stats diverged (seed {seed})"
         );
-        assert!(tracking.stats().ticks > 10);
+        assert!(tracking.ticks > 10);
     }
 }
 
 #[test]
-fn consumers_see_every_live_vertex_exactly_once() {
-    struct VertexCounter {
-        seen: Vec<f64>,
-    }
-    impl tsm_core::session::SessionConsumer for VertexCounter {
-        fn on_vertices(&mut self, _s: &SessionRuntime, new: &[tsm_model::Vertex]) {
-            self.seen.extend(new.iter().map(|v| v.time));
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-    }
-
+fn pushed_and_flushed_vertices_are_the_live_buffer() {
     let (store, patient) = seeded_store(55);
     let (samples, _) = live_session(56);
     let config = SessionConfig::new(patient, 9).with_segmenter(SegmenterConfig::clean());
-    let mut runtime = SessionRuntime::new(store, params(), config)
-        .unwrap()
-        .with_consumer(Box::new(VertexCounter { seen: Vec::new() }));
+    let mut runtime = SessionRuntime::new(store, params(), config).unwrap();
+    // Every vertex `push` reports closed, then the tail `finish` flushes:
+    // together they are the live buffer, each vertex exactly once.
+    let mut seen = Vec::new();
     for &s in &samples {
-        runtime.push(s).unwrap();
+        seen.extend_from_slice(runtime.push(s).unwrap());
     }
+    let pushed = seen.len();
     runtime.finish();
-    let counter = runtime.consumer::<VertexCounter>().unwrap();
-    let live: Vec<f64> = runtime.live_vertices().iter().map(|v| v.time).collect();
+    seen.extend_from_slice(&runtime.live_vertices()[pushed..]);
     assert_eq!(
-        counter.seen, live,
-        "event stream missed or duplicated vertices"
+        seen,
+        runtime.live_vertices(),
+        "push missed or duplicated vertices"
     );
-    assert!(live.len() > 20);
+    assert!(seen.len() > 20);
 }
