@@ -5,14 +5,18 @@
 //! recorded tick log, and the cohort shares one `CachedMatcher` so
 //! per-length feature indexes are built once, not once per session.
 //!
-//! This binary replays the held-out sessions on a plain engine and again
-//! on a metrics-enabled one, and reports aggregate predictions/sec and
-//! the throughput kept with metrics on. Run with `--release`; pass
+//! This binary replays the held-out sessions on a plain engine and on a
+//! metrics-enabled one, and reports aggregate predictions/sec and the
+//! throughput kept with metrics on. One pass takes a few milliseconds, so
+//! a single pass per arm is decided by noise: after one untimed warm-up
+//! pass (which alone pays for the store's feature snapshot), the two arms
+//! alternate over [`PASSES`] passes each, every pass on a fresh engine,
+//! and each arm reports its median wall time. Run with `--release`; pass
 //! `--json <path>` to also write the numbers as a JSON document
 //! (consumed by `scripts/bench_snapshot.sh` into `BENCH_pipeline.json`).
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tsm_bench::report::{banner, table};
 use tsm_bench::{build_bundle, BundleConfig, EvalStream};
 use tsm_core::gating::{gate_ticks, GatingWindow};
@@ -20,12 +24,15 @@ use tsm_core::metrics::MetricsRegistry;
 use tsm_core::session::{SessionConfig, SessionRuntime};
 use tsm_core::tracking::{track_ticks, TrackingStats};
 use tsm_core::{CachedMatcher, Matcher, Params};
+use tsm_db::SharedStore;
 use tsm_model::SegmenterConfig;
 use tsm_signal::CohortConfig;
 
 const DT: f64 = 0.3;
 const EVERY: usize = 30;
 const WINDOW_MM: f64 = 3.0;
+/// Timed passes per arm.
+const PASSES: usize = 11;
 
 /// One session: one pass, one prediction per tick, then gating and
 /// tracking folded over the tick log. Returns the predictions made.
@@ -49,6 +56,28 @@ fn runtime_session(engine: &Arc<CachedMatcher>, seg: &SegmenterConfig, eval: &Ev
         "gating/tracking folds idle"
     );
     ticks.iter().filter(|t| t.outcome.is_some()).count()
+}
+
+/// One pass over every held-out session on a fresh engine recording into
+/// `metrics`: the engine, the predictions made and the wall time.
+fn pass(
+    store: &SharedStore,
+    params: &Params,
+    seg: &SegmenterConfig,
+    eval: &[EvalStream],
+    metrics: MetricsRegistry,
+) -> (Arc<CachedMatcher>, usize, Duration) {
+    let engine = Arc::new(CachedMatcher::new(
+        Matcher::new(store.clone(), params.clone()).with_metrics(metrics),
+    ));
+    let started = Instant::now();
+    let predictions = eval.iter().map(|e| runtime_session(&engine, seg, e)).sum();
+    (engine, predictions, started.elapsed())
+}
+
+fn median(walls: &mut [Duration]) -> Duration {
+    walls.sort_unstable();
+    walls[walls.len() / 2]
 }
 
 fn main() {
@@ -79,44 +108,51 @@ fn main() {
 
     banner("Online pipeline: session runtime, metrics off and on");
 
-    // The held-out sessions on one shared engine, one pass each.
-    let engine = Arc::new(CachedMatcher::new(Matcher::new(
-        store.clone(),
-        params.clone(),
-    )));
-    let started = Instant::now();
-    let runtime_predictions: usize = bundle
-        .eval
-        .iter()
-        .map(|e| runtime_session(&engine, &seg, e))
-        .sum();
-    let runtime_wall = started.elapsed();
+    // Untimed warm-up: builds the store's feature snapshot, which every
+    // later pass shares, and fixes the prediction count.
+    let (engine, runtime_predictions, _) = pass(
+        &store,
+        &params,
+        &seg,
+        &bundle.eval,
+        MetricsRegistry::disabled(),
+    );
     assert!(runtime_predictions > 0, "no predictions at all");
 
-    // Instrumented: the same sessions again on a metrics-enabled engine,
-    // measuring what the observability layer costs when switched on.
-    let metrics = MetricsRegistry::enabled();
-    let instrumented = Arc::new(CachedMatcher::new(
-        Matcher::new(store.clone(), params.clone()).with_metrics(metrics.clone()),
-    ));
-    let started = Instant::now();
-    let instrumented_predictions: usize = bundle
-        .eval
-        .iter()
-        .map(|e| runtime_session(&instrumented, &seg, e))
-        .sum();
-    let instrumented_wall = started.elapsed();
-    assert_eq!(
-        instrumented_predictions, runtime_predictions,
-        "metrics must not change the predictions"
-    );
-    let snapshot = metrics.snapshot();
-    snapshot
-        .check_invariants()
-        .expect("metrics counters reconcile");
+    // The arms alternate which runs first, so drift on the host falls on
+    // both. The metrics-on arm must make the same predictions, and its
+    // ledger must reconcile after every pass.
+    let mut plain_walls = Vec::with_capacity(PASSES);
+    let mut instrumented_walls = Vec::with_capacity(PASSES);
+    let mut snapshot = None;
+    for round in 0..PASSES {
+        for instrumented in [round % 2 == 1, round % 2 == 0] {
+            let metrics = if instrumented {
+                MetricsRegistry::enabled()
+            } else {
+                MetricsRegistry::disabled()
+            };
+            let (_, predictions, wall) = pass(&store, &params, &seg, &bundle.eval, metrics.clone());
+            assert_eq!(
+                predictions, runtime_predictions,
+                "metrics must not change the predictions"
+            );
+            if instrumented {
+                let snap = metrics.snapshot();
+                snap.check_invariants().expect("metrics counters reconcile");
+                snapshot = Some(snap);
+                instrumented_walls.push(wall);
+            } else {
+                plain_walls.push(wall);
+            }
+        }
+    }
+    let snapshot = snapshot.expect("at least one metrics-on pass");
+    let runtime_wall = median(&mut plain_walls);
+    let instrumented_wall = median(&mut instrumented_walls);
 
     let runtime_pps = runtime_predictions as f64 / runtime_wall.as_secs_f64();
-    let instrumented_pps = instrumented_predictions as f64 / instrumented_wall.as_secs_f64();
+    let instrumented_pps = runtime_predictions as f64 / instrumented_wall.as_secs_f64();
     // >1.0 would mean metrics made the replay *faster* (noise); <1.0 is
     // the fractional throughput kept with instrumentation on.
     let metrics_overhead = instrumented_pps / runtime_pps;
@@ -132,7 +168,7 @@ fn main() {
             ],
             vec![
                 "runtime + metrics".into(),
-                instrumented_predictions.to_string(),
+                runtime_predictions.to_string(),
                 format!("{:.3}", instrumented_wall.as_secs_f64()),
                 format!("{instrumented_pps:.1}"),
             ],

@@ -525,6 +525,9 @@ pub fn chaos(args: &Args) -> Result<(), String> {
     let seed = args.num_flag("seed", 0xC4A05u64)?;
     let duration = args.secs_flag("duration", 60.0, false)?;
     let threads = args.num_flag("threads", plans.min(8))?;
+    if threads == 0 {
+        return Err("--threads must be at least 1".into());
+    }
 
     // A small in-memory reference store for the sessions to match
     // against (the soak needs no file on disk).
@@ -571,7 +574,7 @@ pub fn chaos(args: &Args) -> Result<(), String> {
     ));
     let runtime = CohortRuntime::with_engine(engine)
         .map_err(|e| e.to_string())?
-        .with_threads(threads.max(1));
+        .with_threads(threads);
     eprintln!("soaking {plans} faulted sessions x {duration:.0}s on {threads} threads ...");
     let report = runtime.replay(&specs);
 

@@ -196,6 +196,22 @@ fn zero_valued_flags_are_rejected_cleanly() {
     assert!(stderr(&o).contains("--threads"), "{}", stderr(&o));
 
     let o = tsm(&[
+        "chaos",
+        "--threads",
+        "0",
+        "--plans",
+        "1",
+        "--duration",
+        "30",
+    ]);
+    assert!(!o.status.success(), "chaos --threads 0 must be rejected");
+    assert!(
+        stderr(&o).contains("--threads must be at least 1"),
+        "{}",
+        stderr(&o)
+    );
+
+    let o = tsm(&[
         "match", "--store", store, "--stream", "0", "--start", "2", "--len", "9", "--k", "0",
     ]);
     assert!(!o.status.success(), "--k 0 must be rejected");

@@ -1,25 +1,26 @@
-//! The batched (8-lane) f32 pruning tier of the columnar matcher.
+//! The batched (8-lane) scoring kernels of the columnar matcher.
 //!
-//! [`WindowScorer`](crate::similarity::WindowScorer) walks one candidate
-//! window at a time in f64. This module splits that work into
-//! vectorizable passes over the [`tsm_db::Mirror32`] columns, using
-//! hand-rolled `F32x8` lane structs (plain `[f32; 8]` operations the
-//! autovectorizer lowers to SIMD on stable Rust — no `std::simd`, no
-//! `unsafe`):
+//! Every window either plan visits is scored here, in passes over the
+//! [`tsm_db::StreamFeatures`] columns (and their [`tsm_db::Mirror32`] f32
+//! copies) that use hand-rolled `F32x8` lane structs (plain `[f32; 8]`
+//! operations the autovectorizer lowers to SIMD on stable Rust — no
+//! `std::simd`, no `unsafe`):
 //!
 //! * [`BatchScorer::match_mask`] runs the state-order gate over the
 //!   **whole stream** at once (one query state against every window
 //!   offset per pass — the classic transposed substring filter), so the
 //!   two thirds of windows that fail the gate never reach any per-window
 //!   code at all;
-//! * [`BatchScorer::collect_survivors`] scores the gate-passing windows
-//!   eight per pass in f32, with early abandoning lifted to the *lane
-//!   group*: the accumulation loop exits only when **every** lane's
-//!   partial sum proves its distance exceeds the caller's bound;
-//! * a lane whose full f32 sum stays at or below its inflated limit is a
-//!   **survivor** and is re-scored in exact f64 by
-//!   [`BatchScorer::rescore_exact`] — so the final result set stays
-//!   bit-identical to the scalar scorer.
+//! * [`BatchScorer::collect_survivors`] is the scan's f32 prefilter: it
+//!   scores the gate-passing windows eight per pass in f32, with early
+//!   abandoning lifted to the *lane group*: the accumulation loop exits
+//!   only when **every** lane's partial sum proves its distance exceeds
+//!   the caller's bound;
+//! * [`BatchScorer::rescore_exact`] is the one exact scorer: it scores up
+//!   to eight windows in f64 with the exact operation sequence of
+//!   [`online_distance`](crate::similarity::online_distance), so final
+//!   distances are bit-identical to the oracle's. Survivors of the
+//!   prefilter and the pruned plan's band survivors both end here.
 //!
 //! # Admissibility
 //!
@@ -52,6 +53,7 @@
 use crate::params::{AmplitudeMetric, Params};
 use crate::similarity::QueryCols;
 use tsm_db::{f32_above, Mirror32, StreamFeatures};
+use tsm_model::Position;
 
 /// Candidate windows scored per batched pass.
 pub const LANES: usize = 8;
@@ -123,20 +125,20 @@ impl F32x8 {
 pub enum RescanOutcome {
     /// Padding lane (group had fewer than [`LANES`] candidates).
     Inactive,
-    /// Early-abandoned at the caller's bound — the identical decision the
-    /// scalar [`WindowScorer`](crate::similarity::WindowScorer) makes.
+    /// Early-abandoned: a partial sum proved the distance exceeds the
+    /// caller's bound.
     Abandoned,
-    /// Completed with the exact distance, bit-identical to the scalar
-    /// scorer's (which may still marginally exceed the bound — callers
-    /// re-check against δ).
+    /// Completed with the exact distance, bit-identical to
+    /// [`online_distance`](crate::similarity::online_distance) (it may
+    /// still marginally exceed the bound — callers re-check against δ).
     Scored(f64),
 }
 
-/// The query side of the batched kernel: narrowed columns, premultiplied
+/// The query side of the f32 prefilter: narrowed columns, premultiplied
 /// f32 weights, and the constants of the admissibility argument. `None`
 /// from [`BatchQuery::build`] means the query cannot use the f32 tier
 /// (spatial amplitude metric, non-finite narrowed values, or negative
-/// weights) and the engine must stay scalar.
+/// weights) and the engine scores every gated window exactly.
 #[derive(Debug, Clone)]
 pub struct BatchQuery {
     n: usize,
@@ -251,19 +253,15 @@ impl BatchQuery {
 }
 
 /// The batched scorer: the state-gate scratch column plus the lane
-/// kernel. The engine threads one per worker (mirroring
-/// [`WindowScorer`]'s shape) so the scratch allocation is reused across
-/// every stream of a search.
-///
-/// [`WindowScorer`]: crate::similarity::WindowScorer
+/// kernels. A search threads one through every stream it visits, so the
+/// scratch allocations are reused.
 #[derive(Debug, Default)]
 pub struct BatchScorer {
     /// Per-window-start gate verdicts for the stream most recently passed
     /// to [`BatchScorer::match_mask`] (`0` = states match the query).
     mask: Vec<u8>,
     /// Lane-major f64 term buffer for [`BatchScorer::rescore_exact`]
-    /// (entry `[i][l]` holds term `i` of lane `l`), the batched analogue
-    /// of [`WindowScorer`](crate::similarity::WindowScorer)'s scratch.
+    /// (entry `[i][l]` holds term `i` of lane `l`).
     terms64: Vec<[f64; LANES]>,
 }
 
@@ -275,23 +273,24 @@ impl BatchScorer {
 
     /// The transposed state-order gate over one whole stream: entry `j`
     /// of the returned mask is `0` iff the window starting at segment `j`
-    /// has exactly the query's state sequence. Window starts are walked
-    /// in blocks of 16; within a block the query positions run in a
-    /// fixed-width inner loop (a compare-and-OR over a `[u8; 16]`
-    /// register block, the autovectorizer's favorite shape), so the gate
-    /// costs `n · nseg` byte ops for the *entire stream* with the
-    /// per-loop setup paid once per block instead of once per query
-    /// position. Requires `sf.num_segments() >= q.len()`.
-    pub fn match_mask(&mut self, q: &BatchQuery, sf: &StreamFeatures) -> &[u8] {
+    /// has exactly the query's state sequence `query_states` (its
+    /// [`QueryCols::states`] column). Window starts are walked in blocks
+    /// of 16; within a block the query positions run in a fixed-width
+    /// inner loop (a compare-and-OR over a `[u8; 16]` register block, the
+    /// autovectorizer's favorite shape), so the gate costs `n · nseg` byte
+    /// ops for the *entire stream* with the per-loop setup paid once per
+    /// block instead of once per query position. Requires
+    /// `sf.num_segments() >= query_states.len()`.
+    pub fn match_mask(&mut self, query_states: &[u8], sf: &StreamFeatures) -> &[u8] {
         const BLOCK: usize = 16;
-        let total = sf.num_segments() + 1 - q.n;
+        let total = sf.num_segments() + 1 - query_states.len();
         self.mask.clear();
         self.mask.resize(total, 0);
         let states = &sf.states;
         let mut j = 0;
         while j + BLOCK <= total {
             let mut acc = [0u8; BLOCK];
-            for (i, &qs) in q.states.iter().enumerate() {
+            for (i, &qs) in query_states.iter().enumerate() {
                 let col = &states[j + i..j + i + BLOCK];
                 for (a, &s) in acc.iter_mut().zip(col) {
                     *a |= (s != qs) as u8;
@@ -301,7 +300,7 @@ impl BatchScorer {
             j += BLOCK;
         }
         for (jj, mj) in self.mask.iter_mut().enumerate().skip(j) {
-            for (i, &qs) in q.states.iter().enumerate() {
+            for (i, &qs) in query_states.iter().enumerate() {
                 if states[jj + i] != qs {
                     *mj = 1;
                     break;
@@ -366,26 +365,24 @@ impl BatchScorer {
         pruned
     }
 
-    /// Exact f64 scoring of up to eight gate-passing survivor windows in
-    /// one pass — the batched analogue of
-    /// [`WindowScorer::score_window_outcome`].
+    /// Exact f64 scoring of up to eight gate-passing windows of one
+    /// stream in one pass.
     ///
-    /// Each lane runs the scalar scorer's exact operation sequence: terms
-    /// are accumulated newest-first into a per-lane partial (abandoning
-    /// when it exceeds `bound · Σwi · ws · ABANDON_MARGIN`), buffered, and
-    /// re-summed in canonical forward order, so `Scored` distances are
-    /// bit-identical to the scalar path. Batching merely amortizes the
-    /// per-window call, bounds-check, and scratch-reset overhead across
-    /// the group. Abandonment is tracked by flag rather than early return:
-    /// the scalar loop abandons iff *some* running prefix exceeds the
-    /// limit, which is exactly what the flag records.
+    /// Each lane computes every term with the expression of
+    /// [`online_distance`](crate::similarity::online_distance)'s loop,
+    /// accumulating them newest-first (highest `wi`, largest expected
+    /// contribution) into a per-lane partial that abandons the lane once
+    /// it exceeds `bound · Σwi · ws · ABANDON_MARGIN`. A lane that never
+    /// abandons re-sums its buffered terms in canonical forward order, so
+    /// `Scored` distances are bit-identical to the oracle's; a bound
+    /// equal to a window's distance never abandons it. Abandonment is
+    /// tracked by flag rather than early return: a lane abandons iff
+    /// *some* running prefix exceeds the limit, which is exactly what the
+    /// flag records. Batching amortizes the per-window call,
+    /// bounds-check and scratch-reset overhead across the group.
     ///
     /// Callers must have state-gated the windows already (the mask pass
-    /// does); only the [`AmplitudeMetric::Axis`] metric is supported —
-    /// the engine never routes spatial-metric searches here.
-    ///
-    /// [`WindowScorer::score_window_outcome`]:
-    ///     crate::similarity::WindowScorer::score_window_outcome
+    /// or an index keyed by state signature does).
     #[inline]
     pub fn rescore_exact(
         &mut self,
@@ -396,12 +393,9 @@ impl BatchScorer {
         ws: f64,
         bound: f64,
     ) -> [RescanOutcome; LANES] {
-        debug_assert!(matches!(params.amplitude_metric, AmplitudeMetric::Axis));
-        debug_assert!(!starts.is_empty() && starts.len() <= LANES);
+        debug_assert!(!starts.is_empty());
+        assert!(starts.len() <= LANES, "more windows than lanes");
         let n = cols.states.len();
-        let active = starts.len();
-        let mut pad = [starts[0]; LANES];
-        pad[..active].copy_from_slice(starts);
         for &s in starts {
             debug_assert!(s + n <= sf.num_segments());
             debug_assert!(
@@ -413,25 +407,22 @@ impl BatchScorer {
         let limit = bound * denom * crate::similarity::ABANDON_MARGIN;
         self.terms64.clear();
         self.terms64.resize(n, [0.0; LANES]);
-        let mut partial = [0.0f64; LANES];
-        let mut abandoned = [false; LANES];
-        for i in (0..n).rev() {
-            let qd = cols.disp[i];
-            let qt = cols.dur[i];
-            let wi = cols.wi[i];
-            let row = &mut self.terms64[i];
-            for l in 0..active {
-                let j = pad[l] + i;
-                let amp_diff = (qd - sf.disp[j]).abs();
-                let freq_diff = (qt - sf.dur[j]).abs();
-                let term = wi * (params.wa * amp_diff + params.wf * freq_diff);
-                row[l] = term;
-                partial[l] += term;
-                abandoned[l] |= partial[l] > limit;
+        // The metric is matched here, outside the loops, so each metric
+        // gets its own straight term loop.
+        let abandoned = match params.amplitude_metric {
+            AmplitudeMetric::Axis => {
+                let amp = (&cols.disp[..], &sf.disp[..], |q: f64, c: f64| (q - c).abs());
+                self.exact_terms(cols, params, sf, starts, limit, amp)
             }
-        }
+            AmplitudeMetric::Spatial => {
+                let amp = (&cols.dvec[..], &sf.dvec[..], |q: Position, c| {
+                    (q - c).norm()
+                });
+                self.exact_terms(cols, params, sf, starts, limit, amp)
+            }
+        };
         let mut out = [RescanOutcome::Inactive; LANES];
-        for (l, o) in out.iter_mut().enumerate().take(active) {
+        for (l, o) in out.iter_mut().enumerate().take(starts.len()) {
             *o = if abandoned[l] {
                 RescanOutcome::Abandoned
             } else {
@@ -443,6 +434,39 @@ impl BatchScorer {
             };
         }
         out
+    }
+
+    /// The term loop of [`BatchScorer::rescore_exact`], newest segment
+    /// first. `amp` holds the query's and the stream's amplitude columns
+    /// and the metric's difference of two entries. Fills `terms64` and
+    /// returns which lanes abandoned.
+    #[inline(always)]
+    fn exact_terms<A: Copy>(
+        &mut self,
+        cols: &QueryCols,
+        params: &Params,
+        sf: &StreamFeatures,
+        starts: &[usize],
+        limit: f64,
+        (q_amp, c_amp, amp_diff): (&[A], &[A], impl Fn(A, A) -> f64),
+    ) -> [bool; LANES] {
+        let mut partial = [0.0f64; LANES];
+        let mut abandoned = [false; LANES];
+        for i in (0..cols.states.len()).rev() {
+            let qa = q_amp[i];
+            let qt = cols.dur[i];
+            let wi = cols.wi[i];
+            let row = &mut self.terms64[i];
+            for (l, &s) in starts.iter().enumerate() {
+                let j = s + i;
+                let freq_diff = (qt - sf.dur[j]).abs();
+                let term = wi * (params.wa * amp_diff(qa, c_amp[j]) + params.wf * freq_diff);
+                row[l] = term;
+                partial[l] += term;
+                abandoned[l] |= partial[l] > limit;
+            }
+        }
+        abandoned
     }
 
     /// Accumulation in two phases over the query positions:
@@ -535,21 +559,21 @@ impl BatchScorer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::similarity::{ScoreOutcome, WindowCols, WindowScorer};
-    use tsm_db::{MotionStream, PatientId, StreamId, StreamMeta};
+    use crate::similarity::online_distance;
+    use tsm_db::{MotionStream, PatientId, SourceRelation, StreamId, StreamMeta};
     use tsm_model::{BreathState, PlrTrajectory, Vertex};
 
-    /// A 255-segment periodic stream and a 9-segment query over it: two
-    /// thirds of the windows state-mismatch, and the rest split between
-    /// amplitudes near the query and every 11th cycle far off, so the
-    /// prune tier has work.
-    fn fixture() -> (StreamFeatures, QueryCols, Params) {
-        let params = Params::default();
-        let states = [
-            BreathState::Exhale,
-            BreathState::EndOfExhale,
-            BreathState::Inhale,
-        ];
+    const STATES: [BreathState; 3] = [
+        BreathState::Exhale,
+        BreathState::EndOfExhale,
+        BreathState::Inhale,
+    ];
+
+    /// The vertices of a 255-segment periodic stream and of a 9-segment
+    /// query over it: two thirds of the stream's windows state-mismatch,
+    /// and the rest split between amplitudes near the query and every
+    /// 11th cycle far off, so the prune tier has work.
+    fn fixture_vertices() -> (Vec<Vertex>, Vec<Vertex>) {
         let nseg = 255usize;
         let mut verts = Vec::with_capacity(nseg + 1);
         for i in 0..=nseg {
@@ -562,8 +586,19 @@ mod tests {
                 8.0 + (h % 97) as f64 * 0.01
             };
             let level = if i % 2 == 0 { amp } else { 0.0 };
-            verts.push(Vertex::new_1d(i as f64, level, states[i % 3]));
+            verts.push(Vertex::new_1d(i as f64, level, STATES[i % 3]));
         }
+        let qverts: Vec<Vertex> = (0..=9)
+            .map(|j| {
+                let level = if j % 2 == 0 { 8.3 } else { 0.1 };
+                Vertex::new_1d(j as f64, level, STATES[j % 3])
+            })
+            .collect();
+        (verts, qverts)
+    }
+
+    /// The feature columns of one stream with the given vertices.
+    fn features_of(verts: Vec<Vertex>, params: &Params) -> StreamFeatures {
         let stream = MotionStream {
             meta: StreamMeta {
                 id: StreamId(0),
@@ -573,32 +608,135 @@ mod tests {
             plr: PlrTrajectory::from_vertices(verts).unwrap(),
             raw_len: 0,
         };
-        let sf = StreamFeatures::build(&stream, params.axis);
-        let qverts: Vec<Vertex> = (0..=9)
-            .map(|j| {
-                let level = if j % 2 == 0 { 8.3 } else { 0.1 };
-                Vertex::new_1d(j as f64, level, states[j % 3])
-            })
-            .collect();
+        StreamFeatures::build(&stream, params.axis)
+    }
+
+    /// The fixture stream's features, the query's columns, and default
+    /// parameters.
+    fn fixture() -> (StreamFeatures, QueryCols, Params) {
+        let params = Params::default();
+        let (verts, qverts) = fixture_vertices();
         let cols = QueryCols::build(&qverts, &params).unwrap();
-        (sf, cols, params)
+        (features_of(verts, &params), cols, params)
     }
 
     /// The starts of every gate-passing window of the fixture stream.
-    fn gated_starts(batcher: &mut BatchScorer, bq: &BatchQuery, sf: &StreamFeatures) -> Vec<usize> {
-        let mask = batcher.match_mask(bq, sf);
+    fn gated_starts(
+        batcher: &mut BatchScorer,
+        cols: &QueryCols,
+        sf: &StreamFeatures,
+    ) -> Vec<usize> {
+        let mask = batcher.match_mask(&cols.states, sf);
         (0..mask.len()).filter(|&j| mask[j] == 0).collect()
+    }
+
+    /// Three 2-D breathing cycles (9 segments): the amplitude grows and
+    /// the end-of-exhale plateau drifts sideways by `lateral` mm per
+    /// cycle, so the spatial metric sees motion the axis metric does not.
+    fn cycles_2d(cycles: usize, amplitude: f64, lateral: f64) -> Vec<Vertex> {
+        let mut v = Vec::new();
+        for c in 0..cycles {
+            let t = c as f64 * 4.0;
+            let (amp, side) = (amplitude + 1.5 * c as f64, lateral * c as f64);
+            v.push(Vertex::new(t, Position::new_2d(amp, 0.0), STATES[0]));
+            v.push(Vertex::new(
+                t + 1.6 + 0.1 * c as f64,
+                Position::new_2d(0.0, side),
+                STATES[1],
+            ));
+            v.push(Vertex::new(t + 2.4, Position::new_2d(0.0, side), STATES[2]));
+        }
+        v.push(Vertex::new(
+            cycles as f64 * 4.0,
+            Position::new_2d(amplitude, 0.0),
+            STATES[0],
+        ));
+        v
+    }
+
+    /// Every lane's exact distance is bit-identical to the oracle's, for
+    /// both amplitude metrics and every source relation, and padding
+    /// lanes stay inactive.
+    #[test]
+    fn rescore_exact_is_bit_identical_to_online_distance() {
+        let query = cycles_2d(1, 10.0, 0.0);
+        let stream = cycles_2d(3, 11.5, 2.5);
+        let starts = [0usize, 3, 6];
+        for metric in [AmplitudeMetric::Axis, AmplitudeMetric::Spatial] {
+            let params = Params {
+                amplitude_metric: metric,
+                ..Params::default()
+            };
+            let cols = QueryCols::build(&query, &params).unwrap();
+            let sf = features_of(stream.clone(), &params);
+            let mut scorer = BatchScorer::new();
+            for relation in [
+                SourceRelation::SameSession,
+                SourceRelation::SamePatient,
+                SourceRelation::OtherPatient,
+            ] {
+                let ws = params.ws(relation);
+                let out = scorer.rescore_exact(&cols, &params, &sf, &starts, ws, f64::INFINITY);
+                for (l, &s) in starts.iter().enumerate() {
+                    let naive = online_distance(&query, &stream[s..=s + 3], &params, relation);
+                    let RescanOutcome::Scored(d) = out[l] else {
+                        panic!("{metric:?} {relation:?} lane {l}: {:?}", out[l]);
+                    };
+                    assert_eq!(
+                        Some(d.to_bits()),
+                        naive.map(f64::to_bits),
+                        "{metric:?} lane {l}"
+                    );
+                }
+                assert!(out[starts.len()..]
+                    .iter()
+                    .all(|o| *o == RescanOutcome::Inactive));
+            }
+        }
+        // The lateral drift reaches the spatial metric only.
+        let dist = |metric| {
+            let params = Params {
+                amplitude_metric: metric,
+                ..Params::default()
+            };
+            online_distance(&query, &stream[6..], &params, SourceRelation::SameSession).unwrap()
+        };
+        assert!(dist(AmplitudeMetric::Spatial) > dist(AmplitudeMetric::Axis) + 1.0);
+    }
+
+    /// A bound below a window's distance abandons it; an unbounded
+    /// rescore gives the oracle's distance, and a bound equal to that
+    /// distance still scores the window (ties are never abandoned).
+    #[test]
+    fn rescore_exact_abandons_past_the_bound_and_scores_ties() {
+        let params = Params::default();
+        let query = cycles_2d(1, 10.0, 0.0);
+        let far = cycles_2d(1, 40.0, 0.0);
+        let cols = QueryCols::build(&query, &params).unwrap();
+        let sf = features_of(far.clone(), &params);
+        let mut scorer = BatchScorer::new();
+        let out = scorer.rescore_exact(&cols, &params, &sf, &[0], 1.0, 0.5);
+        assert_eq!(out[0], RescanOutcome::Abandoned);
+        let RescanOutcome::Scored(exact) =
+            scorer.rescore_exact(&cols, &params, &sf, &[0], 1.0, f64::INFINITY)[0]
+        else {
+            panic!("unbounded rescore abandoned");
+        };
+        let naive = online_distance(&query, &far, &params, SourceRelation::SameSession).unwrap();
+        assert_eq!(exact.to_bits(), naive.to_bits());
+        assert!(exact > 0.5);
+        let at_bound = scorer.rescore_exact(&cols, &params, &sf, &[0], 1.0, exact);
+        assert_eq!(at_bound[0], RescanOutcome::Scored(exact));
     }
 
     /// The whole-stream gate agrees with a direct per-window compare.
     #[test]
     fn match_mask_equals_per_window_compare() {
-        let (sf, cols, params) = fixture();
-        let bq = BatchQuery::build(&cols, &params).unwrap();
+        let (sf, cols, _) = fixture();
         let n = cols.len();
         let total = sf.num_segments() - n + 1;
         let mut batcher = BatchScorer::new();
-        let mask = batcher.match_mask(&bq, &sf);
+        let mask = batcher.match_mask(&cols.states, &sf);
         assert_eq!(mask.len(), total);
         for (j, &m) in mask.iter().enumerate().take(total) {
             let direct = sf.states[j..j + n] == cols.states[..];
@@ -610,15 +748,15 @@ mod tests {
     }
 
     /// Exhaustively checks one stream: every start the kernel prunes must
-    /// be a window the exact scorer also rejects at that bound.
+    /// be a window whose oracle distance (at ws = 1) exceeds the bound.
     #[test]
     fn pruned_lanes_are_exactly_refutable() {
         let (sf, cols, params) = fixture();
+        let (verts, qverts) = fixture_vertices();
         let bq = BatchQuery::build(&cols, &params).unwrap();
         let n = cols.len();
-        let mut scorer = WindowScorer::new();
         let mut batcher = BatchScorer::new();
-        let starts = gated_starts(&mut batcher, &bq, &sf);
+        let starts = gated_starts(&mut batcher, &cols, &sf);
         assert!(!starts.is_empty(), "fixture has no gate-passing windows");
         let mut surv = Vec::new();
         for &bound in &[0.1, 0.5, 2.0, 8.0, f64::INFINITY] {
@@ -633,17 +771,9 @@ mod tests {
                 if kept.next_if_eq(&&start).is_some() {
                     continue;
                 }
-                let end = start + n;
-                let cand = WindowCols {
-                    states: &sf.states[start..end],
-                    disp: &sf.disp[start..end],
-                    dvec: &sf.dvec[start..end],
-                    dur: &sf.dur[start..end],
-                };
-                let exact = scorer.score_window_outcome(&cols, cand, &params, 1.0, f64::INFINITY);
-                let ScoreOutcome::Scored(d) = exact else {
-                    panic!("pruned start {start} with non-scored exact outcome");
-                };
+                let cand = &verts[start..=start + n];
+                let d = online_distance(&qverts, cand, &params, SourceRelation::SameSession)
+                    .unwrap_or_else(|| panic!("pruned start {start} fails the state gate"));
                 assert!(
                     d > bound,
                     "inadmissible prune at start {start}: d = {d} <= bound {bound}"
@@ -666,7 +796,7 @@ mod tests {
         let (sf, cols, params) = fixture();
         let bq = BatchQuery::build(&cols, &params).unwrap();
         let mut batcher = BatchScorer::new();
-        let matched = gated_starts(&mut batcher, &bq, &sf);
+        let matched = gated_starts(&mut batcher, &cols, &sf);
         let mut surv = Vec::new();
         for cnt in 1..LANES {
             let starts = &matched[..cnt];

@@ -16,15 +16,6 @@ use std::sync::Arc;
 use tsm_db::{FeatureIndex, SharedStore};
 use tsm_model::MAX_SIGNATURE_LEN;
 
-/// A point-in-time view of an [`IndexCache`]'s contents (diagnostics).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexCacheStats {
-    /// How many index builds the cache has performed.
-    pub rebuilds: u64,
-    /// Window lengths with a cached index, ascending.
-    pub cached_lengths: Vec<usize>,
-}
-
 /// A per-length cache of feature indexes over one store.
 #[derive(Debug)]
 pub struct IndexCache {
@@ -87,16 +78,6 @@ impl IndexCache {
     pub fn rebuild_count(&self) -> u64 {
         // Relaxed: statistics read; may trail a concurrent rebuild.
         self.rebuilds.load(Ordering::Relaxed)
-    }
-
-    /// A snapshot of the cache's contents.
-    pub fn stats(&self) -> IndexCacheStats {
-        let mut cached_lengths: Vec<usize> = self.inner.lock().keys().copied().collect();
-        cached_lengths.sort_unstable();
-        IndexCacheStats {
-            rebuilds: self.rebuild_count(),
-            cached_lengths,
-        }
     }
 }
 
@@ -209,13 +190,6 @@ mod tests {
         let q3 = QuerySubseq::from_view(&view);
         cached.find_matches(&q3, &opts);
         assert_eq!(cached.cache().rebuild_count(), 2);
-        assert_eq!(
-            cached.cache().stats(),
-            IndexCacheStats {
-                rebuilds: 2,
-                cached_lengths: vec![6, 9],
-            }
-        );
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! * **Tally reconciliation** — a [`SearchTally`] always satisfies
 //!   `windows_scored == windows_abandoned + windows_completed` and the
 //!   candidate funnel `bucket ≥ amp_band ≥ dur_band`, including after
-//!   merging per-worker tallies at the parallel join point. The batched
-//!   f32 tier's counters reconcile with the scalar balance: every pruned
-//!   lane is an abandoned window, every lane the tier touched (pruned or
+//!   merging per-worker tallies at the parallel join point. The f32
+//!   prefilter's counters reconcile with that balance: every pruned lane
+//!   is an abandoned window, every lane the prefilter touched (pruned or
 //!   rescanned) is a scored window, and no group yields more than
 //!   [`LANES`](crate::batch::LANES) of them.
 //!

@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::gating::{
         gate_ticks, simulate_gating, GatingAccumulator, GatingStats, GatingWindow,
     };
-    pub use crate::index_cache::{CachedMatcher, IndexCache, IndexCacheStats};
+    pub use crate::index_cache::{CachedMatcher, IndexCache};
     pub use crate::matcher::{MatchResult, Matcher, QuerySubseq, SearchOptions};
     pub use crate::metrics::{
         Counter, Hist, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, SearchTally,
@@ -101,9 +101,7 @@ pub mod prelude {
         external_session, CohortReport, CohortRuntime, DegradationPolicy, PredictionTick,
         SessionConfig, SessionHealth, SessionReport, SessionRuntime, SessionSpec,
     };
-    pub use crate::similarity::{
-        offline_distance, online_distance, vertex_weight, QueryCols, WindowCols, WindowScorer,
-    };
+    pub use crate::similarity::{offline_distance, online_distance, vertex_weight, QueryCols};
     pub use crate::stability::{is_stable, stability};
     pub use crate::stream_distance::{stream_distance, StreamDistanceConfig};
     pub use crate::tracking::{simulate_tracking, track_ticks, TrackingStats};

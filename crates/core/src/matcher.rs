@@ -3,25 +3,27 @@
 //!
 //! There is one search: Definition 2's state-order gate, then its weighted
 //! distance, over the store's [`tsm_db::SegmentFeatures`] snapshot. It
-//! runs under one of two plans:
+//! runs under one of two plans, which differ only in how they pick the
+//! windows to score:
 //!
 //! * the **scan** ([`Matcher::find_matches_with`]) visits every window of
-//!   every stream;
+//!   every stream, gated by [`BatchScorer::match_mask`];
 //! * the **pruned** plan visits only the windows a [`FeatureIndex`] keeps
 //!   inside its amplitude and duration bands. Only
 //!   [`crate::index_cache::CachedMatcher::find_matches`] runs it, with the
 //!   index of the query's length from its cache.
 //!
-//! Both plans score windows the same way. Where [`BatchQuery::build`]
-//! succeeds, a stream's windows go through the batched f32 pruning tier
-//! and its survivors are re-scored exactly in f64. The scalar
-//! [`crate::similarity::WindowScorer`] scores only the windows that cannot
-//! batch: the query's own stream, a stream whose f32 mirror is not finite,
-//! and every window under the spatial amplitude metric. A bounded top-k
-//! collector keeps only results that can still make the cut. A naive
-//! vertex-walking reference ([`Matcher::find_matches_naive`]) is the
-//! oracle: the property tests assert every plan returns *identical*
-//! results — same windows, bit-identical distances, same order.
+//! Both plans hand per-stream runs of gate-passing window starts to one
+//! scorer. Starts whose window overlaps the query's own window in its
+//! origin stream are dropped first, before the gate and any tally. When
+//! the query builds a [`BatchQuery`] and the stream's f32 mirror is
+//! finite, the scan runs the f32 prefilter over its run; the pruned plan's
+//! band survivors skip it. Every remaining window is scored exactly by
+//! [`BatchScorer::rescore_exact`]. A bounded top-k collector keeps only
+//! results that can still make the cut. A naive vertex-walking reference
+//! ([`Matcher::find_matches_naive`]) is the oracle: the property tests
+//! assert every plan returns *identical* results — same windows,
+//! bit-identical distances, same order.
 //!
 //! Results are totally ordered by `(distance, stream, start)`; because a
 //! scan visits windows in ascending `(stream, start)` order, this matches
@@ -33,9 +35,10 @@ use crate::batch::{BatchQuery, BatchScorer, RescanOutcome, LANES};
 use crate::invariants;
 use crate::metrics::{Counter, MetricsRegistry, SearchTally};
 use crate::params::Params;
-use crate::similarity::{online_distance, QueryCols, ScoreOutcome, WindowCols, WindowScorer};
+use crate::similarity::{online_distance, QueryCols};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 use tsm_db::{
     FeatureIndex, PatientId, SharedStore, SourceRelation, StreamFeatures, StreamId, StreamMeta,
@@ -171,7 +174,7 @@ impl Ord for Ranked {
 ///
 /// With a cap, a bounded max-heap holds the best `k` seen so far and
 /// [`Collector::bound`] exposes the current k-th best distance — feeding it
-/// back into [`WindowScorer::score_window`] lets the scorer abandon any
+/// back into [`BatchScorer::rescore_exact`] lets the scorer abandon any
 /// window that provably cannot enter the heap. Ties at the bound are *not*
 /// abandoned (the scorer's margin guarantees that), so a later candidate
 /// with equal distance but better `(stream, start)` tie-break still gets
@@ -268,9 +271,9 @@ struct Engine<'a> {
     delta: f64,
     q_first: f64,
     q_last: f64,
-    /// The batched f32 pruning tier. `None` when the query cannot be
-    /// narrowed (spatial metric, non-finite f32 values, negative
-    /// weights); every window is then scored by the scalar scorer.
+    /// The query side of the scan's f32 prefilter. `None` when the query
+    /// cannot be narrowed (spatial metric, non-finite f32 values, negative
+    /// weights); the scan then scores every gated window exactly.
     batch: Option<BatchQuery>,
 }
 
@@ -324,87 +327,35 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Whether the window at `start` overlaps the query's own window in
-    /// its origin stream.
-    fn overlaps_query(&self, sf: &StreamFeatures, start: usize) -> bool {
+    /// The starts of `sf`'s windows that overlap the query's own window:
+    /// empty unless `sf` is the query's origin stream. A query always
+    /// matches itself, which tells nothing, so neither plan scores these
+    /// windows. Window `j` spans `times[j]..=times[j + n]`, and vertex
+    /// times strictly increase, so the overlapping starts form one range.
+    /// Requires `sf.num_segments() >= n`.
+    fn own_overlap(&self, sf: &StreamFeatures) -> Range<usize> {
         if self.query.origin_stream != Some(sf.meta.id) {
-            return false;
+            return 0..0;
         }
-        let c_first = sf.times[start];
-        let c_last = sf.times[start + self.n];
-        c_last > self.q_first && c_first < self.q_last
+        let total = (sf.num_segments() + 1).saturating_sub(self.n);
+        let lo = sf.times[self.n..]
+            .partition_point(|&t| t <= self.q_first)
+            .min(total);
+        let hi = sf.times.partition_point(|&t| t < self.q_last);
+        lo..hi.clamp(lo, total)
     }
 
-    /// Scores one candidate window and offers it to the collector. The
-    /// tally is plain per-search scratch (flushed to the metrics registry
-    /// once per search), so the hot loop never touches an atomic.
-    #[allow(clippy::too_many_arguments)]
-    fn score_window_at(
-        &self,
-        sf: &StreamFeatures,
-        start: usize,
-        relation: SourceRelation,
-        ws: f64,
-        scorer: &mut WindowScorer,
-        coll: &mut Collector,
-        tally: &mut SearchTally,
-    ) {
-        if self.overlaps_query(sf, start) {
-            return;
-        }
-        let end = start + self.n;
-        let cand = WindowCols {
-            states: &sf.states[start..end],
-            disp: &sf.disp[start..end],
-            dvec: &sf.dvec[start..end],
-            dur: &sf.dur[start..end],
-        };
-        match scorer.score_window_outcome(&self.cols, cand, self.params, ws, coll.bound()) {
-            ScoreOutcome::StateMismatch => {
-                tally.windows_state_mismatch += 1;
-            }
-            ScoreOutcome::Abandoned => {
-                tally.windows_scored += 1;
-                tally.windows_abandoned += 1;
-            }
-            ScoreOutcome::Scored(d) => {
-                tally.windows_scored += 1;
-                tally.windows_completed += 1;
-                if d <= self.delta {
-                    coll.push(MatchResult {
-                        subseq: SubseqRef::new(sf.meta.id, start, self.n),
-                        distance: d,
-                        ws,
-                        relation,
-                    });
-                }
-            }
-        }
-    }
-
-    /// The batched query for a stream whose windows may go through the
-    /// batched tier, or `None` when they stay scalar: the query must have
-    /// built a [`BatchQuery`], the stream's mirror must be finite, and
-    /// the query's own stream stays scalar (its overlap exclusion is
-    /// handled inside [`Engine::score_window_at`], which the kernel
-    /// bypasses).
-    fn batch_for(&self, sf: &StreamFeatures) -> Option<&BatchQuery> {
-        self.batch
-            .as_ref()
-            .filter(|_| sf.mirror32.finite && self.query.origin_stream != Some(sf.meta.id))
-    }
-
-    /// Scans every window of the given streams.
+    /// Scans every window of the given streams: the whole-stream state
+    /// gate picks each stream's run of starts for [`Engine::score_run`],
+    /// which prefilters it in f32 where it can.
     fn scan_streams(
         &self,
         streams: &[Arc<StreamFeatures>],
-        scorer: &mut WindowScorer,
+        scratch: &mut Scratch,
         coll: &mut Collector,
         tally: &mut SearchTally,
     ) {
-        let mut batcher = BatchScorer::new();
         let mut starts: Vec<usize> = Vec::new();
-        let mut survivors: Vec<usize> = Vec::new();
         for sf in streams {
             if !self.allows(sf.meta.patient) {
                 continue;
@@ -413,150 +364,93 @@ impl<'a> Engine<'a> {
             if nseg < self.n {
                 continue;
             }
-            let relation = self.relation(&sf.meta);
-            let ws = self.params.ws(relation);
-            if let Some(bq) = self.batch_for(sf) {
-                self.scan_stream_batched(
-                    bq,
-                    &mut batcher,
-                    &mut starts,
-                    &mut survivors,
-                    sf,
-                    relation,
-                    ws,
-                    coll,
-                    tally,
-                );
-            } else {
-                for start in 0..=(nseg - self.n) {
-                    self.score_window_at(sf, start, relation, ws, scorer, coll, tally);
-                }
-            }
+            let skip = self.own_overlap(sf);
+            let mask = scratch.batcher.match_mask(&self.cols.states, sf);
+            starts.clear();
+            starts.extend((0..mask.len()).filter(|&j| mask[j] == 0 && !skip.contains(&j)));
+            tally.windows_state_mismatch += (mask.len() - skip.len() - starts.len()) as u64;
+            self.score_run(sf, &starts, true, scratch, coll, tally);
         }
     }
 
-    /// Scans one stream through the batched kernel: the whole-stream
-    /// state gate first rejects every misaligned window in one
-    /// vectorized pass, the surviving starts go through the f32 lane
-    /// kernel in groups of up to [`LANES`], and the f32 survivors are
-    /// finally re-scored in exact f64 — also [`LANES`] at a time, via
-    /// [`Engine::rescore_group`] — so no per-window call overhead
-    /// remains anywhere on the path. `starts_buf` and `surv_buf` are
-    /// caller scratch, reused across streams.
-    ///
-    /// The stream is never the query's own (see
-    /// [`Engine::batch_for`]), so the overlap exclusion the
-    /// scalar [`Engine::score_window_at`] performs is vacuous here.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_stream_batched(
+    /// Scores one stream's run of state-gated window starts, none of
+    /// which overlaps the query, and offers every window within δ to the
+    /// collector. With `prefilter`, a query that built a [`BatchQuery`]
+    /// and a stream whose f32 mirror is finite, the f32 lane kernel first
+    /// drops the windows it proves too far; the rest are scored exactly,
+    /// [`LANES`] at a time, by [`BatchScorer::rescore_exact`]. The tally
+    /// keeps `windows_scored == windows_abandoned + windows_completed`:
+    /// each pruned lane counts as a scored, abandoned window.
+    fn score_run(
         &self,
-        bq: &BatchQuery,
-        batcher: &mut BatchScorer,
-        starts_buf: &mut Vec<usize>,
-        surv_buf: &mut Vec<usize>,
-        sf: &StreamFeatures,
-        relation: SourceRelation,
-        ws: f64,
-        coll: &mut Collector,
-        tally: &mut SearchTally,
-    ) {
-        let total = sf.num_segments() - self.n + 1;
-        let mask = batcher.match_mask(bq, sf);
-        starts_buf.clear();
-        starts_buf.extend((0..total).filter(|&j| mask[j] == 0));
-        tally.windows_state_mismatch += (total - starts_buf.len()) as u64;
-        if starts_buf.is_empty() {
-            return;
-        }
-        // One shared limit and one kernel sweep per stream. The bound is
-        // sampled once per stream rather than per group; a stale (looser)
-        // bound only prunes less, and the exact rescans below make every
-        // final accept/reject decision, so results are unaffected.
-        tally.batch_groups_scored += starts_buf.len().div_ceil(LANES) as u64;
-        let limit = bq.stream_limit(sf, ws, coll.bound());
-        surv_buf.clear();
-        let pruned = batcher.collect_survivors(bq, sf, starts_buf, limit, surv_buf);
-        // One tally update per stream, not per pruned lane.
-        tally.windows_scored += pruned;
-        tally.windows_abandoned += pruned;
-        tally.batch_lanes_abandoned += pruned;
-        tally.f32_prune_rescans += surv_buf.len() as u64;
-        coll.reserve(surv_buf.len());
-        for chunk in surv_buf.chunks(LANES) {
-            self.rescore_group(batcher, sf, chunk, relation, ws, coll, tally);
-        }
-    }
-
-    /// Re-scores up to [`LANES`] state-gated windows of one stream in
-    /// exact f64 ([`BatchScorer::rescore_exact`]) and offers every window
-    /// within δ to the collector, keeping the tally's balance equation
-    /// `windows_scored == windows_abandoned + windows_completed` intact.
-    #[allow(clippy::too_many_arguments)]
-    fn rescore_group(
-        &self,
-        batcher: &mut BatchScorer,
         sf: &StreamFeatures,
         starts: &[usize],
-        relation: SourceRelation,
-        ws: f64,
+        prefilter: bool,
+        scratch: &mut Scratch,
         coll: &mut Collector,
         tally: &mut SearchTally,
     ) {
-        let outs = batcher.rescore_exact(&self.cols, self.params, sf, starts, ws, coll.bound());
-        for (l, &start) in starts.iter().enumerate() {
-            match outs[l] {
-                RescanOutcome::Inactive => {
-                    debug_assert!(false, "inactive lane inside the candidate count");
-                }
-                RescanOutcome::Abandoned => {
-                    tally.windows_scored += 1;
-                    tally.windows_abandoned += 1;
-                }
-                RescanOutcome::Scored(d) => {
-                    tally.windows_scored += 1;
-                    tally.windows_completed += 1;
-                    if d <= self.delta {
-                        coll.push(MatchResult {
-                            subseq: SubseqRef::new(sf.meta.id, start, self.n),
-                            distance: d,
-                            ws,
-                            relation,
-                        });
+        if starts.is_empty() {
+            return;
+        }
+        let relation = self.relation(&sf.meta);
+        let ws = self.params.ws(relation);
+        let Scratch { batcher, survivors } = scratch;
+        let run = match &self.batch {
+            Some(bq) if prefilter && sf.mirror32.finite => {
+                // One shared limit and one kernel sweep per stream. The
+                // bound is sampled once per stream rather than per group;
+                // a stale (looser) bound only prunes less, and the exact
+                // rescore below makes every final accept/reject decision.
+                tally.batch_groups_scored += starts.len().div_ceil(LANES) as u64;
+                let limit = bq.stream_limit(sf, ws, coll.bound());
+                survivors.clear();
+                let pruned = batcher.collect_survivors(bq, sf, starts, limit, survivors);
+                tally.windows_scored += pruned;
+                tally.windows_abandoned += pruned;
+                tally.batch_lanes_abandoned += pruned;
+                tally.f32_prune_rescans += survivors.len() as u64;
+                &survivors[..]
+            }
+            _ => starts,
+        };
+        coll.reserve(run.len());
+        for group in run.chunks(LANES) {
+            let outs = batcher.rescore_exact(&self.cols, self.params, sf, group, ws, coll.bound());
+            for (&start, out) in group.iter().zip(outs) {
+                match out {
+                    RescanOutcome::Inactive => {
+                        debug_assert!(false, "inactive lane inside the candidate count");
+                    }
+                    RescanOutcome::Abandoned => {
+                        tally.windows_scored += 1;
+                        tally.windows_abandoned += 1;
+                    }
+                    RescanOutcome::Scored(d) => {
+                        tally.windows_scored += 1;
+                        tally.windows_completed += 1;
+                        if d <= self.delta {
+                            coll.push(MatchResult {
+                                subseq: SubseqRef::new(sf.meta.id, start, self.n),
+                                distance: d,
+                                ws,
+                                relation,
+                            });
+                        }
                     }
                 }
             }
         }
     }
+}
 
-    /// Scores band-qualified deferred candidates with the batched exact
-    /// rescorer alone, skipping the f32 tier: amplitude/duration band
-    /// survivors are already plausible matches, so the f32 pass mostly
-    /// fails to prune and would only add its own cost on top of the
-    /// exact scoring it cannot avoid. `cands` must be grouped by stream,
-    /// and every candidate must match the query's state order (the index
-    /// is keyed by state signature, so that holds by construction).
-    fn score_deferred_exact(
-        &self,
-        cands: &[(&Arc<StreamFeatures>, usize)],
-        coll: &mut Collector,
-        tally: &mut SearchTally,
-    ) {
-        let mut batcher = BatchScorer::new();
-        let mut starts = [0usize; LANES];
-        let mut i = 0usize;
-        while i < cands.len() {
-            let sf = cands[i].0;
-            let relation = self.relation(&sf.meta);
-            let ws = self.params.ws(relation);
-            let mut cnt = 0usize;
-            while i < cands.len() && cnt < LANES && cands[i].0.meta.id == sf.meta.id {
-                starts[cnt] = cands[i].1;
-                cnt += 1;
-                i += 1;
-            }
-            self.rescore_group(&mut batcher, sf, &starts[..cnt], relation, ws, coll, tally);
-        }
-    }
+/// Per-search scratch buffers, reused across every stream a search
+/// visits.
+#[derive(Default)]
+struct Scratch {
+    batcher: BatchScorer,
+    /// The f32 prefilter's survivors in the current stream.
+    survivors: Vec<usize>,
 }
 
 /// The matcher: a store handle plus parameters.
@@ -660,10 +554,14 @@ impl Matcher {
         };
         let features = self.store.segment_features(self.params.axis);
         invariants::features_snapshot_coherent(&features);
-        let mut scorer = WindowScorer::new();
         let mut coll = engine.collector();
         let mut tally = SearchTally::default();
-        engine.scan_streams(features.streams(), &mut scorer, &mut coll, &mut tally);
+        engine.scan_streams(
+            features.streams(),
+            &mut Scratch::default(),
+            &mut coll,
+            &mut tally,
+        );
         self.conclude(coll, &tally, options)
     }
 
@@ -763,7 +661,6 @@ impl Matcher {
         };
         let features = self.store.segment_features(self.params.axis);
         invariants::features_snapshot_coherent(&features);
-        let mut scorer = WindowScorer::new();
         let mut coll = engine.collector();
         let mut tally = SearchTally::default();
         let (band, counts) =
@@ -771,11 +668,10 @@ impl Matcher {
         tally.bucket_candidates += counts.bucket as u64;
         tally.amp_band_candidates += counts.amp_band as u64;
         // Band entries arrive sorted by amplitude summary, interleaving
-        // streams; batchable candidates are deferred and regrouped into
-        // dense per-stream lane runs below (results are order-independent
-        // — only the bound's tightening path differs, and `finish` orders
-        // the output).
-        let mut deferred: Vec<(&Arc<StreamFeatures>, usize)> = Vec::new();
+        // streams; they are regrouped into per-stream runs below (results
+        // are order-independent — only the bound's tightening path
+        // differs, and `finish` orders the output).
+        let mut cands: Vec<(&Arc<StreamFeatures>, usize)> = Vec::new();
         for e in band {
             tally.dur_band_candidates += 1;
             let Some(sf) = features.stream(e.stream) else {
@@ -791,41 +687,53 @@ impl Matcher {
             invariants::band_candidate_admissible(
                 e, sf, start, n, q_amp_sum, amp_band, q_duration, dur_band,
             );
-            if engine.batch_for(sf).is_some() {
-                deferred.push((sf, start));
-                continue;
+            if !engine.own_overlap(sf).contains(&start) {
+                cands.push((sf, start));
             }
-            let relation = engine.relation(&sf.meta);
-            let ws = self.params.ws(relation);
-            engine.score_window_at(sf, start, relation, ws, &mut scorer, &mut coll, &mut tally);
         }
         // Counting sort keyed on the (small, dense) stream id: at band
         // selectivities of a few thousand candidates, a comparison sort
         // costs as much as the exact scoring it enables, while this
         // grouping pass is ~10x cheaper. Within-stream order stays the
         // band's amplitude order, which is fine — lanes are independent.
-        if deferred.len() > 1 {
-            let max_id = deferred
+        if cands.len() > 1 {
+            let max_id = cands
                 .iter()
                 .map(|(sf, _)| sf.meta.id.0 as usize)
                 .max()
                 .unwrap_or(0);
             let mut slots = vec![0u32; max_id + 2];
-            for (sf, _) in &deferred {
+            for (sf, _) in &cands {
                 slots[sf.meta.id.0 as usize + 1] += 1;
             }
             for i in 1..slots.len() {
                 slots[i] += slots[i - 1];
             }
-            let mut grouped = vec![deferred[0]; deferred.len()];
-            for &(sf, start) in &deferred {
+            let mut grouped = vec![cands[0]; cands.len()];
+            for &(sf, start) in &cands {
                 let id = sf.meta.id.0 as usize;
                 grouped[slots[id] as usize] = (sf, start);
                 slots[id] += 1;
             }
-            deferred = grouped;
+            cands = grouped;
         }
-        engine.score_deferred_exact(&deferred, &mut coll, &mut tally);
+        // Band survivors are already plausible matches, so the f32
+        // prefilter mostly fails to prune them and would only add its own
+        // cost to the exact scoring it cannot avoid: they skip it.
+        let mut scratch = Scratch::default();
+        let mut starts: Vec<usize> = Vec::new();
+        for run in cands.chunk_by(|a, b| a.0.meta.id == b.0.meta.id) {
+            starts.clear();
+            starts.extend(run.iter().map(|&(_, start)| start));
+            engine.score_run(
+                run[0].0,
+                &starts,
+                false,
+                &mut scratch,
+                &mut coll,
+                &mut tally,
+            );
+        }
         self.conclude(coll, &tally, options)
     }
 

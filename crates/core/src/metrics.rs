@@ -323,8 +323,8 @@ pub struct SearchTally {
     pub dur_band_candidates: u64,
     /// Lane groups the batched kernel scored (≥ 1 state-matched lane).
     pub batch_groups_scored: u64,
-    /// Lanes the f32 tier pruned (each also counts as a scored+abandoned
-    /// window, so the scalar balance equation still holds).
+    /// Lanes the f32 prefilter pruned (each also counts as a
+    /// scored+abandoned window, so the balance equation still holds).
     pub batch_lanes_abandoned: u64,
     /// f32-tier survivors handed to the exact f64 rescan.
     pub f32_prune_rescans: u64,

@@ -34,6 +34,12 @@
 //!
 //! The *offline* variant ([`offline_distance`]) sets every `wi` to 1 —
 //! with no "current time" there is no recency to prefer (Section 5).
+//!
+//! [`online_distance`] is the oracle. The matcher scores windows through
+//! [`QueryCols`] and one exact columnar scorer,
+//! [`BatchScorer::rescore_exact`](crate::batch::BatchScorer::rescore_exact),
+//! which computes each term with this module's expression and returns
+//! bit-identical distances.
 
 use crate::params::Params;
 use tsm_db::SourceRelation;
@@ -141,8 +147,8 @@ pub(crate) const ABANDON_MARGIN: f64 = 1.0 + 1e-9;
 ///
 /// `wsum` is accumulated in the same forward order as the naive
 /// [`online_distance`] loop, so distances computed through
-/// [`WindowScorer::score_window`] are bit-identical to the vertex-walking
-/// path.
+/// [`BatchScorer::rescore_exact`](crate::batch::BatchScorer::rescore_exact)
+/// are bit-identical to the vertex-walking path.
 #[derive(Debug, Clone)]
 pub struct QueryCols {
     /// Per-segment breathing state, as canonical indices.
@@ -204,144 +210,6 @@ impl QueryCols {
     }
 }
 
-/// The candidate side of one columnar scoring call: flat slices covering
-/// exactly the window's segments (borrowed from a
-/// [`tsm_db::StreamFeatures`] column set).
-#[derive(Debug, Clone, Copy)]
-pub struct WindowCols<'a> {
-    /// Per-segment breathing state indices.
-    pub states: &'a [u8],
-    /// Signed per-segment displacement along the classification axis.
-    pub disp: &'a [f64],
-    /// Per-segment spatial displacement vectors.
-    pub dvec: &'a [Position],
-    /// Per-segment durations.
-    pub dur: &'a [f64],
-}
-
-/// A reusable early-abandoning window scorer.
-///
-/// [`WindowScorer::score_window`] visits segments most-recent-first
-/// (highest `wi`, largest expected contribution) accumulating the weighted
-/// numerator, and bails as soon as the partial sum provably exceeds the
-/// caller's bound — typically `min(δ, current k-th best distance)`.
-/// Surviving windows are re-summed in canonical forward order from the
-/// buffered terms, so returned distances are **bit-identical** to
-/// [`online_distance`] (property-tested in `tests/matcher_properties.rs`).
-#[derive(Debug, Default)]
-pub struct WindowScorer {
-    terms: Vec<f64>,
-}
-
-/// How one candidate window fared against the scorer — instrumentation
-/// needs the `None` of [`WindowScorer::score_window`] split into its two
-/// causes so `windows_scored == abandoned + completed` reconciles.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ScoreOutcome {
-    /// State orders differ; the window was never scored.
-    StateMismatch,
-    /// Scoring started but the partial sum proved the distance exceeds
-    /// the bound (early abandon).
-    Abandoned,
-    /// The exact online distance (which may still marginally exceed the
-    /// bound — callers re-check against δ).
-    Scored(f64),
-}
-
-impl WindowScorer {
-    /// A scorer with an empty scratch buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Scores one candidate window against the query columns.
-    ///
-    /// Returns `None` when the state orders differ, or when the partial
-    /// numerator proves the distance exceeds `bound` (early abandon);
-    /// otherwise the exact online distance, which may still exceed `bound`
-    /// marginally — callers must re-check against δ.
-    pub fn score_window(
-        &mut self,
-        query: &QueryCols,
-        cand: WindowCols<'_>,
-        params: &Params,
-        ws: f64,
-        bound: f64,
-    ) -> Option<f64> {
-        match self.score_window_outcome(query, cand, params, ws, bound) {
-            ScoreOutcome::Scored(d) => Some(d),
-            ScoreOutcome::StateMismatch | ScoreOutcome::Abandoned => None,
-        }
-    }
-
-    /// Like [`WindowScorer::score_window`] but distinguishes the two
-    /// rejection causes (for the metrics layer).
-    pub fn score_window_outcome(
-        &mut self,
-        query: &QueryCols,
-        cand: WindowCols<'_>,
-        params: &Params,
-        ws: f64,
-        bound: f64,
-    ) -> ScoreOutcome {
-        if cand.states != query.states.as_slice() {
-            return ScoreOutcome::StateMismatch;
-        }
-        let n = query.states.len();
-        debug_assert!(cand.disp.len() == n && cand.dur.len() == n && cand.dvec.len() == n);
-        let denom = query.wsum * ws;
-        let limit = bound * denom * ABANDON_MARGIN;
-        self.terms.clear();
-        self.terms.resize(n, 0.0);
-        let mut partial = 0.0f64;
-        match params.amplitude_metric {
-            crate::params::AmplitudeMetric::Axis => {
-                for i in (0..n).rev() {
-                    let amp_diff = (query.disp[i] - cand.disp[i]).abs();
-                    let freq_diff = (query.dur[i] - cand.dur[i]).abs();
-                    let term = query.wi[i] * (params.wa * amp_diff + params.wf * freq_diff);
-                    self.terms[i] = term;
-                    partial += term;
-                    if partial > limit {
-                        return ScoreOutcome::Abandoned;
-                    }
-                }
-            }
-            crate::params::AmplitudeMetric::Spatial => {
-                for i in (0..n).rev() {
-                    let amp_diff = (query.dvec[i] - cand.dvec[i]).norm();
-                    let freq_diff = (query.dur[i] - cand.dur[i]).abs();
-                    let term = query.wi[i] * (params.wa * amp_diff + params.wf * freq_diff);
-                    self.terms[i] = term;
-                    partial += term;
-                    if partial > limit {
-                        return ScoreOutcome::Abandoned;
-                    }
-                }
-            }
-        }
-        // Re-sum in canonical forward order: each buffered term was
-        // computed with the exact expression of the naive loop, so this
-        // reproduces `online_distance` bit for bit.
-        let mut num = 0.0f64;
-        for &t in &self.terms[..n] {
-            num += t;
-        }
-        ScoreOutcome::Scored(num / denom)
-    }
-}
-
-/// Definition 2's acceptance test: same state order *and* distance within
-/// δ.
-pub fn is_similar(
-    query: &[Vertex],
-    candidate: &[Vertex],
-    params: &Params,
-    relation: SourceRelation,
-) -> bool {
-    matches!(online_distance(query, candidate, params, relation), Some(d) if d <= params.delta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,7 +230,7 @@ mod tests {
         let a = cycle(0.0, 10.0, 4.0, 0.0);
         let d = online_distance(&a, &a, &p, SourceRelation::SameSession).unwrap();
         assert_eq!(d, 0.0);
-        assert!(is_similar(&a, &a, &p, SourceRelation::SameSession));
+        assert!(d <= p.delta, "an identical window must be similar");
     }
 
     #[test]
@@ -505,86 +373,6 @@ mod tests {
         let da = online_distance(&a, &c, &axis_params, SourceRelation::SameSession).unwrap();
         let ds = online_distance(&a, &c, &spatial_params, SourceRelation::SameSession).unwrap();
         assert!((da - ds).abs() < 1e-12);
-    }
-
-    fn window_cols(vertices: &[Vertex], params: &Params) -> QueryCols {
-        QueryCols::build(vertices, params).unwrap()
-    }
-
-    #[test]
-    fn columnar_score_is_bit_identical_to_online_distance() {
-        for params in [
-            Params::default(),
-            Params {
-                amplitude_metric: crate::params::AmplitudeMetric::Spatial,
-                ..Params::default()
-            },
-        ] {
-            let q = cycle(0.0, 10.0, 4.0, 0.0);
-            let c = cycle(3.0, 11.5, 4.4, 1.0);
-            let qc = window_cols(&q, &params);
-            let cc = window_cols(&c, &params);
-            let mut scorer = WindowScorer::new();
-            for relation in [
-                SourceRelation::SameSession,
-                SourceRelation::SamePatient,
-                SourceRelation::OtherPatient,
-            ] {
-                let naive = online_distance(&q, &c, &params, relation).unwrap();
-                let ws = params.ws(relation);
-                let cand = WindowCols {
-                    states: &cc.states,
-                    disp: &cc.disp,
-                    dvec: &cc.dvec,
-                    dur: &cc.dur,
-                };
-                let columnar = scorer
-                    .score_window(&qc, cand, &params, ws, f64::INFINITY)
-                    .unwrap();
-                assert_eq!(naive.to_bits(), columnar.to_bits(), "{relation:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn columnar_score_gates_state_order_and_abandons() {
-        let params = Params::default();
-        let q = cycle(0.0, 10.0, 4.0, 0.0);
-        let qc = window_cols(&q, &params);
-        let mut scorer = WindowScorer::new();
-        // Different state order: gated.
-        let mut other = cycle(0.0, 10.0, 4.0, 0.0);
-        other[1].state = Irregular;
-        let oc = window_cols(&other, &params);
-        let cand = WindowCols {
-            states: &oc.states,
-            disp: &oc.disp,
-            dvec: &oc.dvec,
-            dur: &oc.dur,
-        };
-        assert_eq!(
-            scorer.score_window(&qc, cand, &params, 1.0, f64::INFINITY),
-            None
-        );
-        // A far candidate is abandoned under a tight bound but scored
-        // exactly under a loose one.
-        let far = cycle(0.0, 40.0, 4.0, 0.0);
-        let fc = window_cols(&far, &params);
-        let cand = WindowCols {
-            states: &fc.states,
-            disp: &fc.disp,
-            dvec: &fc.dvec,
-            dur: &fc.dur,
-        };
-        assert_eq!(scorer.score_window(&qc, cand, &params, 1.0, 0.5), None);
-        let exact = scorer
-            .score_window(&qc, cand, &params, 1.0, f64::INFINITY)
-            .unwrap();
-        let naive = online_distance(&q, &far, &params, SourceRelation::SameSession).unwrap();
-        assert_eq!(exact.to_bits(), naive.to_bits());
-        // A bound exactly at the distance must NOT abandon (ties score).
-        let at_bound = scorer.score_window(&qc, cand, &params, 1.0, exact);
-        assert_eq!(at_bound, Some(exact));
     }
 
     #[test]

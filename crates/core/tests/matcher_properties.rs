@@ -8,7 +8,7 @@ use tsm_core::params::AmplitudeMetric;
 use tsm_core::predict::{predict_position, AlignMode};
 use tsm_core::{CachedMatcher, Params};
 use tsm_db::{PatientAttributes, StreamStore, SubseqRef};
-use tsm_model::{segment_signal, PlrTrajectory, SegmenterConfig, MAX_SIGNATURE_LEN};
+use tsm_model::{segment_signal, PlrTrajectory, Position, SegmenterConfig, MAX_SIGNATURE_LEN};
 use tsm_signal::{BreathingParams, SignalGenerator};
 
 /// Builds a small store of 2 patients × 2 one-dimensional 60 s streams
@@ -170,9 +170,10 @@ proptest! {
         prop_assert_eq!(&unbounded[..naive.len().min(unbounded.len())], &naive[..]);
     }
 
-    /// The plans with no f32 tier in them equal the oracle too: the
-    /// spatial amplitude metric, which every window scores with the
-    /// scalar scorer, and queries longer than `MAX_SIGNATURE_LEN`
+    /// The plans off the axis metric's common path equal the oracle too:
+    /// the spatial amplitude metric, whose queries build no f32 prefilter
+    /// and whose windows the exact rescore scores by their spatial
+    /// displacement, and queries longer than `MAX_SIGNATURE_LEN`
     /// segments, which `CachedMatcher` sends to the scan. Runs on 3-D
     /// streams long enough for such queries.
     #[test]
@@ -245,16 +246,15 @@ proptest! {
         }
     }
 
-    /// The batched tier is invisible in results. A query cut from a
-    /// stored stream scores its own stream with the scalar scorer (the
-    /// overlap exclusion needs it) and every other stream through the
-    /// batched tier; the same vertices detached from their stream send
-    /// every stream, their own included, through the batched tier. Both
-    /// equal the naive oracle on both plans, and on the windows the two
-    /// queries share — all but those overlapping the query's span — the
-    /// scalar and batched scorers return bit-identical distances.
+    /// The own-stream overlap rule is the only difference a query's
+    /// origin stream makes. A query cut from a stored stream drops the
+    /// windows of that stream overlapping its span before they are gated
+    /// or scored; the same vertices detached from their stream score
+    /// every window. Both equal the naive oracle on both plans, and the
+    /// own-stream query's results are exactly the detached query's minus
+    /// the overlapping windows, with bit-identical distances.
     #[test]
-    fn batched_scoring_is_bit_identical_to_scalar(
+    fn own_stream_query_equals_detached_minus_overlap(
         amp in 6.0f64..18.0,
         seed in 1u64..500,
         start in 0usize..8,
@@ -290,8 +290,8 @@ proptest! {
             ..Default::default()
         };
         let (q_first, q_last) = (view.first_vertex().time, view.last_vertex().time);
-        let scalar_own = matcher.find_matches_with(&own, &all);
-        let batched_own: Vec<_> = matcher
+        let own_results = matcher.find_matches_with(&own, &all);
+        let detached_minus_overlap: Vec<_> = matcher
             .find_matches_with(&detached, &all)
             .into_iter()
             .filter(|m| {
@@ -300,14 +300,70 @@ proptest! {
                 m.subseq.stream != id || !overlaps
             })
             .collect();
-        prop_assert_eq!(&scalar_own, &batched_own);
+        prop_assert_eq!(&own_results, &detached_minus_overlap);
+    }
+
+    /// A stream whose f32 mirror is not finite skips the f32 prefilter:
+    /// the exact rescore scores its gated windows. The store gains a copy
+    /// of the query's stream, as another session of the same patient,
+    /// with its last vertex moved to 1e39 mm, so the last segment's
+    /// displacement exceeds `f32::MAX`. The windows before that segment
+    /// still match the query, the ones across it score astronomically far,
+    /// and both plans equal the oracle, with and without top-k.
+    #[test]
+    fn non_finite_mirror_streams_equal_the_oracle(
+        amp in 6.0f64..18.0,
+        seed in 1u64..500,
+        start in 0usize..8,
+        len in 3usize..12,
+        k in 1usize..12,
+        delta in 0.3f64..10.0,
+    ) {
+        let (store, id) = build_store(amp, 4.0, seed);
+        let source = store.stream(id).unwrap();
+        let mut vertices = source.plr.vertices().to_vec();
+        let last = vertices.len() - 1;
+        vertices[last].position = Position::new_1d(1e39);
+        let copy = store.add_stream(
+            source.meta.patient,
+            source.meta.session + 1,
+            PlrTrajectory::from_vertices(vertices).unwrap(),
+            source.raw_len,
+        );
+        let params = Params::default();
+        let features = store.segment_features(params.axis);
+        prop_assert!(!features.stream(copy).unwrap().mirror32.finite);
+        prop_assert!(features.stream(id).unwrap().mirror32.finite);
+        let matcher = Matcher::new(store.clone(), params);
+        let cached = CachedMatcher::new(matcher.clone());
+        let Some(view) = store.resolve(SubseqRef::new(id, start, len)) else {
+            return Ok(());
+        };
+        let query = QuerySubseq::from_view(&view);
+        for top_k in [Some(k), None] {
+            let opts = SearchOptions {
+                top_k,
+                delta_override: Some(delta),
+                ..Default::default()
+            };
+            let naive = matcher.find_matches_naive(&query, &opts);
+            prop_assert_eq!(&naive, &matcher.find_matches_with(&query, &opts));
+            prop_assert_eq!(&naive, &cached.find_matches(&query, &opts));
+            // The copy of the query's own window lies before the moved
+            // vertex and matches at distance 0.
+            if top_k.is_none() {
+                prop_assert!(naive
+                    .iter()
+                    .any(|m| m.subseq == SubseqRef::new(copy, start, len) && m.distance == 0.0));
+            }
+        }
     }
 
     /// Direct admissibility of the f32 lower-bound tier on random
     /// streams: every start `collect_survivors` prunes at bound `b` has
-    /// exact f64 distance strictly greater than `b` (verified against the
-    /// exact scalar scorer), and pruned plus survivors account for every
-    /// gate-passing start.
+    /// an oracle distance (`online_distance` at ws = 1) strictly greater
+    /// than `b`, and pruned plus survivors account for every gate-passing
+    /// start.
     #[test]
     fn f32_tier_never_prunes_an_admissible_window(
         amp in 6.0f64..18.0,
@@ -317,7 +373,8 @@ proptest! {
         bound in 0.05f64..6.0,
     ) {
         use tsm_core::batch::{BatchQuery, BatchScorer};
-        use tsm_core::similarity::{QueryCols, ScoreOutcome, WindowCols, WindowScorer};
+        use tsm_core::similarity::{online_distance, QueryCols};
+        use tsm_db::SourceRelation;
 
         let (store, id) = build_store(amp, 4.0, seed);
         let params = Params::default();
@@ -333,7 +390,6 @@ proptest! {
             return Ok(());
         };
         let mut kernel = BatchScorer::new();
-        let mut exact = WindowScorer::new();
         let mut survivors = Vec::new();
         let features = store.segment_features(params.axis);
         for sf in features.streams() {
@@ -342,7 +398,7 @@ proptest! {
             }
             let total = sf.num_segments() - n + 1;
             let matched: Vec<usize> = {
-                let mask = kernel.match_mask(&bq, sf);
+                let mask = kernel.match_mask(&cols.states, sf);
                 prop_assert_eq!(mask.len(), total);
                 for (j, &m) in mask.iter().enumerate() {
                     prop_assert_eq!(
@@ -362,19 +418,11 @@ proptest! {
             let pruned = kernel.collect_survivors(&bq, sf, &matched, limit, &mut survivors);
             prop_assert_eq!(pruned as usize + survivors.len(), matched.len());
             for &w in matched.iter().filter(|w| !survivors.contains(w)) {
-                let cand = WindowCols {
-                    states: &sf.states[w..w + n],
-                    disp: &sf.disp[w..w + n],
-                    dvec: &sf.dvec[w..w + n],
-                    dur: &sf.dur[w..w + n],
-                };
-                let refutable = match exact.score_window_outcome(
-                    &cols, cand, &params, 1.0, bound,
-                ) {
-                    ScoreOutcome::Scored(d) => d > bound,
-                    ScoreOutcome::Abandoned => true,
-                    ScoreOutcome::StateMismatch => false,
-                };
+                let cand = store.resolve(SubseqRef::new(sf.meta.id, w, n)).unwrap();
+                let exact = online_distance(
+                    &query.vertices, cand.vertices(), &params, SourceRelation::SameSession,
+                );
+                let refutable = exact.is_some_and(|d| d > bound);
                 prop_assert!(
                     refutable,
                     "inadmissible f32 prune: stream {:?} start {} bound {}",

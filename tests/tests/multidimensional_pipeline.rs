@@ -90,9 +90,10 @@ fn spatial_and_axis_metrics_agree_on_sign_but_differ_in_value() {
     assert!(ms.len() <= ma.len());
 }
 
-/// Under the spatial metric no window can batch, so the scan and the
-/// cached pruned plan score every window with the scalar scorer. Both
-/// must still equal the naive oracle bit for bit.
+/// Under the spatial metric the query builds no f32 prefilter, so the
+/// scan and the cached pruned plan score every gated window with the
+/// exact rescore's spatial term. Both must still equal the naive oracle
+/// bit for bit.
 #[test]
 fn spatial_metric_plans_equal_the_oracle() {
     let b = bundle();
