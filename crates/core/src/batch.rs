@@ -16,8 +16,9 @@
 //!   abandoning lifted to the *lane group*: the accumulation loop exits
 //!   only when **every** lane's partial sum proves its distance exceeds
 //!   the caller's bound;
-//! * [`BatchScorer::rescore_exact`] is the one exact scorer: it scores up
-//!   to eight windows in f64 with the exact operation sequence of
+//! * [`BatchScorer::rescore_exact`] is the one exact scorer: one forward
+//!   pass sums up to eight windows' numerators in f64 with the exact
+//!   operation sequence of
 //!   [`online_distance`](crate::similarity::online_distance), so final
 //!   distances are bit-identical to the oracle's. Survivors of the
 //!   prefilter and the pruned plan's band survivors both end here.
@@ -260,9 +261,6 @@ pub struct BatchScorer {
     /// Per-window-start gate verdicts for the stream most recently passed
     /// to [`BatchScorer::match_mask`] (`0` = states match the query).
     mask: Vec<u8>,
-    /// Lane-major f64 term buffer for [`BatchScorer::rescore_exact`]
-    /// (entry `[i][l]` holds term `i` of lane `l`).
-    terms64: Vec<[f64; LANES]>,
 }
 
 impl BatchScorer {
@@ -368,18 +366,18 @@ impl BatchScorer {
     /// Exact f64 scoring of up to eight gate-passing windows of one
     /// stream in one pass.
     ///
-    /// Each lane computes every term with the expression of
+    /// Each lane sums its numerator in the forward order of
     /// [`online_distance`](crate::similarity::online_distance)'s loop,
-    /// accumulating them newest-first (highest `wi`, largest expected
-    /// contribution) into a per-lane partial that abandons the lane once
-    /// it exceeds `bound · Σwi · ws · ABANDON_MARGIN`. A lane that never
-    /// abandons re-sums its buffered terms in canonical forward order, so
-    /// `Scored` distances are bit-identical to the oracle's; a bound
-    /// equal to a window's distance never abandons it. Abandonment is
-    /// tracked by flag rather than early return: a lane abandons iff
-    /// *some* running prefix exceeds the limit, which is exactly what the
-    /// flag records. Batching amortizes the per-window call,
-    /// bounds-check and scratch-reset overhead across the group.
+    /// term by term with the same expression, so a `Scored` distance is
+    /// bit-identical to the oracle's. The lanes advance together, one
+    /// query segment at a time, so their additions are independent. A
+    /// lane is `Abandoned` when its numerator exceeds
+    /// `bound · Σwi · ws · ABANDON_MARGIN`; the margin covers the rounding
+    /// of that product and of the division, so a bound equal to a
+    /// window's distance never abandons it. There is no early exit: the
+    /// partial sums of non-negative terms never decrease, so "some prefix
+    /// exceeds the limit" and "the numerator exceeds it" are the same
+    /// test, and a mid-loop check would only add branches.
     ///
     /// Callers must have state-gated the windows already (the mask pass
     /// or an index keyed by state signature does).
@@ -405,68 +403,53 @@ impl BatchScorer {
         }
         let denom = cols.wsum * ws;
         let limit = bound * denom * crate::similarity::ABANDON_MARGIN;
-        self.terms64.clear();
-        self.terms64.resize(n, [0.0; LANES]);
-        // The metric is matched here, outside the loops, so each metric
+        // The metric is matched here, outside the loop, so each metric
         // gets its own straight term loop.
-        let abandoned = match params.amplitude_metric {
+        let num = match params.amplitude_metric {
             AmplitudeMetric::Axis => {
                 let amp = (&cols.disp[..], &sf.disp[..], |q: f64, c: f64| (q - c).abs());
-                self.exact_terms(cols, params, sf, starts, limit, amp)
+                Self::exact_numerators(cols, params, sf, starts, amp)
             }
             AmplitudeMetric::Spatial => {
                 let amp = (&cols.dvec[..], &sf.dvec[..], |q: Position, c| {
                     (q - c).norm()
                 });
-                self.exact_terms(cols, params, sf, starts, limit, amp)
+                Self::exact_numerators(cols, params, sf, starts, amp)
             }
         };
         let mut out = [RescanOutcome::Inactive; LANES];
-        for (l, o) in out.iter_mut().enumerate().take(starts.len()) {
-            *o = if abandoned[l] {
+        for (o, &x) in out.iter_mut().zip(&num).take(starts.len()) {
+            *o = if x > limit {
                 RescanOutcome::Abandoned
             } else {
-                let mut num = 0.0f64;
-                for row in self.terms64.iter() {
-                    num += row[l];
-                }
-                RescanOutcome::Scored(num / denom)
+                RescanOutcome::Scored(x / denom)
             };
         }
         out
     }
 
-    /// The term loop of [`BatchScorer::rescore_exact`], newest segment
-    /// first. `amp` holds the query's and the stream's amplitude columns
-    /// and the metric's difference of two entries. Fills `terms64` and
-    /// returns which lanes abandoned.
+    /// The term loop of [`BatchScorer::rescore_exact`]: each lane's
+    /// numerator, summed forward from zero. `amp` holds the query's and
+    /// the stream's amplitude columns and the metric's difference of two
+    /// entries.
     #[inline(always)]
-    fn exact_terms<A: Copy>(
-        &mut self,
+    fn exact_numerators<A: Copy>(
         cols: &QueryCols,
         params: &Params,
         sf: &StreamFeatures,
         starts: &[usize],
-        limit: f64,
         (q_amp, c_amp, amp_diff): (&[A], &[A], impl Fn(A, A) -> f64),
-    ) -> [bool; LANES] {
-        let mut partial = [0.0f64; LANES];
-        let mut abandoned = [false; LANES];
-        for i in (0..cols.states.len()).rev() {
-            let qa = q_amp[i];
-            let qt = cols.dur[i];
-            let wi = cols.wi[i];
-            let row = &mut self.terms64[i];
-            for (l, &s) in starts.iter().enumerate() {
+    ) -> [f64; LANES] {
+        let mut num = [0.0f64; LANES];
+        let query = q_amp.iter().zip(&cols.dur).zip(&cols.wi);
+        for (i, ((&qa, &qt), &wi)) in query.enumerate() {
+            for (acc, &s) in num.iter_mut().zip(starts) {
                 let j = s + i;
                 let freq_diff = (qt - sf.dur[j]).abs();
-                let term = wi * (params.wa * amp_diff(qa, c_amp[j]) + params.wf * freq_diff);
-                row[l] = term;
-                partial[l] += term;
-                abandoned[l] |= partial[l] > limit;
+                *acc += wi * (params.wa * amp_diff(qa, c_amp[j]) + params.wf * freq_diff);
             }
         }
-        abandoned
+        num
     }
 
     /// Accumulation in two phases over the query positions:

@@ -5,15 +5,16 @@
 //! nothing in release — the hot paths pay zero cost in production while
 //! the whole test suite continuously re-proves the contracts:
 //!
-//! * **Prefix-sum monotonicity** — the `abs_disp_prefix` / `dur_prefix`
-//!   columns of a [`StreamFeatures`] are non-decreasing and exactly one
-//!   entry longer than the segment count, which is what makes
-//!   `amp_sum`/`window_duration` single-subtraction lookups sound.
-//! * **Band-bound admissibility** — every candidate the
-//!   [`tsm_db::FeatureIndex`] yields from a banded lookup actually lies
-//!   inside the requested amplitude and duration bands, and its stored
-//!   summaries agree with the prefix sums it was built from. A violation
-//!   here means the pruning lower bound is unsound (false dismissals).
+//! * **Prefix-sum monotonicity** — the `dur_prefix` column of a
+//!   [`StreamFeatures`] is non-decreasing and exactly one entry longer
+//!   than the segment count, which is what makes `window_duration` a
+//!   single-subtraction lookup.
+//! * **Band-bound admissibility** — every candidate the pruned plan keeps
+//!   from a [`tsm_db::FeatureIndex`] lookup lies inside its source tier's
+//!   amplitude and duration bands, and its stored summaries equal the
+//!   direct sums over the feature snapshot it is about to be scored
+//!   from. A violation here means the pruning lower bound is unsound
+//!   (false dismissals).
 //! * **Bounded collection** — a top-k [`matcher`](crate::matcher)
 //!   collector never holds more than `k` results.
 //! * **Strict result order** — a search's finished results are strictly
@@ -33,16 +34,10 @@
 //! are only called where those values are in scope anyway; the
 //! `debug_assert!` inside guarantees release builds do no work.
 
-use crate::matcher::{cmp_results, MatchResult};
+use crate::matcher::{cmp_results, Band, MatchResult};
 use crate::metrics::SearchTally;
 use std::cmp::Ordering;
 use tsm_db::{FeatureEntry, SegmentFeatures, StreamFeatures};
-
-/// Absolute slack for comparisons between independently recomputed
-/// floating-point summaries (two evaluations of the same prefix-sum
-/// subtraction are bitwise equal; the slack only covers callers that
-/// recompute a summary by direct summation).
-pub const FLOAT_SLACK: f64 = 1e-9;
 
 /// A bounded collector holds at most `k` entries (`cap = Some(k)`).
 #[inline]
@@ -65,30 +60,25 @@ pub fn results_strictly_ordered(results: &[MatchResult]) {
     );
 }
 
-/// The prefix-sum columns of one stream are well-formed: one entry longer
-/// than the segment count, starting at zero, and non-decreasing (both
-/// `|disp|` and duration are non-negative, so their running sums must be
-/// monotone). Sound prefix sums are what make `amp_sum` and
-/// `window_duration` O(1) lookups exact.
+/// The duration prefix sums of one stream are well-formed: one entry
+/// longer than the segment count, starting at zero, and non-decreasing
+/// (durations are non-negative, so their running sum must be monotone).
+/// Sound prefix sums are what make `window_duration` an O(1) lookup.
 #[inline]
 pub fn prefix_sums_monotone(sf: &StreamFeatures) {
     debug_assert!(
         prefix_sums_monotone_impl(sf),
-        "malformed prefix sums for stream {:?}: {} segments, {} amp entries, {} dur entries",
+        "malformed prefix sums for stream {:?}: {} segments, {} dur entries",
         sf.meta.id,
         sf.num_segments(),
-        sf.abs_disp_prefix.len(),
         sf.dur_prefix.len(),
     );
 }
 
 fn prefix_sums_monotone_impl(sf: &StreamFeatures) -> bool {
     let n = sf.num_segments();
-    sf.abs_disp_prefix.len() == n + 1
-        && sf.dur_prefix.len() == n + 1
-        && sf.abs_disp_prefix.first() == Some(&0.0)
+    sf.dur_prefix.len() == n + 1
         && sf.dur_prefix.first() == Some(&0.0)
-        && sf.abs_disp_prefix.windows(2).all(|w| w[0] <= w[1])
         && sf.dur_prefix.windows(2).all(|w| w[0] <= w[1])
 }
 
@@ -108,44 +98,37 @@ pub fn features_snapshot_coherent(features: &SegmentFeatures) {
     let _ = features;
 }
 
-/// A banded index lookup only yields admissible candidates: the entry's
-/// stored summaries lie inside the requested amplitude and duration bands,
-/// and agree with the prefix sums of the (possibly newer) feature snapshot
-/// the candidate is about to be scored from. `start`/`len` locate the
-/// window inside `sf`.
+/// A band survivor is admissible: the entry's stored summaries lie inside
+/// its source tier's `band`, and equal the direct sums over the window in
+/// the (possibly newer) feature snapshot it is about to be scored from —
+/// the forward `Σ|disp|` the query side uses, and the window's end time
+/// minus its start time.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn band_candidate_admissible(
+pub(crate) fn band_candidate_admissible(
     entry: &FeatureEntry,
-    sf: &StreamFeatures,
-    start: usize,
-    len: usize,
-    q_amp_sum: f64,
-    amp_band: f64,
-    q_duration: f64,
-    dur_band: f64,
+    features: &SegmentFeatures,
+    band: &Band,
 ) {
     debug_assert!(
-        (entry.amp_sum - q_amp_sum).abs() <= amp_band
-            && (entry.duration - q_duration).abs() <= dur_band,
-        "inadmissible band candidate {:?}: amp {} vs query {} (band {}), dur {} vs query {} (band {})",
+        band.amp_contains(entry.amp_sum) && band.dur_contains(entry.duration),
+        "inadmissible band candidate {:?}: amp {} outside {:?}, dur {} outside {:?}",
         entry.subseq,
         entry.amp_sum,
-        q_amp_sum,
-        amp_band,
+        band.amp,
         entry.duration,
-        q_duration,
-        dur_band,
+        band.dur,
     );
     debug_assert!(
-        (entry.amp_sum - sf.amp_sum(start, len)).abs() <= FLOAT_SLACK
-            && (entry.duration - sf.window_duration(start, len)).abs() <= FLOAT_SLACK,
-        "index entry {:?} disagrees with feature snapshot: amp {} vs {}, dur {} vs {}",
+        features.stream(entry.stream).is_some_and(|sf| {
+            let (start, len) = (entry.subseq.start as usize, entry.subseq.len as usize);
+            start + len <= sf.num_segments()
+                && entry.amp_sum.to_bits() == sf.amp_sum(start, len).to_bits()
+                && entry.duration.to_bits() == (sf.times[start + len] - sf.times[start]).to_bits()
+        }),
+        "index entry {:?} (amp {}, dur {}) disagrees with the feature snapshot",
         entry.subseq,
         entry.amp_sum,
-        sf.amp_sum(start, len),
         entry.duration,
-        sf.window_duration(start, len),
     );
 }
 
@@ -272,7 +255,7 @@ mod tests {
         store.add_stream(p, 0, plr, 20);
         let features = store.segment_features(0);
         let mut broken = (**features.streams().first().unwrap()).clone();
-        broken.abs_disp_prefix[1] = -1.0; // running sum of |disp| can never dip
+        broken.dur_prefix[1] = -1.0; // running sum of durations can never dip
         prefix_sums_monotone(&broken);
     }
 }

@@ -9,7 +9,8 @@
 //! * the **scan** ([`Matcher::find_matches_with`]) visits every window of
 //!   every stream, gated by [`BatchScorer::match_mask`];
 //! * the **pruned** plan visits only the windows a [`FeatureIndex`] keeps
-//!   inside its amplitude and duration bands. Only
+//!   inside the amplitude and duration bands of their own source tier
+//!   (the bands scale with the tier's weight `ws`). Only
 //!   [`crate::index_cache::CachedMatcher::find_matches`] runs it, with the
 //!   index of the query's length from its cache.
 //!
@@ -29,7 +30,9 @@
 //! scan visits windows in ascending `(stream, start)` order, this matches
 //! what the historical stable sort by distance produced, while giving the
 //! pruned plan (which visits candidates in band order) a deterministic
-//! tie-break.
+//! tie-break. A search without a top-k cap collects each result as one
+//! `u128` key that sorts in that order, sorts the keys once and builds
+//! each [`MatchResult`] from its key.
 
 use crate::batch::{BatchQuery, BatchScorer, RescanOutcome, LANES};
 use crate::invariants;
@@ -41,17 +44,16 @@ use std::collections::{BinaryHeap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
 use tsm_db::{
-    FeatureIndex, PatientId, SharedStore, SourceRelation, StreamFeatures, StreamId, StreamMeta,
-    StreamStore, SubseqRef, SubseqView,
+    abs_disp_sum, FeatureIndex, PatientId, SegmentFeatures, SharedStore, SourceRelation,
+    StreamFeatures, StreamId, StreamMeta, StreamStore, SubseqRef, SubseqView,
 };
 use tsm_model::{state_signature, BreathState, Vertex};
 
-/// Safety factor on the lower-bound pruning bands: query-side summaries
-/// are forward f64 sums while candidate summaries come from prefix-sum
-/// subtractions, so the two can disagree by a few ULPs per term. Inflating
-/// the admissible band by 1e-9 (relative) guarantees no true match is ever
-/// pruned (n ≤ 60 terms keeps the real discrepancy orders of magnitude
-/// smaller).
+/// Safety factor on the half-width of the lower-bound pruning bands. A
+/// window's f64 numerator and the band's own arithmetic round relative to
+/// `δ · Σwi · ws` by a few ULPs per term; a 1e-9 relative margin covers
+/// that for n ≤ 60 terms. The rounding of the summaries themselves is
+/// relative to their magnitude instead, and [`summary_range`] covers it.
 const BAND_MARGIN: f64 = 1.0 + 1e-9;
 
 /// A query subsequence, detached from the store (online queries come from
@@ -148,6 +150,37 @@ pub(crate) fn cmp_results(a: &MatchResult, b: &MatchResult) -> Ordering {
         .then_with(|| a.subseq.start.cmp(&b.subseq.start))
 }
 
+/// The packed sort key of a result: the distance's [`f64::total_cmp`]
+/// order bits, then the stream, then the start. Unsigned order on keys is
+/// exactly [`cmp_results`]' order, and [`unpack_key`] gives the three
+/// fields back bit for bit.
+pub(crate) fn pack_key(distance: f64, stream: StreamId, start: u32) -> u128 {
+    let bits = distance.to_bits();
+    // Negative values flip every bit (larger magnitudes sort first); the
+    // rest set the sign bit, which puts them above every negative value.
+    let order = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    u128::from(order) << 64 | u128::from(stream.0) << 32 | u128::from(start)
+}
+
+/// The `(distance, stream, start)` a [`pack_key`] key holds.
+pub(crate) fn unpack_key(key: u128) -> (f64, StreamId, u32) {
+    let order = (key >> 64) as u64;
+    let bits = if order >> 63 == 1 {
+        order & !(1 << 63)
+    } else {
+        !order
+    };
+    (
+        f64::from_bits(bits),
+        StreamId((key >> 32) as u32),
+        key as u32,
+    )
+}
+
 /// Heap adapter: max-heap by [`cmp_results`], so the *worst* retained
 /// result sits on top and is evicted first.
 #[derive(Debug)]
@@ -178,13 +211,13 @@ impl Ord for Ranked {
 /// window that provably cannot enter the heap. Ties at the bound are *not*
 /// abandoned (the scorer's margin guarantees that), so a later candidate
 /// with equal distance but better `(stream, start)` tie-break still gets
-/// compared exactly.
+/// compared exactly. Without a cap, each result is one [`pack_key`] key.
 #[derive(Debug)]
 struct Collector {
     delta: f64,
     cap: Option<usize>,
     heap: BinaryHeap<Ranked>,
-    all: Vec<MatchResult>,
+    keys: Vec<u128>,
 }
 
 impl Collector {
@@ -193,7 +226,7 @@ impl Collector {
             delta,
             cap,
             heap: BinaryHeap::new(),
-            all: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
@@ -212,19 +245,27 @@ impl Collector {
 
     /// Pre-reserves room for `n` more unbounded results (top-k capped
     /// collections size their heap by `k` already). Survivor counts give
-    /// the batched scan a per-stream upper bound, turning result-vector
+    /// the batched scan a per-stream upper bound, turning key-vector
     /// growth into a handful of amortized reservations.
     fn reserve(&mut self, n: usize) {
         if self.cap.is_none() {
-            self.all.reserve(n);
+            self.keys.reserve(n);
         }
     }
 
-    fn push(&mut self, m: MatchResult) {
+    fn push(&mut self, distance: f64, subseq: SubseqRef, ws: f64, relation: SourceRelation) {
         match self.cap {
-            None => self.all.push(m),
+            None => self
+                .keys
+                .push(pack_key(distance, subseq.stream, subseq.start)),
             Some(0) => {}
             Some(k) => {
+                let m = MatchResult {
+                    subseq,
+                    distance,
+                    ws,
+                    relation,
+                };
                 if self.heap.len() < k {
                     self.heap.push(Ranked(m));
                 } else if let Some(worst) = self.heap.peek() {
@@ -238,10 +279,37 @@ impl Collector {
         invariants::heap_bounded(self.heap.len(), self.cap);
     }
 
-    fn into_vec(self) -> Vec<MatchResult> {
-        let mut v = self.all;
-        v.extend(self.heap.into_iter().map(|r| r.0));
-        v
+    /// The results in [`cmp_results`] order. Uncapped keys are sorted
+    /// once and each result is built from its key, for windows of `n`
+    /// segments, with the source tier `relation_of` gives its stream.
+    fn into_results(
+        self,
+        n: usize,
+        params: &Params,
+        relation_of: impl Fn(StreamId) -> SourceRelation,
+    ) -> Vec<MatchResult> {
+        if self.cap.is_some() {
+            return self
+                .heap
+                .into_sorted_vec()
+                .into_iter()
+                .map(|r| r.0)
+                .collect();
+        }
+        let mut keys = self.keys;
+        keys.sort_unstable();
+        keys.into_iter()
+            .map(|key| {
+                let (distance, stream, start) = unpack_key(key);
+                let relation = relation_of(stream);
+                MatchResult {
+                    subseq: SubseqRef::new(stream, start as usize, n),
+                    distance,
+                    ws: params.ws(relation),
+                    relation,
+                }
+            })
+            .collect()
     }
 }
 
@@ -257,6 +325,44 @@ pub struct SearchOptions {
     pub top_k: Option<usize>,
     /// Override the distance threshold δ for this search.
     pub delta_override: Option<f64>,
+}
+
+/// A stream's standing in one search: its source tier and whether the
+/// patient restriction admits it.
+#[derive(Debug, Clone, Copy)]
+struct Tier {
+    relation: SourceRelation,
+    allowed: bool,
+}
+
+/// The summary bands of one source tier in a pruned search (see
+/// [`Matcher::find_matches_pruned`]): a window of that tier whose
+/// amplitude or duration summary lies outside them cannot be within δ.
+/// Each is a closed range of summary values.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Band {
+    pub(crate) amp: (f64, f64),
+    pub(crate) dur: (f64, f64),
+}
+
+impl Band {
+    pub(crate) fn amp_contains(&self, amp_sum: f64) -> bool {
+        self.amp.0 <= amp_sum && amp_sum <= self.amp.1
+    }
+
+    pub(crate) fn dur_contains(&self, duration: f64) -> bool {
+        self.dur.0 <= duration && duration <= self.dur.1
+    }
+}
+
+/// The summaries `x ≥ 0` that satisfy `|x − q| ≤ half + eps · (x + q)`:
+/// the band of half-width `half` around the query's summary `q`, widened
+/// by `eps` of both summaries' magnitudes to cover their rounding.
+fn summary_range(q: f64, half: f64, eps: f64) -> (f64, f64) {
+    (
+        (q * (1.0 - eps) - half) / (1.0 + eps),
+        (q * (1.0 + eps) + half) / (1.0 - eps),
+    )
 }
 
 /// One search's worth of immutable context: the query's columns, the
@@ -275,6 +381,9 @@ struct Engine<'a> {
     /// cannot be narrowed (spatial metric, non-finite f32 values, negative
     /// weights); the scan then scores every gated window exactly.
     batch: Option<BatchQuery>,
+    /// Every stream's [`Tier`], indexed by stream id, over the feature
+    /// snapshot the search runs on.
+    tiers: Vec<Tier>,
 }
 
 impl<'a> Engine<'a> {
@@ -282,13 +391,14 @@ impl<'a> Engine<'a> {
         matcher: &'a Matcher,
         query: &'a QuerySubseq,
         options: &'a SearchOptions,
+        features: &SegmentFeatures,
     ) -> Option<Self> {
         let cols = QueryCols::build(&query.vertices, &matcher.params)?;
         let n = cols.len();
         let q_first = query.vertices.first()?.time;
         let q_last = query.vertices.last()?.time;
         let batch = BatchQuery::build(&cols, &matcher.params);
-        Some(Engine {
+        let mut engine = Engine {
             params: &matcher.params,
             query,
             options,
@@ -298,7 +408,18 @@ impl<'a> Engine<'a> {
             q_first,
             q_last,
             batch,
-        })
+            tiers: Vec::new(),
+        };
+        let tiers = features
+            .streams()
+            .iter()
+            .map(|sf| Tier {
+                relation: engine.relation(&sf.meta),
+                allowed: engine.allows(sf.meta.patient),
+            })
+            .collect();
+        engine.tiers = tiers;
+        Some(engine)
     }
 
     fn collector(&self) -> Collector {
@@ -327,6 +448,33 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// The summary bands of the source tier with weight `ws`, around the
+    /// query's amplitude summary `q_amp` and duration `q_dur`. A window
+    /// within δ has numerator `num ≤ δ · Σwi · ws`, and every term of
+    /// `num` is at least `wi_min` times its amplitude (or duration) part,
+    /// so `wa · wi_min · |S_q − S_c| ≤ num` (and likewise for `wf` and
+    /// `T`). Negative weights void that bound, and the band is then
+    /// unbounded.
+    fn band(&self, q_amp: f64, q_dur: f64, ws: f64) -> Band {
+        let p = self.params;
+        let wi_min = self.cols.wi.iter().copied().fold(f64::INFINITY, f64::min);
+        let bounded = p.wa >= 0.0 && p.wf >= 0.0 && wi_min > 0.0;
+        let half = |w: f64| {
+            if bounded && w > 0.0 {
+                self.delta * self.cols.wsum * ws / (w * wi_min) * BAND_MARGIN
+            } else {
+                f64::INFINITY
+            }
+        };
+        // Each summary is a sum of at most n rounded terms (a duration is
+        // one subtraction), so its relative error stays below n ulps.
+        let eps = self.n as f64 * f64::EPSILON;
+        Band {
+            amp: summary_range(q_amp, half(p.wa), eps),
+            dur: summary_range(q_dur, half(p.wf), eps),
+        }
+    }
+
     /// The starts of `sf`'s windows that overlap the query's own window:
     /// empty unless `sf` is the query's origin stream. A query always
     /// matches itself, which tells nothing, so neither plan scores these
@@ -345,9 +493,9 @@ impl<'a> Engine<'a> {
         lo..hi.clamp(lo, total)
     }
 
-    /// Scans every window of the given streams: the whole-stream state
-    /// gate picks each stream's run of starts for [`Engine::score_run`],
-    /// which prefilters it in f32 where it can.
+    /// Scans every window of the snapshot's streams: the whole-stream
+    /// state gate picks each stream's run of starts for
+    /// [`Engine::score_run`], which prefilters it in f32 where it can.
     fn scan_streams(
         &self,
         streams: &[Arc<StreamFeatures>],
@@ -356,8 +504,8 @@ impl<'a> Engine<'a> {
         tally: &mut SearchTally,
     ) {
         let mut starts: Vec<usize> = Vec::new();
-        for sf in streams {
-            if !self.allows(sf.meta.patient) {
+        for (sf, tier) in streams.iter().zip(&self.tiers) {
+            if !tier.allowed {
                 continue;
             }
             let nseg = sf.num_segments();
@@ -430,12 +578,8 @@ impl<'a> Engine<'a> {
                         tally.windows_scored += 1;
                         tally.windows_completed += 1;
                         if d <= self.delta {
-                            coll.push(MatchResult {
-                                subseq: SubseqRef::new(sf.meta.id, start, self.n),
-                                distance: d,
-                                ws,
-                                relation,
-                            });
+                            let subseq = SubseqRef::new(sf.meta.id, start, self.n);
+                            coll.push(d, subseq, ws, relation);
                         }
                     }
                 }
@@ -549,11 +693,11 @@ impl Matcher {
         if options.top_k == Some(0) {
             return Vec::new();
         }
-        let Some(engine) = Engine::new(self, query, options) else {
-            return Vec::new();
-        };
         let features = self.store.segment_features(self.params.axis);
         invariants::features_snapshot_coherent(&features);
+        let Some(engine) = Engine::new(self, query, options, &features) else {
+            return Vec::new();
+        };
         let mut coll = engine.collector();
         let mut tally = SearchTally::default();
         engine.scan_streams(
@@ -562,7 +706,7 @@ impl Matcher {
             &mut coll,
             &mut tally,
         );
-        self.conclude(coll, &tally, options)
+        self.conclude(&engine, coll, &tally)
     }
 
     /// Reference implementation: the naive vertex-walking scan over
@@ -606,20 +750,28 @@ impl Matcher {
 
     /// The pruned plan: feature-index search with lower-bound pruning.
     /// Candidates outside the amplitude-summary *or* duration-summary band
-    /// provably cannot be within δ and are skipped before their features
-    /// are touched; band survivors are scored exactly. Results are
-    /// identical to [`Matcher::find_matches_with`] (property-tested).
-    /// `index` must cover windows of the query's length along the
-    /// matcher's axis, which is why only
+    /// of their own source tier provably cannot be within δ and are
+    /// skipped before their features are touched; band survivors are
+    /// scored exactly. Results are identical to
+    /// [`Matcher::find_matches_with`] (property-tested). `index` must
+    /// cover windows of the query's length along the matcher's axis,
+    /// which is why only
     /// [`CachedMatcher`](crate::index_cache::CachedMatcher) calls this:
     /// it picks the index.
     ///
-    /// The bounds: the per-segment-normalized distance satisfies
-    /// `d ≥ wa · wi_base · |S_q − S_c| / (Σwi · ws)` and
-    /// `d ≥ wf · wi_base · |T_q − T_c| / (Σwi · ws)`, so only candidates
-    /// with `|S_q − S_c| ≤ δ · Σwi / (wa · wi_base)` **and**
-    /// `|T_q − T_c| ≤ δ · Σwi / (wf · wi_base)` need exact scoring
-    /// (`ws ≤ 1`; each survivor is then scored with its actual `ws`).
+    /// The bounds: Definition 2 divides by `Σwi · ws`, so `d ≤ δ` exactly
+    /// when the numerator is at most `δ · Σwi · ws`, and the numerator is
+    /// at least `wa · wi_min · |S_q − S_c|` and `wf · wi_min · |T_q − T_c|`.
+    /// A candidate needs exact scoring only if
+    /// `|S_q − S_c| ≤ δ · Σwi · ws / (wa · wi_min)` **and**
+    /// `|T_q − T_c| ≤ δ · Σwi · ws / (wf · wi_min)` for its own stream's
+    /// `ws` ([`Engine::band`]). The bucket's binary search takes the
+    /// widest band of the tiers present in the store; each entry in it is
+    /// then checked against its own tier's band.
+    ///
+    /// Survivors are `(stream, start)` pairs, grouped per stream by one
+    /// counting sort into a flat start array; each stream's run is looked
+    /// up once and scored by [`Engine::score_run`].
     pub(crate) fn find_matches_pruned(
         &self,
         query: &QuerySubseq,
@@ -643,98 +795,106 @@ impl Matcher {
         let Some(sig) = query.signature() else {
             return self.find_matches_with(query, options);
         };
-        let Some(engine) = Engine::new(self, query, options) else {
-            return Vec::new();
-        };
-        let q_amp_sum: f64 = engine.cols.disp.iter().map(|d| d.abs()).sum();
-        let q_duration = engine.q_last - engine.q_first;
-        let wi_base = self.params.wi_base.max(f64::MIN_POSITIVE);
-        let amp_band = if self.params.wa > 0.0 {
-            engine.delta * engine.cols.wsum / (self.params.wa * wi_base) * BAND_MARGIN
-        } else {
-            f64::INFINITY
-        };
-        let dur_band = if self.params.wf > 0.0 {
-            engine.delta * engine.cols.wsum / (self.params.wf * wi_base) * BAND_MARGIN
-        } else {
-            f64::INFINITY
-        };
         let features = self.store.segment_features(self.params.axis);
         invariants::features_snapshot_coherent(&features);
-        let mut coll = engine.collector();
-        let mut tally = SearchTally::default();
-        let (band, counts) =
-            index.candidates_in_band_counted(sig, q_amp_sum, amp_band, q_duration, dur_band);
-        tally.bucket_candidates += counts.bucket as u64;
-        tally.amp_band_candidates += counts.amp_band as u64;
-        // Band entries arrive sorted by amplitude summary, interleaving
-        // streams; they are regrouped into per-stream runs below (results
-        // are order-independent — only the bound's tightening path
-        // differs, and `finish` orders the output).
-        let mut cands: Vec<(&Arc<StreamFeatures>, usize)> = Vec::new();
-        for e in band {
-            tally.dur_band_candidates += 1;
-            let Some(sf) = features.stream(e.stream) else {
+        let Some(engine) = Engine::new(self, query, options, &features) else {
+            return Vec::new();
+        };
+        let q_amp = abs_disp_sum(&engine.cols.disp);
+        let q_dur = engine.q_last - engine.q_first;
+        // One band per source tier, indexed by `SourceRelation as usize`.
+        let empty = Band {
+            amp: (0.0, 0.0),
+            dur: (0.0, 0.0),
+        };
+        let mut bands = [empty; 3];
+        for r in [
+            SourceRelation::SameSession,
+            SourceRelation::SamePatient,
+            SourceRelation::OtherPatient,
+        ] {
+            bands[r as usize] = engine.band(q_amp, q_dur, self.params.ws(r));
+        }
+        let mut present = [false; 3];
+        for t in &engine.tiers {
+            present[t.relation as usize] = true;
+        }
+        let (lo, hi) = bands
+            .iter()
+            .zip(present)
+            .filter(|&(_, p)| p)
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), (b, _)| {
+                (lo.min(b.amp.0), hi.max(b.amp.1))
+            });
+        let (range, bucket) = index.candidates_in_amp_range(sig, lo, hi);
+        let mut tally = SearchTally {
+            bucket_candidates: bucket as u64,
+            ..SearchTally::default()
+        };
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for e in range {
+            let Some(tier) = engine.tiers.get(e.stream.0 as usize) else {
                 continue;
             };
-            if !engine.allows(sf.meta.patient) {
+            let band = &bands[tier.relation as usize];
+            if !band.amp_contains(e.amp_sum) {
                 continue;
             }
-            let start = e.subseq.start as usize;
-            if start + n > sf.num_segments() {
+            tally.amp_band_candidates += 1;
+            if !band.dur_contains(e.duration) {
                 continue;
             }
-            invariants::band_candidate_admissible(
-                e, sf, start, n, q_amp_sum, amp_band, q_duration, dur_band,
-            );
-            if !engine.own_overlap(sf).contains(&start) {
-                cands.push((sf, start));
+            tally.dur_band_candidates += 1;
+            invariants::band_candidate_admissible(e, &features, band);
+            if tier.allowed {
+                pairs.push((e.stream.0, e.subseq.start));
             }
         }
-        // Counting sort keyed on the (small, dense) stream id: at band
-        // selectivities of a few thousand candidates, a comparison sort
-        // costs as much as the exact scoring it enables, while this
-        // grouping pass is ~10x cheaper. Within-stream order stays the
-        // band's amplitude order, which is fine — lanes are independent.
-        if cands.len() > 1 {
-            let max_id = cands
-                .iter()
-                .map(|(sf, _)| sf.meta.id.0 as usize)
-                .max()
-                .unwrap_or(0);
-            let mut slots = vec![0u32; max_id + 2];
-            for (sf, _) in &cands {
-                slots[sf.meta.id.0 as usize + 1] += 1;
-            }
-            for i in 1..slots.len() {
-                slots[i] += slots[i - 1];
-            }
-            let mut grouped = vec![cands[0]; cands.len()];
-            for &(sf, start) in &cands {
-                let id = sf.meta.id.0 as usize;
-                grouped[slots[id] as usize] = (sf, start);
-                slots[id] += 1;
-            }
-            cands = grouped;
+        // Counting sort on the dense stream id: `ends[id]` first counts
+        // the stream's survivors, then holds where its run starts, then
+        // where it ends. Within a stream the band's amplitude order stays,
+        // which is fine: lanes are independent and results are sorted at
+        // the end.
+        let mut ends = vec![0u32; engine.tiers.len()];
+        for &(stream, _) in &pairs {
+            ends[stream as usize] += 1;
+        }
+        let mut at = 0u32;
+        for end in ends.iter_mut() {
+            let count = *end;
+            *end = at;
+            at += count;
+        }
+        let mut flat = vec![0usize; pairs.len()];
+        for &(stream, start) in &pairs {
+            let end = &mut ends[stream as usize];
+            flat[*end as usize] = start as usize;
+            *end += 1;
         }
         // Band survivors are already plausible matches, so the f32
         // prefilter mostly fails to prune them and would only add its own
         // cost to the exact scoring it cannot avoid: they skip it.
+        let mut coll = engine.collector();
         let mut scratch = Scratch::default();
-        let mut starts: Vec<usize> = Vec::new();
-        for run in cands.chunk_by(|a, b| a.0.meta.id == b.0.meta.id) {
-            starts.clear();
-            starts.extend(run.iter().map(|&(_, start)| start));
-            engine.score_run(
-                run[0].0,
-                &starts,
-                false,
-                &mut scratch,
-                &mut coll,
-                &mut tally,
-            );
+        let mut own: Vec<usize> = Vec::new();
+        let mut begin = 0;
+        for (sf, &end) in features.streams().iter().zip(&ends) {
+            let run = &flat[begin..end as usize];
+            begin = end as usize;
+            if run.is_empty() {
+                continue;
+            }
+            let skip = engine.own_overlap(sf);
+            let run = if skip.is_empty() {
+                run
+            } else {
+                own.clear();
+                own.extend(run.iter().copied().filter(|s| !skip.contains(s)));
+                &own[..]
+            };
+            engine.score_run(sf, run, false, &mut scratch, &mut coll, &mut tally);
         }
-        self.conclude(coll, &tally, options)
+        self.conclude(&engine, coll, &tally)
     }
 
     /// Scores one candidate for the naive reference path. Patient
@@ -781,16 +941,13 @@ impl Matcher {
     }
 
     /// Accounts one finished search and returns its ordered results.
-    fn conclude(
-        &self,
-        coll: Collector,
-        tally: &SearchTally,
-        options: &SearchOptions,
-    ) -> Vec<MatchResult> {
+    fn conclude(&self, engine: &Engine, coll: Collector, tally: &SearchTally) -> Vec<MatchResult> {
         self.metrics.incr(Counter::Searches);
         self.metrics.record_search(tally);
-        let mut out = coll.into_vec();
-        Self::finish(&mut out, options);
+        let out = coll.into_results(engine.n, &self.params, |stream| {
+            engine.tiers[stream.0 as usize].relation
+        });
+        invariants::results_strictly_ordered(&out);
         out
     }
 
@@ -1022,6 +1179,51 @@ mod tests {
             m.find_matches_with(&q, &opts),
             m.find_matches_pruned(&q, &index, &opts)
         );
+    }
+
+    /// Packed keys order exactly as `cmp_results` — signed zeros,
+    /// subnormals, infinities and distance ties broken by stream, then
+    /// start — and give every field back bit for bit.
+    #[test]
+    fn packed_keys_order_as_cmp_results_and_round_trip() {
+        let distances = [
+            f64::NEG_INFINITY,
+            -8.0,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            1e-310,
+            f64::MIN_POSITIVE,
+            0.1,
+            0.1 + f64::EPSILON,
+            8.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let mut results = Vec::new();
+        for &distance in &distances {
+            for stream in [0u32, 1, 7, u32::MAX] {
+                for start in [0usize, 3, u32::MAX as usize] {
+                    results.push(MatchResult {
+                        subseq: SubseqRef::new(StreamId(stream), start, 9),
+                        distance,
+                        ws: 1.0,
+                        relation: SourceRelation::SameSession,
+                    });
+                }
+            }
+        }
+        let key = |m: &MatchResult| pack_key(m.distance, m.subseq.stream, m.subseq.start);
+        for a in &results {
+            let (d, stream, start) = unpack_key(key(a));
+            assert_eq!(d.to_bits(), a.distance.to_bits());
+            assert_eq!((stream, start), (a.subseq.stream, a.subseq.start));
+            for b in &results {
+                assert_eq!(key(a).cmp(&key(b)), cmp_results(a, b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

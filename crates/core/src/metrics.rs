@@ -17,6 +17,8 @@
 //! * `match.batch_lanes_abandoned <= match.windows_abandoned`
 //! * `match.batch_lanes_abandoned + match.f32_prune_rescans <=
 //!   min(match.windows_scored, 8 · match.batch_groups_scored)`
+//! * `index.dur_band_candidates <= index.amp_band_candidates <=
+//!   index.bucket_candidates`
 //! * `cache.hits + cache.misses == cache.lookups`
 //! * `cache.rebuilds == cache.misses`
 //! * `cohort.sessions_failed <= cohort.sessions`
@@ -49,7 +51,8 @@ pub enum Counter {
     Searches,
     /// Candidate windows handed to the scorer with a matching state order.
     WindowsScored,
-    /// Scored windows cut short by early abandoning.
+    /// Scored windows rejected against the bound: the f32 prefilter
+    /// pruned them, or their exact numerator exceeded the abandon limit.
     WindowsAbandoned,
     /// Scored windows whose exact distance was computed.
     WindowsCompleted,
@@ -58,10 +61,11 @@ pub enum Counter {
     /// Entries in the signature bucket before any band filtering
     /// (first `FeatureIndex` tier).
     IndexBucketCandidates,
-    /// Entries surviving the amplitude band (second tier).
+    /// Entries inside the amplitude band of their own source tier (second
+    /// tier).
     IndexAmpBandCandidates,
-    /// Entries surviving the duration band too (what the pruned scorer
-    /// actually visits).
+    /// Entries inside their tier's duration band too (the pruned plan
+    /// scores those the patient restriction admits).
     IndexDurBandCandidates,
     /// Index lookups through the `IndexCache`.
     CacheLookups,
@@ -309,7 +313,8 @@ struct Inner {
 pub struct SearchTally {
     /// Windows passed to the scorer (state order matched).
     pub windows_scored: u64,
-    /// Windows cut short by early abandoning.
+    /// Windows rejected against the bound (f32-pruned, or an exact
+    /// numerator over the abandon limit).
     pub windows_abandoned: u64,
     /// Windows whose exact distance was computed.
     pub windows_completed: u64,
@@ -317,9 +322,9 @@ pub struct SearchTally {
     pub windows_state_mismatch: u64,
     /// Signature-bucket entries considered (pruned/indexed paths).
     pub bucket_candidates: u64,
-    /// Entries surviving the amplitude band.
+    /// Entries inside the amplitude band of their own source tier.
     pub amp_band_candidates: u64,
-    /// Entries surviving the duration band too.
+    /// Entries inside their tier's duration band too.
     pub dur_band_candidates: u64,
     /// Lane groups the batched kernel scored (≥ 1 state-matched lane).
     pub batch_groups_scored: u64,
@@ -643,6 +648,15 @@ impl MetricsSnapshot {
                  8 x batch_groups_scored ({groups})"
             ));
         }
+        let bucket = self.counter("index.bucket_candidates");
+        let amp_band = self.counter("index.amp_band_candidates");
+        let dur_band = self.counter("index.dur_band_candidates");
+        if !(dur_band <= amp_band && amp_band <= bucket) {
+            return Err(format!(
+                "band funnel widened: bucket ({bucket}) -> amp_band ({amp_band}) -> \
+                 dur_band ({dur_band})"
+            ));
+        }
         let lookups = self.counter("cache.lookups");
         let hits = self.counter("cache.hits");
         let misses = self.counter("cache.misses");
@@ -917,6 +931,19 @@ mod tests {
         m.add(Counter::PredictMemoHits, 3);
         assert!(m.snapshot().check_invariants().is_ok());
         m.incr(Counter::PredictMemoHits);
+        assert!(m.snapshot().check_invariants().is_err());
+    }
+
+    #[test]
+    fn widening_band_funnel_violates_invariants() {
+        let m = MetricsRegistry::enabled();
+        m.add(Counter::IndexBucketCandidates, 5);
+        m.add(Counter::IndexAmpBandCandidates, 3);
+        m.add(Counter::IndexDurBandCandidates, 3);
+        assert!(m.snapshot().check_invariants().is_ok());
+        m.incr(Counter::IndexDurBandCandidates);
+        assert!(m.snapshot().check_invariants().is_err());
+        m.add(Counter::IndexAmpBandCandidates, 3);
         assert!(m.snapshot().check_invariants().is_err());
     }
 

@@ -135,11 +135,11 @@ pub fn offline_distance(
     weighted_distance(query, candidate, params, relation, false)
 }
 
-/// Safety factor for early-abandon thresholds: the reverse-order partial
-/// sums the abandon test sees differ from the canonical forward sums by at
-/// most a few ULPs per term (n ≤ 60 terms), so a 1e-9 relative margin
-/// guarantees a window is abandoned only when its exact forward-computed
-/// distance provably exceeds the bound.
+/// Safety factor for abandon thresholds: the exact scorer compares a
+/// window's forward numerator against `bound · Σwi · ws`, while the
+/// distance is the numerator divided by `Σwi · ws`. The two roundings
+/// differ by a few ULPs, so a 1e-9 relative margin guarantees a window is
+/// abandoned only when its distance provably exceeds the bound.
 pub(crate) const ABANDON_MARGIN: f64 = 1.0 + 1e-9;
 
 /// The query side of the columnar scoring engine: per-segment features of

@@ -359,6 +359,105 @@ proptest! {
         }
     }
 
+    /// Source weights above 1 widen a tier's bands: a same-session window
+    /// at `ws = 3` may sit three times farther from the query's summaries
+    /// than one at `ws = 1` and still be within δ. The pruned plan bands
+    /// each entry by its own tier's weight and binary-searches the widest
+    /// band, so it equals the oracle under such weights, for queries cut
+    /// from stored streams (all three tiers present).
+    #[test]
+    fn source_weights_above_one_equal_the_oracle(
+        amp in 6.0f64..18.0,
+        seed in 1u64..500,
+        start in 0usize..8,
+        len in 3usize..12,
+        k in 1usize..12,
+        heavy in 0usize..3,
+    ) {
+        let (store, id) = build_store(amp, 4.0, seed);
+        let (same_patient, same_session) = [(1.5, 3.0), (1.0, 2.0), (1.2, 1.2)][heavy];
+        let params = Params {
+            ws_same_patient: same_patient,
+            ws_same_session: same_session,
+            ..Params::default()
+        };
+        prop_assert!(params.validate().is_ok());
+        let matcher = Matcher::new(store.clone(), params);
+        let cached = CachedMatcher::new(matcher.clone());
+        for stream in [id, tsm_db::StreamId(id.0 + 1)] {
+            let Some(view) = store.resolve(SubseqRef::new(stream, start, len)) else {
+                continue;
+            };
+            let query = QuerySubseq::from_view(&view);
+            for (delta, top_k) in [0.1, 0.25, 0.5, 1.0, 2.0, 8.0]
+                .into_iter()
+                .flat_map(|d| [(d, Some(k)), (d, None)])
+            {
+                let opts = SearchOptions {
+                    top_k,
+                    delta_override: Some(delta),
+                    ..Default::default()
+                };
+                let naive = matcher.find_matches_naive(&query, &opts);
+                prop_assert_eq!(&naive, &matcher.find_matches_with(&query, &opts));
+                prop_assert_eq!(&naive, &cached.find_matches(&query, &opts));
+            }
+        }
+    }
+
+    /// A vertex of huge magnitude inside a stream does not hide the
+    /// windows after it. The store gains a copy of a 1-D stream, as
+    /// another session of the same patient, with the vertex a third of
+    /// the way in moved to 1e39 mm. Queries of 6 segments cut from the
+    /// original after that vertex match the copy's same window at
+    /// distance 0, and both plans equal the oracle: each index entry's
+    /// amplitude summary is a direct sum over its own window, so no
+    /// window after the vertex inherits its magnitude.
+    #[test]
+    fn windows_after_a_huge_vertex_equal_the_oracle(
+        amp in 6.0f64..18.0,
+        seed in 0u64..500,
+        offset in 0usize..12,
+        k in 1usize..12,
+        pick in 0usize..4,
+        free in 0.3f64..10.0,
+    ) {
+        let delta = [0.3, 2.0, 8.0, free][pick];
+        let (store, id) = build_store(amp, 4.0, seed);
+        let source = store.stream(id).unwrap();
+        let mut vertices = source.plr.vertices().to_vec();
+        let huge = vertices.len() / 3;
+        vertices[huge].position = Position::new_1d(1e39);
+        let copy = store.add_stream(
+            source.meta.patient,
+            source.meta.session + 1,
+            PlrTrajectory::from_vertices(vertices).unwrap(),
+            source.raw_len,
+        );
+        let matcher = Matcher::new(store.clone(), Params::default());
+        let cached = CachedMatcher::new(matcher.clone());
+        let start = huge + 1 + offset;
+        let Some(view) = store.resolve(SubseqRef::new(id, start, 6)) else {
+            return Ok(());
+        };
+        let query = QuerySubseq::from_view(&view);
+        for top_k in [Some(k), None] {
+            let opts = SearchOptions {
+                top_k,
+                delta_override: Some(delta),
+                ..Default::default()
+            };
+            let naive = matcher.find_matches_naive(&query, &opts);
+            prop_assert_eq!(&naive, &matcher.find_matches_with(&query, &opts));
+            prop_assert_eq!(&naive, &cached.find_matches(&query, &opts));
+            if top_k.is_none() {
+                prop_assert!(naive
+                    .iter()
+                    .any(|m| m.subseq == SubseqRef::new(copy, start, 6) && m.distance == 0.0));
+            }
+        }
+    }
+
     /// Direct admissibility of the f32 lower-bound tier on random
     /// streams: every start `collect_survivors` prunes at bound `b` has
     /// an oracle distance (`online_distance` at ws = 1) strictly greater

@@ -3,6 +3,8 @@
 //! counters add up —
 //!
 //! * `match.windows_scored == match.windows_abandoned + match.windows_completed`
+//! * `index.dur_band_candidates <= index.amp_band_candidates <=
+//!   index.bucket_candidates`
 //! * `cache.hits + cache.misses == cache.lookups`
 //! * served + abstained predictions == ticks
 //! * `predict.memo_hits <= predict.lookups`
@@ -88,6 +90,42 @@ fn matcher_counters_reconcile_across_all_variants() {
             .unwrap_or(0),
         3
     );
+}
+
+/// The pruned plan's band funnel is a ledger: the bucket, then the
+/// entries inside their source tier's amplitude band, then those inside
+/// its duration band too, which are exactly the windows scored when no
+/// window is the query's own and no patient is excluded.
+#[test]
+fn band_funnel_narrows_to_the_windows_scored() {
+    let (store, _) = seeded_store(62);
+    let view = store
+        .resolve(SubseqRef::new(tsm_db::StreamId(0), 4, 9))
+        .unwrap();
+    // Detached, so every stored window is another patient's (ws = 0.3).
+    let query = QuerySubseq::new(view.vertices().to_vec());
+    for delta in [0.5, 8.0] {
+        let metrics = MetricsRegistry::enabled();
+        let cached = CachedMatcher::new(
+            Matcher::new(store.clone(), Params::default()).with_metrics(metrics.clone()),
+        );
+        let opts = SearchOptions {
+            delta_override: Some(delta),
+            ..Default::default()
+        };
+        let matches = cached.find_matches(&query, &opts);
+        let snap = metrics.snapshot();
+        snap.check_invariants().expect("counters reconcile");
+        let bucket = snap.counter("index.bucket_candidates");
+        let amp = snap.counter("index.amp_band_candidates");
+        let dur = snap.counter("index.dur_band_candidates");
+        assert!(dur <= amp && amp <= bucket, "{bucket} -> {amp} -> {dur}");
+        assert_eq!(snap.counter("match.windows_scored"), dur);
+        assert!(matches.len() as u64 <= dur);
+        if delta < 1.0 {
+            assert!(amp < bucket, "a tight band kept the whole bucket");
+        }
+    }
 }
 
 #[test]

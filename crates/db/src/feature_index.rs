@@ -16,15 +16,17 @@
 //! so candidates whose amplitude *or* duration summary differs too much
 //! cannot be within δ and are skipped without touching their features.
 //! Entries are sorted by `S` within each state-order bucket, making the
-//! amplitude band a binary search; the duration band filters the
-//! surviving slice. The matcher's pruned plan re-checks every survivor
-//! with the exact distance, so results are identical to the scan
-//! (property-tested in `tsm-core`).
+//! widest amplitude band a binary search
+//! ([`FeatureIndex::candidates_in_amp_range`]); the matcher's pruned plan
+//! narrows each entry of that range to the bands of its own source tier
+//! and re-checks every survivor with the exact distance, so results are
+//! identical to the scan (property-tested in `tsm-core`).
 //!
 //! Construction runs on the store's columnar [`SegmentFeatures`]
-//! snapshot: window summaries are prefix-sum subtractions and state
-//! signatures roll forward one shift/mask per window, so a build is
-//! `O(total segments)` instead of the naive `O(windows × len)`.
+//! snapshot: state signatures roll forward one shift/mask per window, and
+//! each amplitude summary is a direct forward sum over its window
+//! ([`crate::abs_disp_sum`], the query side's expression), so a build
+//! costs `O(windows × len)` additions and no feature extraction.
 
 use crate::features::SegmentFeatures;
 use crate::ids::StreamId;
@@ -44,16 +46,6 @@ pub struct FeatureEntry {
     pub amp_sum: f64,
     /// Window duration (s).
     pub duration: f64,
-}
-
-/// How many entries each pruning tier of one banded lookup saw (the
-/// matcher's metrics layer records these per search).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BandCounts {
-    /// Entries in the signature bucket (first tier, before any band).
-    pub bucket: usize,
-    /// Entries surviving the amplitude band (second tier).
-    pub amp_band: usize,
 }
 
 /// The index: state-order signature → entries sorted by `amp_sum`.
@@ -157,36 +149,19 @@ impl FeatureIndex {
         self.axis
     }
 
-    /// Candidates with the given state order whose amplitude summary lies
-    /// within `[amp_sum - amp_band, amp_sum + amp_band]` **and** whose
-    /// duration summary lies within `[duration - dur_band, duration +
-    /// dur_band]` — everything outside cannot be within the corresponding
-    /// distance threshold. The amplitude band is a binary search over the
-    /// sorted bucket; the duration band filters the surviving slice.
-    ///
-    /// Also reports how many entries each pruning tier saw (for
-    /// instrumentation): the whole signature bucket, then the
-    /// amplitude-band survivors. Duration-band survivors are whatever the
-    /// returned iterator yields.
-    pub fn candidates_in_band_counted(
+    /// The entries with the given state order whose amplitude summary lies
+    /// in `[amp_lo, amp_hi]` (a binary search over the sorted bucket),
+    /// and the size of the whole bucket (for instrumentation).
+    pub fn candidates_in_amp_range(
         &self,
         signature: u128,
-        amp_sum: f64,
-        amp_band: f64,
-        duration: f64,
-        dur_band: f64,
-    ) -> (impl Iterator<Item = &FeatureEntry>, BandCounts) {
+        amp_lo: f64,
+        amp_hi: f64,
+    ) -> (&[FeatureEntry], usize) {
         let bucket = self.candidates(signature);
-        let lo = bucket.partition_point(|e| e.amp_sum < amp_sum - amp_band);
-        let hi = bucket.partition_point(|e| e.amp_sum <= amp_sum + amp_band);
-        let counts = BandCounts {
-            bucket: bucket.len(),
-            amp_band: hi - lo,
-        };
-        let iter = bucket[lo..hi]
-            .iter()
-            .filter(move |e| (e.duration - duration).abs() <= dur_band);
-        (iter, counts)
+        let lo = bucket.partition_point(|e| e.amp_sum < amp_lo);
+        let hi = bucket.partition_point(|e| e.amp_sum <= amp_hi).max(lo);
+        (&bucket[lo..hi], bucket.len())
     }
 
     /// All candidates with the given state order (no pruning).
@@ -254,6 +229,9 @@ mod tests {
         }
     }
 
+    /// Entry summaries equal the direct sums over each window's segments,
+    /// bit for bit (the amplitude summary is a forward sum, not a
+    /// prefix-sum subtraction).
     #[test]
     fn prefix_summaries_match_direct_computation() {
         let store = store();
@@ -265,11 +243,7 @@ mod tests {
         for e in entries {
             let view = store.resolve(e.subseq).unwrap();
             let direct: f64 = view.segments().map(|s| s.displacement(0).abs()).sum();
-            assert!(
-                (direct - e.amp_sum).abs() < 1e-9,
-                "prefix {} vs direct {direct}",
-                e.amp_sum
-            );
+            assert_eq!(e.amp_sum, direct);
             assert!((view.duration() - e.duration).abs() < 1e-9);
         }
     }
@@ -286,39 +260,23 @@ mod tests {
         }
         let mid = all[all.len() / 2];
         let band = 2.0;
-        let in_band = |sig, amp_band, duration, dur_band| {
-            let (iter, counts) =
-                ix.candidates_in_band_counted(sig, mid.amp_sum, amp_band, duration, dur_band);
-            (iter.copied().collect::<Vec<_>>(), counts)
-        };
-        // Infinite duration band: equals the pure amplitude filter.
-        let (amp_only, counts) = in_band(sig, band, 0.0, f64::INFINITY);
+        let (hits, bucket) =
+            ix.candidates_in_amp_range(sig, mid.amp_sum - band, mid.amp_sum + band);
         let brute: Vec<_> = all
             .iter()
             .filter(|e| (e.amp_sum - mid.amp_sum).abs() <= band + 1e-12)
             .copied()
             .collect();
-        assert_eq!(amp_only, brute);
-        assert_eq!(counts.bucket, all.len());
-        assert_eq!(counts.amp_band, brute.len());
-        // A finite duration band prunes further and matches brute force.
-        let dur_band = 0.5;
-        let (both, counts) = in_band(sig, band, mid.duration, dur_band);
-        let brute_both: Vec<_> = brute
-            .iter()
-            .filter(|e| (e.duration - mid.duration).abs() <= dur_band)
-            .copied()
-            .collect();
-        assert_eq!(both, brute_both);
-        assert_eq!(counts.amp_band, brute.len());
-        assert!(both.len() <= amp_only.len());
-        // Zero bands still contain the window itself.
-        assert!(!in_band(sig, 1e-9, mid.duration, 1e-9).0.is_empty());
+        assert_eq!(hits, &brute[..]);
+        assert_eq!(bucket, all.len());
+        // A zero-width range still contains the window itself.
+        let (own, _) = ix.candidates_in_amp_range(sig, mid.amp_sum, mid.amp_sum);
+        assert!(own.contains(&mid));
+        // An inverted range is empty, not a panic.
+        assert!(ix.candidates_in_amp_range(sig, 5.0, -5.0).0.is_empty());
         // Unknown signature: empty.
         let none = state_signature([Irregular, Irregular, Irregular]).unwrap();
-        let (hits, counts) = in_band(none, 1e9, 0.0, 1e9);
-        assert!(hits.is_empty());
-        assert_eq!(counts, BandCounts::default());
+        assert_eq!(ix.candidates_in_amp_range(none, -1e9, 1e9), (&[][..], 0));
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! [`tsm_model::Segment`] values per candidate window recomputes all of
 //! them `O(windows × len)` times; this module computes each once per
 //! stored segment and lays the results out as flat arrays (structure of
-//! arrays), plus prefix sums of `|displacement|` and duration so any
-//! window's summary features are two subtractions.
+//! arrays), plus prefix sums of duration. A window's amplitude summary is
+//! a direct forward sum ([`abs_disp_sum`]) rather than a prefix-sum
+//! subtraction: after one segment of huge magnitude a prefix sum loses
+//! every later window's summary to cancellation.
 //!
 //! Streams are immutable once inserted (`Arc<MotionStream>`, append-only
 //! store), so per-stream features never go stale; the store-level
@@ -40,6 +42,15 @@ pub fn f32_above(x: f64) -> f32 {
     }
 }
 
+/// `Σ |d|` over `disp`, summed forward from zero: the amplitude summary
+/// of a window (and of a query) that the feature index bands on. Query
+/// and index entries both use this one expression, so equal windows get
+/// bit-equal summaries.
+#[inline]
+pub fn abs_disp_sum(disp: &[f64]) -> f64 {
+    disp.iter().fold(0.0, |acc, d| acc + d.abs())
+}
+
 /// `f32` structure-of-arrays mirror of one stream's f64 feature columns,
 /// with per-segment conversion-error bounds.
 ///
@@ -49,7 +60,7 @@ pub fn f32_above(x: f64) -> f32 {
 /// upper bound on `|disp[i] - disp32[i]|` and `|dur[i] - dur32[i]|`
 /// (the representation error introduced by narrowing), plus prefix sums
 /// of those bounds so any window's total conversion slack is two
-/// subtractions — the same trick the f64 columns use for `amp_sum`.
+/// subtractions — the same trick the f64 columns use for durations.
 ///
 /// The mirror is built inside [`StreamFeatures::build`], so it shares the
 /// f64 columns' lifecycle exactly: per-stream features are immutable and
@@ -129,7 +140,8 @@ impl Mirror32 {
 /// Flat per-segment features of one stream, along one classification axis.
 ///
 /// All segment-indexed vectors have `num_segments()` entries; `times` has
-/// one per vertex and the prefix sums one more than the segment count.
+/// one per vertex and the duration prefix sums one more than the segment
+/// count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamFeatures {
     /// Provenance of the stream these features describe.
@@ -146,8 +158,6 @@ pub struct StreamFeatures {
     /// Breathing state of each segment, as [`tsm_model::BreathState`]
     /// canonical indices.
     pub states: Vec<u8>,
-    /// Prefix sums of `|disp|`: `abs_disp_prefix[j] = Σ_{i<j} |disp[i]|`.
-    pub abs_disp_prefix: Vec<f64>,
     /// Prefix sums of `dur`: `dur_prefix[j] = Σ_{i<j} dur[i]`.
     pub dur_prefix: Vec<f64>,
     /// f32 mirror of `disp`/`dur` with conversion-error bounds, for the
@@ -165,11 +175,8 @@ impl StreamFeatures {
         let mut dvec = Vec::with_capacity(nseg);
         let mut dur = Vec::with_capacity(nseg);
         let mut states = Vec::with_capacity(nseg);
-        let mut abs_disp_prefix = Vec::with_capacity(nseg + 1);
         let mut dur_prefix = Vec::with_capacity(nseg + 1);
-        abs_disp_prefix.push(0.0);
         dur_prefix.push(0.0);
-        let mut abs_acc = 0.0f64;
         let mut dur_acc = 0.0f64;
         for w in vertices.windows(2) {
             let s = Segment::between(&w[0], &w[1]);
@@ -179,9 +186,7 @@ impl StreamFeatures {
             dvec.push(s.end_position - s.start_position);
             dur.push(s.duration());
             states.push(w[0].state.index() as u8);
-            abs_acc += d.abs();
             dur_acc += s.duration();
-            abs_disp_prefix.push(abs_acc);
             dur_prefix.push(dur_acc);
         }
         if let Some(last) = vertices.last() {
@@ -195,7 +200,6 @@ impl StreamFeatures {
             dvec,
             dur,
             states,
-            abs_disp_prefix,
             dur_prefix,
             mirror32,
         }
@@ -208,10 +212,10 @@ impl StreamFeatures {
     }
 
     /// Sum of `|displacement|` over the window of `len` segments starting
-    /// at `start` — one subtraction thanks to the prefix sums.
+    /// at `start`, summed forward by [`abs_disp_sum`].
     #[inline]
     pub fn amp_sum(&self, start: usize, len: usize) -> f64 {
-        self.abs_disp_prefix[start + len] - self.abs_disp_prefix[start]
+        abs_disp_sum(&self.disp[start..start + len])
     }
 
     /// Total duration of the window of `len` segments starting at `start`.
@@ -330,14 +334,30 @@ mod tests {
             assert_eq!(f.dvec[i], s.end_position - s.start_position);
             assert_eq!(f.times[i], s.start_time);
         }
-        // Prefix-sum window summaries agree with direct sums.
+        // Window summaries agree with sums over the segment walk.
         for (start, len) in [(0usize, 3usize), (2, 5), (4, 9)] {
             let view = store.resolve(SubseqRef::new(id, start, len)).unwrap();
             let direct: f64 = view.segments().map(|s| s.displacement(0).abs()).sum();
-            assert!((f.amp_sum(start, len) - direct).abs() < 1e-9);
+            assert_eq!(f.amp_sum(start, len), direct);
             let direct_dur: f64 = view.segments().map(|s| s.duration()).sum();
             assert!((f.window_duration(start, len) - direct_dur).abs() < 1e-9);
         }
+    }
+
+    /// A window after a segment of huge magnitude keeps its exact
+    /// summary: the direct sum never subtracts the huge running total.
+    #[test]
+    fn amp_sums_after_a_huge_vertex_are_exact() {
+        let mut v = plr(6, 10.0).vertices().to_vec();
+        v[4].position = Position::new_2d(1e39, 0.0);
+        let store = StreamStore::new();
+        let p = store.add_patient(PatientAttributes::new());
+        let id = store.add_stream(p, 0, PlrTrajectory::from_vertices(v).unwrap(), 600);
+        let f = StreamFeatures::build(&store.stream(id).unwrap(), 0);
+        assert!(f.amp_sum(0, 6) >= 1e39);
+        let direct: f64 = f.disp[6..12].iter().map(|d| d.abs()).sum();
+        assert!(direct > 0.0);
+        assert_eq!(f.amp_sum(6, 6), direct);
     }
 
     #[test]
@@ -437,7 +457,8 @@ mod tests {
         let f = store.segment_features(0);
         let sf = f.stream(id).unwrap();
         assert_eq!(sf.num_segments(), 1);
-        assert_eq!(sf.abs_disp_prefix, vec![0.0, 1.0]);
+        assert_eq!(sf.dur_prefix, vec![0.0, 1.0]);
+        assert_eq!(sf.amp_sum(0, 1), 1.0);
         assert!(f.stream(StreamId(9)).is_none());
     }
 }

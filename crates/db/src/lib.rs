@@ -37,8 +37,8 @@ pub mod subsequence;
 pub mod wal;
 
 pub use backend::{fsync_dir, DurableBackend, FileBackend, MemBackend};
-pub use feature_index::{BandCounts, FeatureEntry, FeatureIndex};
-pub use features::{f32_above, Mirror32, SegmentFeatures, StreamFeatures};
+pub use feature_index::{FeatureEntry, FeatureIndex};
+pub use features::{abs_disp_sum, f32_above, Mirror32, SegmentFeatures, StreamFeatures};
 pub use ids::{PatientId, StreamId};
 pub use persist::{
     load_store, load_store_from_path, salvage_store, salvage_store_from_path, save_store,
