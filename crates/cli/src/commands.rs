@@ -274,14 +274,22 @@ pub fn segment(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Table 1's parameters with `--delta` applied, validated, so a NaN,
+/// zero or negative threshold is an error naming the flag.
+fn params_with_delta(args: &Args) -> Result<Params, String> {
+    let mut params = Params::default();
+    params.delta = args.num_flag("delta", params.delta)?;
+    params.validate().map_err(|e| format!("--delta: {e}"))?;
+    Ok(params)
+}
+
 /// `tsm match`.
 pub fn match_cmd(args: &Args) -> Result<(), String> {
     let store = load(args)?;
     let stream = StreamId(args.num_flag("stream", 0u32)?);
     let start = args.num_flag("start", 0usize)?;
     let len = args.num_flag("len", 9usize)?;
-    let mut params = Params::default();
-    params.delta = args.num_flag("delta", params.delta)?;
+    let params = params_with_delta(args)?;
     let view = store
         .resolve(SubseqRef::new(stream, start, len))
         .ok_or_else(|| format!("stream {stream} has no window [{start}, {start}+{len}]"))?;
@@ -327,8 +335,7 @@ pub fn predict(args: &Args) -> Result<(), String> {
     let duration = args.secs_flag("duration", 60.0, false)?;
     let dt = args.secs_flag("dt", 0.3, false)?;
     let seed = args.num_flag("seed", 12345u64)?;
-    let mut params = Params::default();
-    params.delta = args.num_flag("delta", params.delta)?;
+    let params = params_with_delta(args)?;
 
     // A fresh session resembling the stored streams: reuse the
     // default simulator with a new seed (a real deployment would stream

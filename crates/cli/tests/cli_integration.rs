@@ -136,6 +136,40 @@ fn simulate_info_match_predict_cluster_roundtrip() {
     ]);
     assert!(!o.status.success(), "delta=0 must be rejected");
     assert!(stderr(&o).contains("error:"), "no error message");
+    assert!(stderr(&o).contains("--delta"), "{}", stderr(&o));
+    // A NaN threshold fails every comparison; it must not pass for valid.
+    let o = tsm(&[
+        "predict",
+        "--store",
+        store_path.to_str().unwrap(),
+        "--patient",
+        "0",
+        "--delta",
+        "nan",
+    ]);
+    assert!(!o.status.success(), "predict --delta nan must be rejected");
+    assert!(stderr(&o).contains("--delta"), "{}", stderr(&o));
+    for delta in ["nan", "-1", "0"] {
+        let o = tsm(&[
+            "match",
+            "--store",
+            store_path.to_str().unwrap(),
+            "--stream",
+            "0",
+            "--delta",
+            delta,
+        ]);
+        assert!(
+            !o.status.success(),
+            "match --delta {delta} must be rejected"
+        );
+        assert!(stderr(&o).contains("error:"), "no error message");
+        assert!(stderr(&o).contains("--delta"), "{}", stderr(&o));
+        assert!(
+            stdout(&o).is_empty(),
+            "match --delta {delta} printed results"
+        );
+    }
 
     let o = tsm(&[
         "cluster",

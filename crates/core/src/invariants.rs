@@ -13,8 +13,8 @@
 //!   from a [`tsm_db::FeatureIndex`] lookup lies inside its source tier's
 //!   amplitude and duration bands, and its stored summaries equal the
 //!   direct sums over the feature snapshot it is about to be scored
-//!   from. A violation here means the pruning lower bound is unsound
-//!   (false dismissals).
+//!   from, which are the sums the scan bands on. A violation here means
+//!   the pruning lower bound is unsound (false dismissals).
 //! * **Bounded collection** — a top-k [`matcher`](crate::matcher)
 //!   collector never holds more than `k` results.
 //! * **Strict result order** — a search's finished results are strictly
@@ -24,11 +24,7 @@
 //! * **Tally reconciliation** — a [`SearchTally`] always satisfies
 //!   `windows_scored == windows_abandoned + windows_completed` and the
 //!   candidate funnel `bucket ≥ amp_band ≥ dur_band`, including after
-//!   merging per-worker tallies at the parallel join point. The f32
-//!   prefilter's counters reconcile with that balance: every pruned lane
-//!   is an abandoned window, every lane the prefilter touched (pruned or
-//!   rescanned) is a scored window, and no group yields more than
-//!   [`LANES`](crate::batch::LANES) of them.
+//!   merging per-worker tallies at the parallel join point.
 //!
 //! The functions take already-computed values (not closures) because they
 //! are only called where those values are in scope anyway; the
@@ -153,28 +149,6 @@ pub fn tally_reconciled(t: &SearchTally) {
         t.bucket_candidates,
         t.amp_band_candidates,
         t.dur_band_candidates,
-    );
-    debug_assert!(
-        t.batch_lanes_abandoned <= t.windows_abandoned,
-        "batched lanes abandoned {} exceed windows abandoned {}",
-        t.batch_lanes_abandoned,
-        t.windows_abandoned,
-    );
-    debug_assert!(
-        t.batch_lanes_abandoned + t.f32_prune_rescans <= t.windows_scored,
-        "batched lane work (pruned {} + rescans {}) exceeds windows scored {}",
-        t.batch_lanes_abandoned,
-        t.f32_prune_rescans,
-        t.windows_scored,
-    );
-    debug_assert!(
-        t.batch_lanes_abandoned + t.f32_prune_rescans
-            <= (crate::batch::LANES as u64) * t.batch_groups_scored,
-        "batched lane work (pruned {} + rescans {}) exceeds {} lanes x {} groups",
-        t.batch_lanes_abandoned,
-        t.f32_prune_rescans,
-        crate::batch::LANES,
-        t.batch_groups_scored,
     );
 }
 

@@ -78,7 +78,7 @@ pub mod tuning;
 
 /// Glob import of the most used types.
 pub mod prelude {
-    pub use crate::batch::{BatchQuery, BatchScorer, LANES};
+    pub use crate::batch::{BatchScorer, LANES};
     pub use crate::cluster::{agglomerative, k_medoids, silhouette, DistanceMatrix};
     pub use crate::correlate::{discover_correlations, Association};
     pub use crate::drift::{DriftConfig, DriftMonitor, DriftReport};

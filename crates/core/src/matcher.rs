@@ -3,23 +3,22 @@
 //!
 //! There is one search: Definition 2's state-order gate, then its weighted
 //! distance, over the store's [`tsm_db::SegmentFeatures`] snapshot. It
-//! runs under one of two plans, which differ only in how they pick the
-//! windows to score:
+//! runs under one of two plans, which differ only in how they list the
+//! windows with the query's state order:
 //!
-//! * the **scan** ([`Matcher::find_matches_with`]) visits every window of
-//!   every stream, gated by [`BatchScorer::match_mask`];
-//! * the **pruned** plan visits only the windows a [`FeatureIndex`] keeps
-//!   inside the amplitude and duration bands of their own source tier
-//!   (the bands scale with the tier's weight `ws`). Only
+//! * the **scan** ([`Matcher::find_matches_with`]) gates every window of
+//!   every stream with [`BatchScorer::match_mask`];
+//! * the **pruned** plan takes the query's state-order bucket from a
+//!   [`FeatureIndex`]. Only
 //!   [`crate::index_cache::CachedMatcher::find_matches`] runs it, with the
 //!   index of the query's length from its cache.
 //!
-//! Both plans hand per-stream runs of gate-passing window starts to one
-//! scorer. Starts whose window overlaps the query's own window in its
-//! origin stream are dropped first, before the gate and any tally. When
-//! the query builds a [`BatchQuery`] and the stream's f32 mirror is
-//! finite, the scan runs the f32 prefilter over its run; the pruned plan's
-//! band survivors skip it. Every remaining window is scored exactly by
+//! Starts whose window overlaps the query's own window in its origin
+//! stream are dropped first, before the gate and any tally. Both plans
+//! then keep a window only inside the amplitude and duration bands of its
+//! own source tier: one table of bands per search, scaled by each tier's
+//! weight `ws`, from one lower bound that no window within δ violates.
+//! Every band survivor is scored exactly by
 //! [`BatchScorer::rescore_exact`]. A bounded top-k collector keeps only
 //! results that can still make the cut. A naive vertex-walking reference
 //! ([`Matcher::find_matches_naive`]) is the oracle: the property tests
@@ -34,7 +33,7 @@
 //! `u128` key that sorts in that order, sorts the keys once and builds
 //! each [`MatchResult`] from its key.
 
-use crate::batch::{BatchQuery, BatchScorer, RescanOutcome, LANES};
+use crate::batch::{BatchScorer, RescanOutcome, LANES};
 use crate::invariants;
 use crate::metrics::{Counter, MetricsRegistry, SearchTally};
 use crate::params::Params;
@@ -52,8 +51,9 @@ use tsm_model::{state_signature, BreathState, Vertex};
 /// Safety factor on the half-width of the lower-bound pruning bands. A
 /// window's f64 numerator and the band's own arithmetic round relative to
 /// `δ · Σwi · ws` by a few ULPs per term; a 1e-9 relative margin covers
-/// that for n ≤ 60 terms. The rounding of the summaries themselves is
-/// relative to their magnitude instead, and [`summary_range`] covers it.
+/// that for windows of up to a million segments. The rounding of the
+/// summaries themselves is relative to their magnitude instead, and
+/// [`summary_range`] covers it.
 const BAND_MARGIN: f64 = 1.0 + 1e-9;
 
 /// A query subsequence, detached from the store (online queries come from
@@ -335,11 +335,11 @@ struct Tier {
     allowed: bool,
 }
 
-/// The summary bands of one source tier in a pruned search (see
-/// [`Matcher::find_matches_pruned`]): a window of that tier whose
-/// amplitude or duration summary lies outside them cannot be within δ.
-/// Each is a closed range of summary values.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The summary bands of one source tier in one search (see
+/// [`Engine::band`]): a window of that tier whose amplitude or duration
+/// summary lies outside them cannot be within δ. Each is a closed range
+/// of summary values.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub(crate) struct Band {
     pub(crate) amp: (f64, f64),
     pub(crate) dur: (f64, f64),
@@ -366,8 +366,8 @@ fn summary_range(q: f64, half: f64, eps: f64) -> (f64, f64) {
 }
 
 /// One search's worth of immutable context: the query's columns, the
-/// effective δ, and the provenance/overlap data every candidate is
-/// checked against. Shared by both plans.
+/// effective δ, the bands of each source tier, and the provenance/overlap
+/// data every candidate is checked against. Shared by both plans.
 struct Engine<'a> {
     params: &'a Params,
     query: &'a QuerySubseq,
@@ -377,10 +377,10 @@ struct Engine<'a> {
     delta: f64,
     q_first: f64,
     q_last: f64,
-    /// The query side of the scan's f32 prefilter. `None` when the query
-    /// cannot be narrowed (spatial metric, non-finite f32 values, negative
-    /// weights); the scan then scores every gated window exactly.
-    batch: Option<BatchQuery>,
+    /// The bands of each source tier, indexed by `SourceRelation as
+    /// usize`. Both plans keep only the windows inside their own tier's
+    /// bands.
+    bands: [Band; 3],
     /// Every stream's [`Tier`], indexed by stream id, over the feature
     /// snapshot the search runs on.
     tiers: Vec<Tier>,
@@ -397,7 +397,6 @@ impl<'a> Engine<'a> {
         let n = cols.len();
         let q_first = query.vertices.first()?.time;
         let q_last = query.vertices.last()?.time;
-        let batch = BatchQuery::build(&cols, &matcher.params);
         let mut engine = Engine {
             params: &matcher.params,
             query,
@@ -407,9 +406,17 @@ impl<'a> Engine<'a> {
             delta: options.delta_override.unwrap_or(matcher.params.delta),
             q_first,
             q_last,
-            batch,
+            bands: [Band::default(); 3],
             tiers: Vec::new(),
         };
+        let q_amp = abs_disp_sum(&engine.cols.disp);
+        let q_dur = q_last - q_first;
+        engine.bands = [
+            SourceRelation::SameSession,
+            SourceRelation::SamePatient,
+            SourceRelation::OtherPatient,
+        ]
+        .map(|r| engine.band(q_amp, q_dur, matcher.params.ws(r)));
         let tiers = features
             .streams()
             .iter()
@@ -449,12 +456,17 @@ impl<'a> Engine<'a> {
     }
 
     /// The summary bands of the source tier with weight `ws`, around the
-    /// query's amplitude summary `q_amp` and duration `q_dur`. A window
-    /// within δ has numerator `num ≤ δ · Σwi · ws`, and every term of
-    /// `num` is at least `wi_min` times its amplitude (or duration) part,
-    /// so `wa · wi_min · |S_q − S_c| ≤ num` (and likewise for `wf` and
-    /// `T`). Negative weights void that bound, and the band is then
-    /// unbounded.
+    /// query's amplitude summary `q_amp` (its forward `Σ|disp|`) and
+    /// duration `q_dur` (last vertex time minus first). Definition 2
+    /// divides by `Σwi · ws`, so `d ≤ δ` exactly when the numerator is at
+    /// most `δ · Σwi · ws`; every term of the numerator is at least
+    /// `wi_min` times its amplitude (or duration) part, so
+    /// `wa · wi_min · |S_q − S_c| ≤ num` (and likewise for `wf` and `T`),
+    /// and a window within δ has `|S_q − S_c| ≤ δ · Σwi · ws / (wa · wi_min)`
+    /// and `|T_q − T_c| ≤ δ · Σwi · ws / (wf · wi_min)`. Under the spatial
+    /// metric a displacement vector's difference is at least that of its
+    /// axis component, so the bound holds there too. Negative weights void
+    /// it, and the band is then unbounded.
     fn band(&self, q_amp: f64, q_dur: f64, ws: f64) -> Band {
         let p = self.params;
         let wi_min = self.cols.wi.iter().copied().fold(f64::INFINITY, f64::min);
@@ -494,47 +506,58 @@ impl<'a> Engine<'a> {
     }
 
     /// Scans every window of the snapshot's streams: the whole-stream
-    /// state gate picks each stream's run of starts for
-    /// [`Engine::score_run`], which prefilters it in f32 where it can.
+    /// state gate, then the bands of the stream's own tier, pick each
+    /// stream's run of starts for [`Engine::score_run`]. The band funnel
+    /// counts as the pruned plan's does, with the gate survivors as the
+    /// bucket.
     fn scan_streams(
         &self,
         streams: &[Arc<StreamFeatures>],
-        scratch: &mut Scratch,
+        batcher: &mut BatchScorer,
         coll: &mut Collector,
         tally: &mut SearchTally,
     ) {
+        let n = self.n;
         let mut starts: Vec<usize> = Vec::new();
         for (sf, tier) in streams.iter().zip(&self.tiers) {
-            if !tier.allowed {
-                continue;
-            }
-            let nseg = sf.num_segments();
-            if nseg < self.n {
+            if !tier.allowed || sf.num_segments() < n {
                 continue;
             }
             let skip = self.own_overlap(sf);
-            let mask = scratch.batcher.match_mask(&self.cols.states, sf);
+            let band = &self.bands[tier.relation as usize];
+            let mask = batcher.match_mask(&self.cols.states, sf);
+            let mut gated = 0u64;
             starts.clear();
-            starts.extend((0..mask.len()).filter(|&j| mask[j] == 0 && !skip.contains(&j)));
-            tally.windows_state_mismatch += (mask.len() - skip.len() - starts.len()) as u64;
-            self.score_run(sf, &starts, true, scratch, coll, tally);
+            for j in (0..mask.len()).filter(|&j| mask[j] == 0 && !skip.contains(&j)) {
+                gated += 1;
+                if !band.amp_contains(sf.amp_sum(j, n)) {
+                    continue;
+                }
+                tally.amp_band_candidates += 1;
+                if band.dur_contains(sf.times[j + n] - sf.times[j]) {
+                    starts.push(j);
+                }
+            }
+            tally.windows_state_mismatch += (mask.len() - skip.len()) as u64 - gated;
+            tally.bucket_candidates += gated;
+            tally.dur_band_candidates += starts.len() as u64;
+            self.score_run(sf, &starts, batcher, coll, tally);
         }
     }
 
-    /// Scores one stream's run of state-gated window starts, none of
-    /// which overlaps the query, and offers every window within δ to the
-    /// collector. With `prefilter`, a query that built a [`BatchQuery`]
-    /// and a stream whose f32 mirror is finite, the f32 lane kernel first
-    /// drops the windows it proves too far; the rest are scored exactly,
-    /// [`LANES`] at a time, by [`BatchScorer::rescore_exact`]. The tally
-    /// keeps `windows_scored == windows_abandoned + windows_completed`:
-    /// each pruned lane counts as a scored, abandoned window.
+    /// Scores one stream's run of band-surviving window starts, none of
+    /// which overlaps the query, [`LANES`] at a time with
+    /// [`BatchScorer::rescore_exact`], and offers every window within δ
+    /// to the collector. The tally keeps
+    /// `windows_scored == windows_abandoned + windows_completed`. Kept
+    /// out of line: inlined into the pruned plan's band walk, the
+    /// `matching` bench's pruned arm at δ = 8 ran about 4% slower.
+    #[inline(never)]
     fn score_run(
         &self,
         sf: &StreamFeatures,
         starts: &[usize],
-        prefilter: bool,
-        scratch: &mut Scratch,
+        batcher: &mut BatchScorer,
         coll: &mut Collector,
         tally: &mut SearchTally,
     ) {
@@ -543,27 +566,8 @@ impl<'a> Engine<'a> {
         }
         let relation = self.relation(&sf.meta);
         let ws = self.params.ws(relation);
-        let Scratch { batcher, survivors } = scratch;
-        let run = match &self.batch {
-            Some(bq) if prefilter && sf.mirror32.finite => {
-                // One shared limit and one kernel sweep per stream. The
-                // bound is sampled once per stream rather than per group;
-                // a stale (looser) bound only prunes less, and the exact
-                // rescore below makes every final accept/reject decision.
-                tally.batch_groups_scored += starts.len().div_ceil(LANES) as u64;
-                let limit = bq.stream_limit(sf, ws, coll.bound());
-                survivors.clear();
-                let pruned = batcher.collect_survivors(bq, sf, starts, limit, survivors);
-                tally.windows_scored += pruned;
-                tally.windows_abandoned += pruned;
-                tally.batch_lanes_abandoned += pruned;
-                tally.f32_prune_rescans += survivors.len() as u64;
-                &survivors[..]
-            }
-            _ => starts,
-        };
-        coll.reserve(run.len());
-        for group in run.chunks(LANES) {
+        coll.reserve(starts.len());
+        for group in starts.chunks(LANES) {
             let outs = batcher.rescore_exact(&self.cols, self.params, sf, group, ws, coll.bound());
             for (&start, out) in group.iter().zip(outs) {
                 match out {
@@ -586,15 +590,6 @@ impl<'a> Engine<'a> {
             }
         }
     }
-}
-
-/// Per-search scratch buffers, reused across every stream a search
-/// visits.
-#[derive(Default)]
-struct Scratch {
-    batcher: BatchScorer,
-    /// The f32 prefilter's survivors in the current stream.
-    survivors: Vec<usize>,
 }
 
 /// The matcher: a store handle plus parameters.
@@ -683,8 +678,10 @@ impl Matcher {
 
     /// Finds all similar subsequences: every stored window with the
     /// query's state order and weighted distance ≤ δ, sorted by distance
-    /// (ties by stream, then start). Runs on the columnar engine; results
-    /// are identical to [`Matcher::find_matches_naive`].
+    /// (ties by stream, then start). Runs the scan: the state gate over
+    /// every window, the bands of each window's source tier, then the
+    /// exact score; results are identical to
+    /// [`Matcher::find_matches_naive`].
     pub fn find_matches_with(
         &self,
         query: &QuerySubseq,
@@ -702,7 +699,7 @@ impl Matcher {
         let mut tally = SearchTally::default();
         engine.scan_streams(
             features.streams(),
-            &mut Scratch::default(),
+            &mut BatchScorer::new(),
             &mut coll,
             &mut tally,
         );
@@ -748,26 +745,20 @@ impl Matcher {
         out
     }
 
-    /// The pruned plan: feature-index search with lower-bound pruning.
-    /// Candidates outside the amplitude-summary *or* duration-summary band
-    /// of their own source tier provably cannot be within δ and are
-    /// skipped before their features are touched; band survivors are
-    /// scored exactly. Results are identical to
-    /// [`Matcher::find_matches_with`] (property-tested). `index` must
-    /// cover windows of the query's length along the matcher's axis,
-    /// which is why only
+    /// The pruned plan: the query's state-order bucket from a feature
+    /// index, instead of the scan's gate over every window. The bands are
+    /// the scan's ([`Engine::band`]), read from the index entries' stored
+    /// summaries, so entries outside them are skipped before their
+    /// features are touched; band survivors are scored exactly. Results
+    /// are identical to [`Matcher::find_matches_with`] (property-tested).
+    /// `index` must cover windows of the query's length along the
+    /// matcher's axis, which is why only
     /// [`CachedMatcher`](crate::index_cache::CachedMatcher) calls this:
     /// it picks the index.
     ///
-    /// The bounds: Definition 2 divides by `Σwi · ws`, so `d ≤ δ` exactly
-    /// when the numerator is at most `δ · Σwi · ws`, and the numerator is
-    /// at least `wa · wi_min · |S_q − S_c|` and `wf · wi_min · |T_q − T_c|`.
-    /// A candidate needs exact scoring only if
-    /// `|S_q − S_c| ≤ δ · Σwi · ws / (wa · wi_min)` **and**
-    /// `|T_q − T_c| ≤ δ · Σwi · ws / (wf · wi_min)` for its own stream's
-    /// `ws` ([`Engine::band`]). The bucket's binary search takes the
-    /// widest band of the tiers present in the store; each entry in it is
-    /// then checked against its own tier's band.
+    /// The bucket's binary search takes the widest amplitude band of the
+    /// tiers present in the store; each entry in it is then checked
+    /// against its own tier's bands.
     ///
     /// Survivors are `(stream, start)` pairs, grouped per stream by one
     /// counting sort into a flat start array; each stream's run is looked
@@ -800,26 +791,12 @@ impl Matcher {
         let Some(engine) = Engine::new(self, query, options, &features) else {
             return Vec::new();
         };
-        let q_amp = abs_disp_sum(&engine.cols.disp);
-        let q_dur = engine.q_last - engine.q_first;
-        // One band per source tier, indexed by `SourceRelation as usize`.
-        let empty = Band {
-            amp: (0.0, 0.0),
-            dur: (0.0, 0.0),
-        };
-        let mut bands = [empty; 3];
-        for r in [
-            SourceRelation::SameSession,
-            SourceRelation::SamePatient,
-            SourceRelation::OtherPatient,
-        ] {
-            bands[r as usize] = engine.band(q_amp, q_dur, self.params.ws(r));
-        }
         let mut present = [false; 3];
         for t in &engine.tiers {
             present[t.relation as usize] = true;
         }
-        let (lo, hi) = bands
+        let (lo, hi) = engine
+            .bands
             .iter()
             .zip(present)
             .filter(|&(_, p)| p)
@@ -836,7 +813,7 @@ impl Matcher {
             let Some(tier) = engine.tiers.get(e.stream.0 as usize) else {
                 continue;
             };
-            let band = &bands[tier.relation as usize];
+            let band = &engine.bands[tier.relation as usize];
             if !band.amp_contains(e.amp_sum) {
                 continue;
             }
@@ -871,11 +848,8 @@ impl Matcher {
             flat[*end as usize] = start as usize;
             *end += 1;
         }
-        // Band survivors are already plausible matches, so the f32
-        // prefilter mostly fails to prune them and would only add its own
-        // cost to the exact scoring it cannot avoid: they skip it.
         let mut coll = engine.collector();
-        let mut scratch = Scratch::default();
+        let mut batcher = BatchScorer::new();
         let mut own: Vec<usize> = Vec::new();
         let mut begin = 0;
         for (sf, &end) in features.streams().iter().zip(&ends) {
@@ -892,7 +866,7 @@ impl Matcher {
                 own.extend(run.iter().copied().filter(|s| !skip.contains(s)));
                 &own[..]
             };
-            engine.score_run(sf, run, false, &mut scratch, &mut coll, &mut tally);
+            engine.score_run(sf, run, &mut batcher, &mut coll, &mut tally);
         }
         self.conclude(&engine, coll, &tally)
     }
@@ -966,8 +940,11 @@ impl Matcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::AmplitudeMetric;
+    use proptest::prelude::*;
     use tsm_db::PatientAttributes;
-    use tsm_model::{PlrTrajectory, Vertex};
+    use tsm_model::{segment_signal, PlrTrajectory, SegmenterConfig, Vertex};
+    use tsm_signal::{BreathingParams, SignalGenerator};
     use BreathState::*;
 
     /// A PLR stream of `n` cycles with the given amplitude.
@@ -1222,6 +1199,121 @@ mod tests {
             assert_eq!((stream, start), (a.subseq.stream, a.subseq.start));
             for b in &results {
                 assert_eq!(key(a).cmp(&key(b)), cmp_results(a, b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    /// A store of 2 patients × 2 simulated 60 s streams of `dim`
+    /// dimensions, and its first stream's id.
+    fn simulated_store(amp: f64, seed: u64, dim: usize) -> (StreamStore, StreamId) {
+        let store = StreamStore::new();
+        let mut first = None;
+        for p in 0..2u64 {
+            let pid = store.add_patient(PatientAttributes::new());
+            for s in 0..2u64 {
+                let params = BreathingParams {
+                    amplitude_mm: amp * (1.0 + 0.1 * p as f64),
+                    period_s: 4.0,
+                    dim,
+                    ..Default::default()
+                };
+                let samples = SignalGenerator::new(params, seed * 97 + p * 13 + s).generate(60.0);
+                let vertices = segment_signal(&samples, SegmenterConfig::clean());
+                if let Ok(plr) = PlrTrajectory::from_vertices(vertices) {
+                    let id = store.add_stream(pid, s as u32, plr, samples.len());
+                    first.get_or_insert(id);
+                }
+            }
+        }
+        (store, first.expect("at least one stream"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The band is admissible: every window the oracle returns lies
+        /// inside its own source tier's amplitude and duration bands, so
+        /// neither plan drops a window the oracle returns. Queries are cut
+        /// from stored streams (all three tiers present) or detached from
+        /// them (every window another patient's), under both amplitude
+        /// metrics, with Table 1's source weights or weights above 1,
+        /// where a tier's band is wider than at `ws = 1`. The store also
+        /// holds a second stream of the query's session: a copy of its
+        /// stream with every position stretched by `1 + stretch`. Its
+        /// window at the query's place differs from the query by the same
+        /// fraction in every segment, so its amplitude summary lies as far
+        /// from the query's as its distance allows. Each query runs at the
+        /// drawn δ (0.05 to 10) and at that window's own distance.
+        #[test]
+        fn band_holds_every_window_the_oracle_returns(
+            amp in 6.0f64..18.0,
+            seed in 1u64..500,
+            start in 0usize..8,
+            len in 3usize..12,
+            delta in 0.05f64..10.0,
+            stretch in 0.01f64..0.5,
+            spatial in proptest::bool::ANY,
+            heavy in 0usize..4,
+        ) {
+            let (store, id) = simulated_store(amp, seed, if spatial { 3 } else { 1 });
+            let source = store.stream(id).unwrap();
+            let stretched = source
+                .plr
+                .vertices()
+                .iter()
+                .map(|v| Vertex {
+                    position: v.position * (1.0 + stretch),
+                    ..*v
+                })
+                .collect();
+            let twin = store.add_stream(
+                source.meta.patient,
+                source.meta.session,
+                PlrTrajectory::from_vertices(stretched).unwrap(),
+                source.raw_len,
+            );
+            let weights = [(0.9, 1.0), (1.5, 3.0), (1.0, 2.0), (1.2, 1.2)];
+            let (same_patient, same_session) = weights[heavy];
+            let params = Params {
+                ws_same_patient: same_patient,
+                ws_same_session: same_session,
+                amplitude_metric: if spatial {
+                    AmplitudeMetric::Spatial
+                } else {
+                    AmplitudeMetric::Axis
+                },
+                ..Params::default()
+            };
+            prop_assert!(params.validate().is_ok());
+            let Some(view) = store.resolve(SubseqRef::new(id, start, len)) else {
+                return Ok(());
+            };
+            let own = QuerySubseq::from_view(&view);
+            let detached = QuerySubseq::new(own.vertices.clone());
+            let twin_view = store.resolve(SubseqRef::new(twin, start, len)).unwrap();
+            let relation = SourceRelation::SameSession;
+            let twin_d = online_distance(&own.vertices, twin_view.vertices(), &params, relation);
+            let matcher = Matcher::new(store.clone(), params);
+            let features = store.segment_features(matcher.params.axis);
+            for query in [&own, &detached] {
+                for delta in [delta, twin_d.unwrap()] {
+                    let opts = SearchOptions {
+                        delta_override: Some(delta),
+                        ..Default::default()
+                    };
+                    let engine = Engine::new(&matcher, query, &opts, &features).unwrap();
+                    for m in matcher.find_matches_naive(query, &opts) {
+                        let sf = features.stream(m.subseq.stream).unwrap();
+                        let (j, n) = (m.subseq.start as usize, m.subseq.len as usize);
+                        let band = &engine.bands[m.relation as usize];
+                        let (amp_sum, dur) = (sf.amp_sum(j, n), sf.times[j + n] - sf.times[j]);
+                        prop_assert!(
+                            band.amp_contains(amp_sum) && band.dur_contains(dur),
+                            "{:?} at d = {} (δ = {}): amp {} outside {:?} or dur {} outside {:?}",
+                            m.subseq, m.distance, delta, amp_sum, band.amp, dur, band.dur,
+                        );
+                    }
+                }
             }
         }
     }

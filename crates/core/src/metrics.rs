@@ -14,9 +14,6 @@
 //! [`MetricsSnapshot::check_invariants`] and the test suite):
 //!
 //! * `match.windows_scored == match.windows_abandoned + match.windows_completed`
-//! * `match.batch_lanes_abandoned <= match.windows_abandoned`
-//! * `match.batch_lanes_abandoned + match.f32_prune_rescans <=
-//!   min(match.windows_scored, 8 · match.batch_groups_scored)`
 //! * `index.dur_band_candidates <= index.amp_band_candidates <=
 //!   index.bucket_candidates`
 //! * `cache.hits + cache.misses == cache.lookups`
@@ -51,21 +48,21 @@ pub enum Counter {
     Searches,
     /// Candidate windows handed to the scorer with a matching state order.
     WindowsScored,
-    /// Scored windows rejected against the bound: the f32 prefilter
-    /// pruned them, or their exact numerator exceeded the abandon limit.
+    /// Scored windows whose exact numerator exceeded the abandon limit.
     WindowsAbandoned,
     /// Scored windows whose exact distance was computed.
     WindowsCompleted,
     /// Candidate windows rejected by the state-order gate before scoring.
     WindowsStateMismatch,
-    /// Entries in the signature bucket before any band filtering
-    /// (first `FeatureIndex` tier).
+    /// Windows with the query's state order, before any band filtering:
+    /// the pruned plan's signature bucket, or the scan's gate survivors.
     IndexBucketCandidates,
-    /// Entries inside the amplitude band of their own source tier (second
-    /// tier).
+    /// Of those, the windows inside the amplitude band of their own
+    /// source tier.
     IndexAmpBandCandidates,
-    /// Entries inside their tier's duration band too (the pruned plan
-    /// scores those the patient restriction admits).
+    /// Of those, the windows inside their tier's duration band too. Both
+    /// plans score the ones the patient restriction admits; the scan
+    /// never visits a stream the restriction excludes.
     IndexDurBandCandidates,
     /// Index lookups through the `IndexCache`.
     CacheLookups,
@@ -128,14 +125,6 @@ pub enum Counter {
     SalvageStreamsRecovered,
     /// Streams lost (expected minus recovered) across salvage loads.
     SalvageStreamsLost,
-    /// Lane groups the batched f32 kernel scored (groups with at least
-    /// one state-matched lane).
-    BatchGroupsScored,
-    /// Lanes the f32 tier pruned admissibly (counted into
-    /// `match.windows_abandoned` as well — the lane *was* the abandon).
-    BatchLanesAbandoned,
-    /// f32-tier survivors re-scored by the exact f64 scorer.
-    F32PruneRescans,
     /// HTTP requests the serve front-end answered (every response
     /// written, including parse failures and requests shed by admission
     /// control).
@@ -207,9 +196,6 @@ const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "store.salvage_loads",
     "store.salvage_streams_recovered",
     "store.salvage_streams_lost",
-    "match.batch_groups_scored",
-    "match.batch_lanes_abandoned",
-    "match.f32_prune_rescans",
     "serve.requests",
     "serve.rejected",
     "serve.bytes_in",
@@ -313,26 +299,20 @@ struct Inner {
 pub struct SearchTally {
     /// Windows passed to the scorer (state order matched).
     pub windows_scored: u64,
-    /// Windows rejected against the bound (f32-pruned, or an exact
-    /// numerator over the abandon limit).
+    /// Windows whose exact numerator exceeded the abandon limit.
     pub windows_abandoned: u64,
     /// Windows whose exact distance was computed.
     pub windows_completed: u64,
     /// Windows rejected by the state-order gate.
     pub windows_state_mismatch: u64,
-    /// Signature-bucket entries considered (pruned/indexed paths).
+    /// Windows with the query's state order: signature-bucket entries
+    /// (pruned plan) or gate survivors (scan).
     pub bucket_candidates: u64,
-    /// Entries inside the amplitude band of their own source tier.
+    /// Of those, the windows inside the amplitude band of their own
+    /// source tier.
     pub amp_band_candidates: u64,
-    /// Entries inside their tier's duration band too.
+    /// Of those, the windows inside their tier's duration band too.
     pub dur_band_candidates: u64,
-    /// Lane groups the batched kernel scored (≥ 1 state-matched lane).
-    pub batch_groups_scored: u64,
-    /// Lanes the f32 prefilter pruned (each also counts as a
-    /// scored+abandoned window, so the balance equation still holds).
-    pub batch_lanes_abandoned: u64,
-    /// f32-tier survivors handed to the exact f64 rescan.
-    pub f32_prune_rescans: u64,
 }
 
 impl SearchTally {
@@ -349,9 +329,6 @@ impl SearchTally {
         self.bucket_candidates += other.bucket_candidates;
         self.amp_band_candidates += other.amp_band_candidates;
         self.dur_band_candidates += other.dur_band_candidates;
-        self.batch_groups_scored += other.batch_groups_scored;
-        self.batch_lanes_abandoned += other.batch_lanes_abandoned;
-        self.f32_prune_rescans += other.f32_prune_rescans;
         crate::invariants::tally_reconciled(self);
     }
 }
@@ -455,9 +432,6 @@ impl MetricsRegistry {
         self.add(Counter::IndexBucketCandidates, t.bucket_candidates);
         self.add(Counter::IndexAmpBandCandidates, t.amp_band_candidates);
         self.add(Counter::IndexDurBandCandidates, t.dur_band_candidates);
-        self.add(Counter::BatchGroupsScored, t.batch_groups_scored);
-        self.add(Counter::BatchLanesAbandoned, t.batch_lanes_abandoned);
-        self.add(Counter::F32PruneRescans, t.f32_prune_rescans);
     }
 
     /// A point-in-time copy of every counter and histogram. A disabled
@@ -627,25 +601,6 @@ impl MetricsSnapshot {
         if scored != abandoned + completed {
             return Err(format!(
                 "windows_scored ({scored}) != abandoned ({abandoned}) + completed ({completed})"
-            ));
-        }
-        let groups = self.counter("match.batch_groups_scored");
-        let lanes_abandoned = self.counter("match.batch_lanes_abandoned");
-        let rescans = self.counter("match.f32_prune_rescans");
-        if lanes_abandoned > abandoned {
-            return Err(format!(
-                "batch_lanes_abandoned ({lanes_abandoned}) > windows_abandoned ({abandoned})"
-            ));
-        }
-        if lanes_abandoned + rescans > scored {
-            return Err(format!(
-                "batched lanes ({lanes_abandoned}) + rescans ({rescans}) > windows_scored ({scored})"
-            ));
-        }
-        if lanes_abandoned + rescans > 8 * groups {
-            return Err(format!(
-                "batched lanes ({lanes_abandoned}) + rescans ({rescans}) exceed \
-                 8 x batch_groups_scored ({groups})"
             ));
         }
         let bucket = self.counter("index.bucket_candidates");

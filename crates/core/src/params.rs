@@ -167,8 +167,20 @@ impl Params {
     }
 
     /// Validates invariants the paper states (wa ≥ wf, weight ordering,
-    /// positive thresholds, sane lengths).
+    /// positive thresholds, sane lengths). A NaN weight or threshold is
+    /// rejected, since every comparison with it is false; δ = ∞ (match
+    /// everything) is valid.
     pub fn validate(&self) -> Result<(), String> {
+        for (name, v) in [
+            ("wa", self.wa),
+            ("wf", self.wf),
+            ("delta", self.delta),
+            ("theta", self.theta),
+        ] {
+            if v.is_nan() {
+                return Err(format!("{name} must be a number, not NaN"));
+            }
+        }
         if self.wa < self.wf {
             return Err(format!(
                 "amplitude weight wa={} must be >= frequency weight wf={}",
@@ -187,7 +199,10 @@ impl Params {
             return Err("source weights must be positive".into());
         }
         if self.delta <= 0.0 || self.theta <= 0.0 {
-            return Err("thresholds must be positive".into());
+            return Err(format!(
+                "thresholds must be positive: delta={}, theta={}",
+                self.delta, self.theta
+            ));
         }
         if self.lmin_cycles == 0 || self.lmin_cycles > self.lmax_cycles {
             return Err(format!(
@@ -268,6 +283,37 @@ mod tests {
             ..Default::default()
         };
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_nan_weights_and_thresholds() {
+        let nan = f64::NAN;
+        let wa = Params {
+            wa: nan,
+            ..Default::default()
+        };
+        assert!(wa.validate().is_err(), "wa = NaN accepted");
+        let wf = Params {
+            wf: nan,
+            ..Default::default()
+        };
+        assert!(wf.validate().is_err(), "wf = NaN accepted");
+        let delta = Params {
+            delta: nan,
+            ..Default::default()
+        };
+        assert!(delta.validate().is_err(), "delta = NaN accepted");
+        let theta = Params {
+            theta: nan,
+            ..Default::default()
+        };
+        assert!(theta.validate().is_err(), "theta = NaN accepted");
+        // An infinite threshold is a valid "match everything".
+        let open = Params {
+            delta: f64::INFINITY,
+            ..Default::default()
+        };
+        assert!(open.validate().is_ok());
     }
 
     #[test]

@@ -171,8 +171,8 @@ proptest! {
     }
 
     /// The plans off the axis metric's common path equal the oracle too:
-    /// the spatial amplitude metric, whose queries build no f32 prefilter
-    /// and whose windows the exact rescore scores by their spatial
+    /// the spatial amplitude metric, whose windows the band filters by
+    /// their axis summary and the exact rescore scores by their spatial
     /// displacement, and queries longer than `MAX_SIGNATURE_LEN`
     /// segments, which `CachedMatcher` sends to the scan. Runs on 3-D
     /// streams long enough for such queries.
@@ -303,15 +303,14 @@ proptest! {
         prop_assert_eq!(&own_results, &detached_minus_overlap);
     }
 
-    /// A stream whose f32 mirror is not finite skips the f32 prefilter:
-    /// the exact rescore scores its gated windows. The store gains a copy
+    /// A stream whose last vertex lies at 1e39 mm. The store gains a copy
     /// of the query's stream, as another session of the same patient,
-    /// with its last vertex moved to 1e39 mm, so the last segment's
-    /// displacement exceeds `f32::MAX`. The windows before that segment
-    /// still match the query, the ones across it score astronomically far,
-    /// and both plans equal the oracle, with and without top-k.
+    /// with its last vertex moved there. The windows before that vertex
+    /// still match the query, the ones across it lie astronomically far
+    /// outside the amplitude band, and both plans equal the oracle, with
+    /// and without top-k.
     #[test]
-    fn non_finite_mirror_streams_equal_the_oracle(
+    fn streams_ending_at_1e39_mm_equal_the_oracle(
         amp in 6.0f64..18.0,
         seed in 1u64..500,
         start in 0usize..8,
@@ -330,11 +329,7 @@ proptest! {
             PlrTrajectory::from_vertices(vertices).unwrap(),
             source.raw_len,
         );
-        let params = Params::default();
-        let features = store.segment_features(params.axis);
-        prop_assert!(!features.stream(copy).unwrap().mirror32.finite);
-        prop_assert!(features.stream(id).unwrap().mirror32.finite);
-        let matcher = Matcher::new(store.clone(), params);
+        let matcher = Matcher::new(store.clone(), Params::default());
         let cached = CachedMatcher::new(matcher.clone());
         let Some(view) = store.resolve(SubseqRef::new(id, start, len)) else {
             return Ok(());
@@ -454,79 +449,6 @@ proptest! {
                 prop_assert!(naive
                     .iter()
                     .any(|m| m.subseq == SubseqRef::new(copy, start, 6) && m.distance == 0.0));
-            }
-        }
-    }
-
-    /// Direct admissibility of the f32 lower-bound tier on random
-    /// streams: every start `collect_survivors` prunes at bound `b` has
-    /// an oracle distance (`online_distance` at ws = 1) strictly greater
-    /// than `b`, and pruned plus survivors account for every gate-passing
-    /// start.
-    #[test]
-    fn f32_tier_never_prunes_an_admissible_window(
-        amp in 6.0f64..18.0,
-        seed in 1u64..500,
-        start in 0usize..8,
-        len in 3usize..10,
-        bound in 0.05f64..6.0,
-    ) {
-        use tsm_core::batch::{BatchQuery, BatchScorer};
-        use tsm_core::similarity::{online_distance, QueryCols};
-        use tsm_db::SourceRelation;
-
-        let (store, id) = build_store(amp, 4.0, seed);
-        let params = Params::default();
-        let Some(view) = store.resolve(SubseqRef::new(id, start, len)) else {
-            return Ok(());
-        };
-        let query = QuerySubseq::from_view(&view);
-        let Some(cols) = QueryCols::build(&query.vertices, &params) else {
-            return Ok(());
-        };
-        let n = cols.len();
-        let Some(bq) = BatchQuery::build(&cols, &params) else {
-            return Ok(());
-        };
-        let mut kernel = BatchScorer::new();
-        let mut survivors = Vec::new();
-        let features = store.segment_features(params.axis);
-        for sf in features.streams() {
-            if !sf.mirror32.finite || sf.num_segments() < n {
-                continue;
-            }
-            let total = sf.num_segments() - n + 1;
-            let matched: Vec<usize> = {
-                let mask = kernel.match_mask(&cols.states, sf);
-                prop_assert_eq!(mask.len(), total);
-                for (j, &m) in mask.iter().enumerate() {
-                    prop_assert_eq!(
-                        m == 0,
-                        sf.states[j..j + n] == cols.states[..],
-                        "gate disagreement: stream {:?} start {}",
-                        sf.meta.id, j,
-                    );
-                }
-                (0..total).filter(|&j| mask[j] == 0).collect()
-            };
-            if matched.is_empty() {
-                continue;
-            }
-            survivors.clear();
-            let limit = bq.stream_limit(sf, 1.0, bound);
-            let pruned = kernel.collect_survivors(&bq, sf, &matched, limit, &mut survivors);
-            prop_assert_eq!(pruned as usize + survivors.len(), matched.len());
-            for &w in matched.iter().filter(|w| !survivors.contains(w)) {
-                let cand = store.resolve(SubseqRef::new(sf.meta.id, w, n)).unwrap();
-                let exact = online_distance(
-                    &query.vertices, cand.vertices(), &params, SourceRelation::SameSession,
-                );
-                let refutable = exact.is_some_and(|d| d > bound);
-                prop_assert!(
-                    refutable,
-                    "inadmissible f32 prune: stream {:?} start {} bound {}",
-                    sf.meta.id, w, bound,
-                );
             }
         }
     }

@@ -41,9 +41,6 @@ fn disabled_registry_records_without_allocating() {
         bucket_candidates: 20,
         amp_band_candidates: 15,
         dur_band_candidates: 12,
-        batch_groups_scored: 2,
-        batch_lanes_abandoned: 3,
-        f32_prune_rescans: 1,
     };
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);

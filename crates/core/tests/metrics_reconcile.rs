@@ -4,7 +4,7 @@
 //!
 //! * `match.windows_scored == match.windows_abandoned + match.windows_completed`
 //! * `index.dur_band_candidates <= index.amp_band_candidates <=
-//!   index.bucket_candidates`
+//!   index.bucket_candidates`, on both plans
 //! * `cache.hits + cache.misses == cache.lookups`
 //! * served + abstained predictions == ticks
 //! * `predict.memo_hits <= predict.lookups`
@@ -92,10 +92,13 @@ fn matcher_counters_reconcile_across_all_variants() {
     );
 }
 
-/// The pruned plan's band funnel is a ledger: the bucket, then the
-/// entries inside their source tier's amplitude band, then those inside
-/// its duration band too, which are exactly the windows scored when no
-/// window is the query's own and no patient is excluded.
+/// Both plans' band funnel is a ledger: the windows with the query's
+/// state order (the pruned plan's bucket, the scan's gate survivors),
+/// then those inside their source tier's amplitude band, then those
+/// inside its duration band too, which are exactly the windows scored
+/// when no window is the query's own and no patient is excluded. The
+/// scan's gate splits every window of the streams long enough for the
+/// query between the bucket and `match.windows_state_mismatch`.
 #[test]
 fn band_funnel_narrows_to_the_windows_scored() {
     let (store, _) = seeded_store(62);
@@ -104,26 +107,41 @@ fn band_funnel_narrows_to_the_windows_scored() {
         .unwrap();
     // Detached, so every stored window is another patient's (ws = 0.3).
     let query = QuerySubseq::new(view.vertices().to_vec());
+    let windows: u64 = store
+        .streams()
+        .iter()
+        .map(|s| (s.plr.num_segments() + 1).saturating_sub(query.len()) as u64)
+        .sum();
     for delta in [0.5, 8.0] {
-        let metrics = MetricsRegistry::enabled();
-        let cached = CachedMatcher::new(
-            Matcher::new(store.clone(), Params::default()).with_metrics(metrics.clone()),
-        );
         let opts = SearchOptions {
             delta_override: Some(delta),
             ..Default::default()
         };
-        let matches = cached.find_matches(&query, &opts);
-        let snap = metrics.snapshot();
-        snap.check_invariants().expect("counters reconcile");
-        let bucket = snap.counter("index.bucket_candidates");
-        let amp = snap.counter("index.amp_band_candidates");
-        let dur = snap.counter("index.dur_band_candidates");
-        assert!(dur <= amp && amp <= bucket, "{bucket} -> {amp} -> {dur}");
-        assert_eq!(snap.counter("match.windows_scored"), dur);
-        assert!(matches.len() as u64 <= dur);
-        if delta < 1.0 {
-            assert!(amp < bucket, "a tight band kept the whole bucket");
+        for scan in [false, true] {
+            let metrics = MetricsRegistry::enabled();
+            let cached = CachedMatcher::new(
+                Matcher::new(store.clone(), Params::default()).with_metrics(metrics.clone()),
+            );
+            let matches = if scan {
+                cached.matcher().find_matches_with(&query, &opts)
+            } else {
+                cached.find_matches(&query, &opts)
+            };
+            let snap = metrics.snapshot();
+            snap.check_invariants().expect("counters reconcile");
+            let bucket = snap.counter("index.bucket_candidates");
+            let amp = snap.counter("index.amp_band_candidates");
+            let dur = snap.counter("index.dur_band_candidates");
+            assert!(dur <= amp && amp <= bucket, "{bucket} -> {amp} -> {dur}");
+            assert_eq!(snap.counter("match.windows_scored"), dur);
+            assert!(matches.len() as u64 <= dur);
+            if delta < 1.0 {
+                assert!(amp < bucket, "a tight band kept the whole bucket");
+            }
+            if scan {
+                let mismatch = snap.counter("match.windows_state_mismatch");
+                assert_eq!(bucket + mismatch, windows, "δ = {delta}");
+            }
         }
     }
 }

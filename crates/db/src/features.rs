@@ -6,7 +6,9 @@
 //! [`tsm_model::Segment`] values per candidate window recomputes all of
 //! them `O(windows × len)` times; this module computes each once per
 //! stored segment and lays the results out as flat arrays (structure of
-//! arrays), plus prefix sums of duration. A window's amplitude summary is
+//! arrays), plus prefix sums of duration. Every column is f64: the
+//! matcher's state gate, its amplitude and duration bands and its exact
+//! scorer all read these columns directly. A window's amplitude summary is
 //! a direct forward sum ([`abs_disp_sum`]) rather than a prefix-sum
 //! subtraction: after one segment of huge magnitude a prefix sum loses
 //! every later window's summary to cancellation.
@@ -22,119 +24,13 @@ use crate::stream::{MotionStream, StreamMeta};
 use std::sync::Arc;
 use tsm_model::{Position, Segment};
 
-/// The smallest `f32` that is `>= x`, for non-negative finite `x`
-/// (round-up conversion). Values beyond `f32::MAX` saturate to infinity.
-///
-/// This is the rounding direction every error *bound* in the [`Mirror32`]
-/// uses: a bound that rounds down could understate the true conversion
-/// error and make the f32 pruning tier inadmissible.
-pub fn f32_above(x: f64) -> f32 {
-    debug_assert!(x >= 0.0 || x.is_nan());
-    let y = x as f32; // round-to-nearest
-    if !y.is_finite() {
-        return f32::INFINITY;
-    }
-    if (y as f64) >= x {
-        y
-    } else {
-        // y is finite and below x >= 0, so bit-increment is next-up.
-        f32::from_bits(y.to_bits() + 1)
-    }
-}
-
 /// `Σ |d|` over `disp`, summed forward from zero: the amplitude summary
-/// of a window (and of a query) that the feature index bands on. Query
-/// and index entries both use this one expression, so equal windows get
-/// bit-equal summaries.
+/// of a window (and of a query) that both search plans band on. The
+/// query, the index entries and the scan all use this one expression, so
+/// equal windows get bit-equal summaries.
 #[inline]
 pub fn abs_disp_sum(disp: &[f64]) -> f64 {
     disp.iter().fold(0.0, |acc, d| acc + d.abs())
-}
-
-/// `f32` structure-of-arrays mirror of one stream's f64 feature columns,
-/// with per-segment conversion-error bounds.
-///
-/// The batched scoring tier (`tsm-core`) accumulates candidate distances
-/// in f32, eight windows per pass. For that prune to stay *admissible*
-/// against the exact f64 distance, the mirror carries, per segment, an
-/// upper bound on `|disp[i] - disp32[i]|` and `|dur[i] - dur32[i]|`
-/// (the representation error introduced by narrowing), plus prefix sums
-/// of those bounds so any window's total conversion slack is two
-/// subtractions — the same trick the f64 columns use for durations.
-///
-/// The mirror is built inside [`StreamFeatures::build`], so it shares the
-/// f64 columns' lifecycle exactly: per-stream features are immutable and
-/// the store-level snapshot is invalidated by the store version counter.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Mirror32 {
-    /// `disp` narrowed to f32 (round-to-nearest).
-    pub disp: Vec<f32>,
-    /// `dur` narrowed to f32 (round-to-nearest).
-    pub dur: Vec<f32>,
-    /// Per-segment upper bound on `|disp[i] - disp[i] as f32|`
-    /// (round-up, so never an underestimate).
-    pub disp_err: Vec<f32>,
-    /// Per-segment upper bound on `|dur[i] - dur[i] as f32|`.
-    pub dur_err: Vec<f32>,
-    /// Prefix sums of `disp_err` (f64): window conversion slack in O(1).
-    pub disp_err_prefix: Vec<f64>,
-    /// Prefix sums of `dur_err` (f64).
-    pub dur_err_prefix: Vec<f64>,
-    /// Whether every mirrored value is finite in f32. When false (a
-    /// column magnitude beyond `f32::MAX`), the batched tier must fall
-    /// back to exact f64 scoring for this stream.
-    pub finite: bool,
-}
-
-impl Mirror32 {
-    /// Narrows the f64 columns, recording exact per-segment conversion
-    /// errors (computed in f64, rounded *up* into f32).
-    pub fn build(disp: &[f64], dur: &[f64]) -> Self {
-        let n = disp.len();
-        debug_assert_eq!(dur.len(), n);
-        let mut m = Mirror32 {
-            disp: Vec::with_capacity(n),
-            dur: Vec::with_capacity(n),
-            disp_err: Vec::with_capacity(n),
-            dur_err: Vec::with_capacity(n),
-            disp_err_prefix: Vec::with_capacity(n + 1),
-            dur_err_prefix: Vec::with_capacity(n + 1),
-            finite: true,
-        };
-        m.disp_err_prefix.push(0.0);
-        m.dur_err_prefix.push(0.0);
-        let mut disp_acc = 0.0f64;
-        let mut dur_acc = 0.0f64;
-        for i in 0..n {
-            let d32 = disp[i] as f32;
-            let t32 = dur[i] as f32;
-            m.finite &= d32.is_finite() && t32.is_finite();
-            let de = f32_above((disp[i] - d32 as f64).abs());
-            let te = f32_above((dur[i] - t32 as f64).abs());
-            m.disp.push(d32);
-            m.dur.push(t32);
-            m.disp_err.push(de);
-            m.dur_err.push(te);
-            disp_acc += de as f64;
-            dur_acc += te as f64;
-            m.disp_err_prefix.push(disp_acc);
-            m.dur_err_prefix.push(dur_acc);
-        }
-        m
-    }
-
-    /// Total displacement conversion-error bound over the window of `len`
-    /// segments starting at `start`.
-    #[inline]
-    pub fn amp_err_sum(&self, start: usize, len: usize) -> f64 {
-        self.disp_err_prefix[start + len] - self.disp_err_prefix[start]
-    }
-
-    /// Total duration conversion-error bound over the window.
-    #[inline]
-    pub fn dur_err_sum(&self, start: usize, len: usize) -> f64 {
-        self.dur_err_prefix[start + len] - self.dur_err_prefix[start]
-    }
 }
 
 /// Flat per-segment features of one stream, along one classification axis.
@@ -160,9 +56,6 @@ pub struct StreamFeatures {
     pub states: Vec<u8>,
     /// Prefix sums of `dur`: `dur_prefix[j] = Σ_{i<j} dur[i]`.
     pub dur_prefix: Vec<f64>,
-    /// f32 mirror of `disp`/`dur` with conversion-error bounds, for the
-    /// batched (8-lane) scoring tier.
-    pub mirror32: Mirror32,
 }
 
 impl StreamFeatures {
@@ -192,7 +85,6 @@ impl StreamFeatures {
         if let Some(last) = vertices.last() {
             times.push(last.time);
         }
-        let mirror32 = Mirror32::build(&disp, &dur);
         StreamFeatures {
             meta: stream.meta,
             times,
@@ -201,7 +93,6 @@ impl StreamFeatures {
             dur,
             states,
             dur_prefix,
-            mirror32,
         }
     }
 
@@ -384,60 +275,6 @@ mod tests {
         let other_axis = store.segment_features(1);
         assert_eq!(other_axis.axis(), 1);
         assert!(!Arc::ptr_eq(&grown.streams()[0], &other_axis.streams()[0]));
-    }
-
-    #[test]
-    fn mirror32_bounds_conversion_error() {
-        let store = StreamStore::new();
-        let p = store.add_patient(PatientAttributes::new());
-        let id = store.add_stream(p, 0, plr(6, 10.37), 600);
-        let stream = store.stream(id).unwrap();
-        let f = StreamFeatures::build(&stream, 0);
-        let m = &f.mirror32;
-        assert!(m.finite);
-        assert_eq!(m.disp.len(), f.num_segments());
-        assert_eq!(m.disp_err_prefix.len(), f.num_segments() + 1);
-        for i in 0..f.num_segments() {
-            // The stored error bounds dominate the true conversion error.
-            assert!((f.disp[i] - m.disp[i] as f64).abs() <= m.disp_err[i] as f64);
-            assert!((f.dur[i] - m.dur[i] as f64).abs() <= m.dur_err[i] as f64);
-        }
-        // Window error sums dominate the per-segment sums they summarize.
-        for (start, len) in [(0usize, 3usize), (2, 5), (4, 9)] {
-            let direct_d: f64 = (start..start + len)
-                .map(|i| (f.disp[i] - m.disp[i] as f64).abs())
-                .sum();
-            let direct_t: f64 = (start..start + len)
-                .map(|i| (f.dur[i] - m.dur[i] as f64).abs())
-                .sum();
-            // 1e-12 relative slack covers the f64 prefix accumulation.
-            assert!(m.amp_err_sum(start, len) >= direct_d * (1.0 - 1e-12));
-            assert!(m.dur_err_sum(start, len) >= direct_t * (1.0 - 1e-12));
-        }
-    }
-
-    #[test]
-    fn f32_above_never_rounds_down() {
-        for x in [0.0, 1e-300, 0.1, 1.0 + 1e-9, 12345.6789, 3.0e38, 1e300] {
-            let y = f32_above(x);
-            assert!(y as f64 >= x, "f32_above({x}) = {y} rounded down");
-        }
-        assert_eq!(f32_above(f64::INFINITY), f32::INFINITY);
-        // Tightness: at most one ulp above the nearest conversion.
-        let x = 0.1f64;
-        let y = f32_above(x);
-        assert!(y == x as f32 || y == f32::from_bits((x as f32).to_bits() + 1));
-    }
-
-    #[test]
-    fn mirror32_flags_overflowing_columns() {
-        let m = Mirror32::build(&[1.0, 1e39], &[1.0, 1.0]);
-        assert!(!m.finite);
-        let ok = Mirror32::build(&[1.0, -2.5], &[0.5, 0.25]);
-        assert!(ok.finite);
-        // Exactly representable values carry zero error bounds.
-        assert_eq!(ok.disp_err, vec![0.0, 0.0]);
-        assert_eq!(ok.amp_err_sum(0, 2), 0.0);
     }
 
     #[test]

@@ -89,11 +89,13 @@ cargo build --release -p tsm-bench --benches
 echo "== checking search equivalence against the oracle (release) =="
 # The matching numbers below are only comparable if every plan returns
 # the oracle's answers. Prove it before measuring: the property suite's
-# oracle test and the f32 tier's admissibility test must pass in release
-# mode (the same optimization level the benches run at).
+# oracle test and the band's admissibility property (every window the
+# oracle returns lies inside its tier's bands) must pass in release mode
+# (the same optimization level the benches run at).
 cargo test --release -p tsm-core --test matcher_properties -- --quiet \
-    all_variants_return_identical_ordered_topk \
-    f32_tier_never_prunes_an_admissible_window
+    all_variants_return_identical_ordered_topk
+cargo test --release -p tsm-core --lib -- --quiet \
+    matcher::tests::band_holds_every_window_the_oracle_returns
 
 echo "== running matching + distances benches =="
 CRITERION_SNAPSHOT="$tmp/matching.jsonl" cargo bench -p tsm-bench --bench matching

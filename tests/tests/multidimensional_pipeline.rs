@@ -90,8 +90,8 @@ fn spatial_and_axis_metrics_agree_on_sign_but_differ_in_value() {
     assert!(ms.len() <= ma.len());
 }
 
-/// Under the spatial metric the query builds no f32 prefilter, so the
-/// scan and the cached pruned plan score every gated window with the
+/// Under the spatial metric the scan and the cached pruned plan band
+/// each window by its axis summaries and score the survivors with the
 /// exact rescore's spatial term. Both must still equal the naive oracle
 /// bit for bit.
 #[test]
