@@ -77,7 +77,7 @@ impl EuclideanMatcher {
             return Vec::new();
         }
         let mut out = Vec::new();
-        for stream in self.store.streams() {
+        for stream in self.store.streams().iter() {
             let nseg = stream.plr.num_segments();
             if nseg < n {
                 continue;

@@ -42,7 +42,7 @@ fn bench_persistence(c: &mut Criterion) {
     // GEMINI: range search over all stored windows, brute force vs
     // filter-and-refine.
     let mut windows = Vec::new();
-    for s in store.streams() {
+    for s in store.streams().iter() {
         let v = s.plr.vertices();
         let mut start = 0;
         while start + 9 < v.len() {

@@ -13,7 +13,7 @@ use tsm_bench::{build_bundle, BundleConfig};
 use tsm_core::gating::{
     last_observed_policy, oracle_policy, predicted_policy, simulate_gating, GatingWindow,
 };
-use tsm_core::matcher::{Matcher, QuerySubseq};
+use tsm_core::matcher::{Matcher, QuerySubseq, SearchOptions};
 use tsm_core::predict::{predict_position_anchored, AlignMode};
 use tsm_core::query::generate_query;
 use tsm_core::tracking::{last_observed_aim, simulate_tracking};
@@ -88,7 +88,8 @@ fn main() {
                 let outcome = generate_query(live, &params)?;
                 let query = QuerySubseq::new(outcome.vertices(live).to_vec())
                     .with_origin(eval.patient, eval.session);
-                let matches = matcher.find_matches(&query);
+                let matches =
+                    matcher.find_matches_in_store_order(&query, &SearchOptions::default());
                 let t_last = query.vertices.last()?.time;
                 let anchor = truth.position_at(cutoff);
                 predict_position_anchored(
@@ -169,7 +170,8 @@ fn main() {
                     let outcome = generate_query(live, &params)?;
                     let query = QuerySubseq::new(outcome.vertices(live).to_vec())
                         .with_origin(eval.patient, eval.session);
-                    let matches = matcher.find_matches(&query);
+                    let matches =
+                        matcher.find_matches_in_store_order(&query, &SearchOptions::default());
                     let t_last = query.vertices.last()?.time;
                     predict_position_anchored(
                         &bundle.store,

@@ -301,7 +301,8 @@ pub fn evaluate_prediction(
 
             let started = Instant::now();
             let matches = match &config.engine {
-                MatchEngine::Plr => plr_matcher.find_matches_with(&query, &search),
+                // The vote sums in store order, so no rank sort is needed.
+                MatchEngine::Plr => plr_matcher.find_matches_in_store_order(&query, &search),
                 MatchEngine::Euclidean(_) => euclid_matcher
                     .as_ref()
                     .expect("engine built above")

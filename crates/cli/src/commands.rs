@@ -206,8 +206,8 @@ pub fn info(args: &Args) -> Result<(), String> {
     }
     if args.bool_flag("verbose") {
         println!("\nper-stream statistics:");
-        for s in store.streams() {
-            let st = tsm_db::StreamStats::of(&s, 0);
+        for s in store.streams().iter() {
+            let st = tsm_db::StreamStats::of(s, 0);
             println!(
                 "  {} ({}  session {}): {:.0}s, {} cycles, period {}, amplitude {}, IRR {:.0}%",
                 s.meta.id,

@@ -2,12 +2,14 @@
 //!
 //! Dynamic queries vary in length (`L_min`..`L_max` segments), so a
 //! deployed matcher wants one [`FeatureIndex`] per length it has actually
-//! seen — rebuilt only when the store has grown. The store's monotone
+//! seen — refreshed only when the store has grown. The store's monotone
 //! [`tsm_db::StreamStore::version`] counter makes staleness detection
 //! exact: an index built at version `v` is valid while the store is still
-//! at `v`.
+//! at `v`. The store only appends streams, so a stale index is not rebuilt
+//! from scratch: [`FeatureIndex::extended`] merges in the windows of the
+//! streams sealed since, and the result equals a fresh build.
 
-use crate::matcher::{MatchResult, Matcher, QuerySubseq, SearchOptions};
+use crate::matcher::{rank, MatchResult, Matcher, QuerySubseq, SearchOptions};
 use crate::metrics::{Counter, Hist, MetricsRegistry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -47,30 +49,46 @@ impl IndexCache {
         self
     }
 
-    /// The up-to-date index for windows of `len` segments, rebuilding it
-    /// only if the store has changed since it was last built.
+    /// The up-to-date index for windows of `len` segments. When the store
+    /// has changed since the cached one was built, it is extended with
+    /// the streams added since (built from scratch the first time).
     pub fn index_for(&self, len: usize) -> Arc<FeatureIndex> {
         self.metrics.incr(Counter::CacheLookups);
         let version = self.store.version();
-        {
+        let stale = {
             let g = self.inner.lock();
-            if let Some((v, ix)) = g.get(&len) {
-                if *v == version {
+            match g.get(&len) {
+                Some((v, ix)) if *v == version => {
                     self.metrics.incr(Counter::CacheHits);
                     return ix.clone();
                 }
+                entry => entry.map(|(_, ix)| Arc::clone(ix)),
             }
-        }
+        };
         self.metrics.incr(Counter::CacheMisses);
-        let built = Arc::new(FeatureIndex::build(&self.store, len, self.axis));
+        let built = Arc::new(match stale {
+            Some(ix) => ix.extended(&self.store.segment_features(self.axis)),
+            None => FeatureIndex::build(&self.store, len, self.axis),
+        });
         // The store may have grown *while* we built; tag with the version
         // we read before building so a concurrent insert invalidates us.
-        self.inner.lock().insert(len, (version, built.clone()));
+        self.publish(len, version, Arc::clone(&built));
         // Relaxed: monotone statistics counter; readers only need an
         // eventually-consistent count, never ordering with the cache map.
         self.rebuilds.fetch_add(1, Ordering::Relaxed);
         self.metrics.incr(Counter::CacheRebuilds);
         built
+    }
+
+    /// Caches `index`, built at store `version`, for windows of `len`
+    /// segments, unless the cache already holds an index built at a
+    /// newer version: a build that started before a seal and finished
+    /// after a racing build of a newer version must not replace it.
+    fn publish(&self, len: usize, version: u64, index: Arc<FeatureIndex>) {
+        let mut g = self.inner.lock();
+        if g.get(&len).is_none_or(|(v, _)| *v < version) {
+            g.insert(len, (version, index));
+        }
     }
 
     /// How many index builds the cache has performed — a lock-free read,
@@ -119,19 +137,34 @@ impl CachedMatcher {
     /// query's length when the query has 1 to [`MAX_SIGNATURE_LEN`]
     /// segments (the longest a state signature can key), with the plain
     /// scan ([`Matcher::find_matches_with`]) otherwise. Results are
-    /// identical to [`Matcher::find_matches_naive`] either way.
+    /// identical to [`Matcher::find_matches_naive`] either way: sorted by
+    /// distance, ties by stream, then start.
     pub fn find_matches(&self, query: &QuerySubseq, options: &SearchOptions) -> Vec<MatchResult> {
-        let metrics = self.metrics();
-        let started = metrics.start();
-        let results = self.find_matches_inner(query, options);
-        metrics.observe_since(Hist::SearchLatency, started);
+        let started = self.metrics().start();
+        let results = rank(self.search(query, options));
+        self.metrics().observe_since(Hist::SearchLatency, started);
         results
     }
 
-    fn find_matches_inner(&self, query: &QuerySubseq, options: &SearchOptions) -> Vec<MatchResult> {
+    /// [`CachedMatcher::find_matches`]' results, every field bit for bit,
+    /// in store order (ascending stream, then start) instead of rank
+    /// order: the search without its rank sort. The online vote
+    /// ([`crate::predict::predict_position`]) sums in this order.
+    pub fn find_matches_in_store_order(
+        &self,
+        query: &QuerySubseq,
+        options: &SearchOptions,
+    ) -> Vec<MatchResult> {
+        let started = self.metrics().start();
+        let results = self.search(query, options);
+        self.metrics().observe_since(Hist::SearchLatency, started);
+        results
+    }
+
+    fn search(&self, query: &QuerySubseq, options: &SearchOptions) -> Vec<MatchResult> {
         let len = query.len();
         if len == 0 || len > MAX_SIGNATURE_LEN {
-            return self.matcher.find_matches_with(query, options);
+            return self.matcher.find_matches_in_store_order(query, options);
         }
         let index = self.cache.index_for(len);
         self.matcher.find_matches_pruned(query, &index, options)
@@ -211,12 +244,38 @@ mod tests {
         assert_eq!(cached.cache().rebuild_count(), 2);
         assert!(after > before, "new stream invisible: {before} -> {after}");
 
-        // And results still agree with a fresh scan.
+        // And results still agree with a fresh scan, through an index
+        // extended with the new stream that equals a fresh build.
         let matcher = Matcher::new(store.clone(), Params::default());
         assert_eq!(
             matcher.find_matches_with(&q, &opts),
             cached.find_matches(&q, &opts)
         );
+        assert_eq!(
+            *cached.cache().index_for(9),
+            FeatureIndex::build(&store, 9, 0)
+        );
+        assert_eq!(cached.cache().rebuild_count(), 2);
+    }
+
+    /// A build that finishes after a racing build of a newer store version
+    /// does not replace it: the cache keeps the newer entry, and a lookup
+    /// at the newer version hits it.
+    #[test]
+    fn an_older_build_never_replaces_a_newer_one() {
+        let store = StreamStore::new();
+        let p = store.add_patient(PatientAttributes::new());
+        store.add_stream(p, 0, plr(8, 10.0), 960);
+        let cache = IndexCache::new(store.clone(), 0);
+        let older = FeatureIndex::build(&store, 9, 0);
+        store.add_stream(p, 1, plr(8, 10.4), 960);
+        let newer = FeatureIndex::build(&store, 9, 0);
+        assert_ne!(older, newer);
+        let version = store.version();
+        cache.publish(9, version, Arc::new(newer.clone()));
+        cache.publish(9, version - 1, Arc::new(older));
+        assert_eq!(*cache.index_for(9), newer);
+        assert_eq!(cache.rebuild_count(), 0);
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! * **Bounded collection** — a top-k [`matcher`](crate::matcher)
 //!   collector never holds more than `k` results.
 //! * **Strict result order** — a search's finished results are strictly
-//!   increasing under the matcher's `(distance, stream, start)` order: no
-//!   window appears twice and no two results tie, which is what lets the
-//!   final sort be unstable without changing the order.
+//!   increasing in store order, ascending `(stream, start)`, and after
+//!   the rank sort under the matcher's `(distance, stream, start)` order:
+//!   no window appears twice and no two results tie, which is what lets
+//!   the rank sort be unstable without changing the order.
 //! * **Tally reconciliation** — a [`SearchTally`] always satisfies
 //!   `windows_scored == windows_abandoned + windows_completed` and the
 //!   candidate funnel `bucket ≥ amp_band ≥ dur_band`, including after
@@ -30,7 +31,7 @@
 //! are only called where those values are in scope anyway; the
 //! `debug_assert!` inside guarantees release builds do no work.
 
-use crate::matcher::{cmp_results, Band, MatchResult};
+use crate::matcher::{cmp_results, store_key, Band, MatchResult};
 use crate::metrics::SearchTally;
 use std::cmp::Ordering;
 use tsm_db::{FeatureEntry, SegmentFeatures, StreamFeatures};
@@ -53,6 +54,18 @@ pub fn results_strictly_ordered(results: &[MatchResult]) {
             .windows(2)
             .all(|w| cmp_results(&w[0], &w[1]) == Ordering::Less),
         "search results not strictly ordered by (distance, stream, start)",
+    );
+}
+
+/// A search's results before the rank sort are strictly increasing in
+/// store order, ascending `(stream, start)`.
+#[inline]
+pub fn results_in_store_order(results: &[MatchResult]) {
+    debug_assert!(
+        results
+            .windows(2)
+            .all(|w| store_key(&w[0]) < store_key(&w[1])),
+        "search results not strictly in (stream, start) order",
     );
 }
 

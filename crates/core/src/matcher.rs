@@ -25,13 +25,16 @@
 //! assert every plan returns *identical* results — same windows,
 //! bit-identical distances, same order.
 //!
-//! Results are totally ordered by `(distance, stream, start)`; because a
-//! scan visits windows in ascending `(stream, start)` order, this matches
-//! what the historical stable sort by distance produced, while giving the
-//! pruned plan (which visits candidates in band order) a deterministic
-//! tie-break. A search without a top-k cap collects each result as one
-//! `u128` key that sorts in that order, sorts the keys once and builds
-//! each [`MatchResult`] from its key.
+//! Both plans score windows in **store order**, ascending `(stream,
+//! start)`, and a search without a top-k cap collects its results in that
+//! order as they are scored. The online vote needs nothing else
+//! ([`crate::predict::predict_position`] sums in store order), so
+//! [`crate::index_cache::CachedMatcher::find_matches_in_store_order`] and
+//! [`Matcher::find_matches_in_store_order`] return them as they are.
+//! Ranked callers get them totally ordered by
+//! `(distance, stream, start)`, by one sort on a packed `u128` key; that
+//! order equals what the historical stable sort by distance over a scan
+//! produced.
 
 use crate::batch::{BatchScorer, RescanOutcome, LANES};
 use crate::invariants;
@@ -150,11 +153,11 @@ pub(crate) fn cmp_results(a: &MatchResult, b: &MatchResult) -> Ordering {
         .then_with(|| a.subseq.start.cmp(&b.subseq.start))
 }
 
-/// The packed sort key of a result: the distance's [`f64::total_cmp`]
-/// order bits, then the stream, then the start. Unsigned order on keys is
-/// exactly [`cmp_results`]' order, and [`unpack_key`] gives the three
-/// fields back bit for bit.
-pub(crate) fn pack_key(distance: f64, stream: StreamId, start: u32) -> u128 {
+/// The packed rank key of the result at `index` of a list in store
+/// order: the distance's [`f64::total_cmp`] order bits, then `index`. In
+/// store order a lower index means a lower `(stream, start)`, so unsigned
+/// order on the keys is exactly [`cmp_results`]' order.
+fn rank_key(distance: f64, index: usize) -> u128 {
     let bits = distance.to_bits();
     // Negative values flip every bit (larger magnitudes sort first); the
     // rest set the sign bit, which puts them above every negative value.
@@ -163,22 +166,31 @@ pub(crate) fn pack_key(distance: f64, stream: StreamId, start: u32) -> u128 {
     } else {
         bits | 1 << 63
     };
-    u128::from(order) << 64 | u128::from(stream.0) << 32 | u128::from(start)
+    u128::from(order) << 64 | index as u128
 }
 
-/// The `(distance, stream, start)` a [`pack_key`] key holds.
-pub(crate) fn unpack_key(key: u128) -> (f64, StreamId, u32) {
-    let order = (key >> 64) as u64;
-    let bits = if order >> 63 == 1 {
-        order & !(1 << 63)
-    } else {
-        !order
-    };
-    (
-        f64::from_bits(bits),
-        StreamId((key >> 32) as u32),
-        key as u32,
-    )
+/// A search's results, given in store order, in rank order: the total
+/// [`cmp_results`] order. This is the one rank sort, which only ranked
+/// callers pay; it sorts 16-byte [`rank_key`]s rather than the results.
+pub(crate) fn rank(results: Vec<MatchResult>) -> Vec<MatchResult> {
+    invariants::results_in_store_order(&results);
+    let mut keys: Vec<u128> = results
+        .iter()
+        .enumerate()
+        .map(|(i, m)| rank_key(m.distance, i))
+        .collect();
+    keys.sort_unstable();
+    let ranked: Vec<MatchResult> = keys
+        .iter()
+        .map(|&key| results[key as u64 as usize].clone())
+        .collect();
+    invariants::results_strictly_ordered(&ranked);
+    ranked
+}
+
+/// The store order of results: ascending `(stream, start)`.
+pub(crate) fn store_key(m: &MatchResult) -> (u32, u32) {
+    (m.subseq.stream.0, m.subseq.start)
 }
 
 /// Heap adapter: max-heap by [`cmp_results`], so the *worst* retained
@@ -211,13 +223,14 @@ impl Ord for Ranked {
 /// window that provably cannot enter the heap. Ties at the bound are *not*
 /// abandoned (the scorer's margin guarantees that), so a later candidate
 /// with equal distance but better `(stream, start)` tie-break still gets
-/// compared exactly. Without a cap, each result is one [`pack_key`] key.
+/// compared exactly. Without a cap, results are kept in the order they
+/// are scored, which both plans make store order.
 #[derive(Debug)]
 struct Collector {
     delta: f64,
     cap: Option<usize>,
     heap: BinaryHeap<Ranked>,
-    keys: Vec<u128>,
+    results: Vec<MatchResult>,
 }
 
 impl Collector {
@@ -226,7 +239,7 @@ impl Collector {
             delta,
             cap,
             heap: BinaryHeap::new(),
-            keys: Vec::new(),
+            results: Vec::new(),
         }
     }
 
@@ -245,27 +258,25 @@ impl Collector {
 
     /// Pre-reserves room for `n` more unbounded results (top-k capped
     /// collections size their heap by `k` already). Survivor counts give
-    /// the batched scan a per-stream upper bound, turning key-vector
+    /// the batched scan a per-stream upper bound, turning result-vector
     /// growth into a handful of amortized reservations.
     fn reserve(&mut self, n: usize) {
         if self.cap.is_none() {
-            self.keys.reserve(n);
+            self.results.reserve(n);
         }
     }
 
     fn push(&mut self, distance: f64, subseq: SubseqRef, ws: f64, relation: SourceRelation) {
+        let m = MatchResult {
+            subseq,
+            distance,
+            ws,
+            relation,
+        };
         match self.cap {
-            None => self
-                .keys
-                .push(pack_key(distance, subseq.stream, subseq.start)),
+            None => self.results.push(m),
             Some(0) => {}
             Some(k) => {
-                let m = MatchResult {
-                    subseq,
-                    distance,
-                    ws,
-                    relation,
-                };
                 if self.heap.len() < k {
                     self.heap.push(Ranked(m));
                 } else if let Some(worst) = self.heap.peek() {
@@ -279,37 +290,15 @@ impl Collector {
         invariants::heap_bounded(self.heap.len(), self.cap);
     }
 
-    /// The results in [`cmp_results`] order. Uncapped keys are sorted
-    /// once and each result is built from its key, for windows of `n`
-    /// segments, with the source tier `relation_of` gives its stream.
-    fn into_results(
-        self,
-        n: usize,
-        params: &Params,
-        relation_of: impl Fn(StreamId) -> SourceRelation,
-    ) -> Vec<MatchResult> {
-        if self.cap.is_some() {
-            return self
-                .heap
-                .into_sorted_vec()
-                .into_iter()
-                .map(|r| r.0)
-                .collect();
+    /// The results in store order. Uncapped results were pushed in it; a
+    /// top-k heap's `k` are sorted into it.
+    fn into_results(self) -> Vec<MatchResult> {
+        if self.cap.is_none() {
+            return self.results;
         }
-        let mut keys = self.keys;
-        keys.sort_unstable();
-        keys.into_iter()
-            .map(|key| {
-                let (distance, stream, start) = unpack_key(key);
-                let relation = relation_of(stream);
-                MatchResult {
-                    subseq: SubseqRef::new(stream, start as usize, n),
-                    distance,
-                    ws: params.ws(relation),
-                    relation,
-                }
-            })
-            .collect()
+        let mut out: Vec<MatchResult> = self.heap.into_iter().map(|r| r.0).collect();
+        out.sort_unstable_by_key(store_key);
+        out
     }
 }
 
@@ -592,6 +581,35 @@ impl<'a> Engine<'a> {
     }
 }
 
+/// A stable counting sort of `items` by `key`, every key below `keys`:
+/// each item's `value` in key order, and for each key where its run ends.
+fn counting_sort<T: Copy, V: Copy + Default>(
+    items: &[T],
+    keys: usize,
+    key: impl Fn(T) -> usize,
+    value: impl Fn(T) -> V,
+) -> (Vec<V>, Vec<usize>) {
+    // `ends[k]` first counts key k's items, then holds where its run
+    // starts, then where it ends.
+    let mut ends = vec![0usize; keys];
+    for &item in items {
+        ends[key(item)] += 1;
+    }
+    let mut at = 0;
+    for end in ends.iter_mut() {
+        let count = *end;
+        *end = at;
+        at += count;
+    }
+    let mut out = vec![V::default(); items.len()];
+    for &item in items {
+        let end = &mut ends[key(item)];
+        out[*end] = value(item);
+        *end += 1;
+    }
+    (out, ends)
+}
+
 /// The matcher: a store handle plus parameters.
 ///
 /// ```
@@ -687,6 +705,18 @@ impl Matcher {
         query: &QuerySubseq,
         options: &SearchOptions,
     ) -> Vec<MatchResult> {
+        rank(self.find_matches_in_store_order(query, options))
+    }
+
+    /// [`Matcher::find_matches_with`]'s results, every field bit for bit,
+    /// in store order (ascending stream, then start) instead of rank
+    /// order: the scan without its rank sort, for callers that only vote
+    /// ([`crate::predict::predict_position`] sums in this order).
+    pub fn find_matches_in_store_order(
+        &self,
+        query: &QuerySubseq,
+        options: &SearchOptions,
+    ) -> Vec<MatchResult> {
         if options.top_k == Some(0) {
             return Vec::new();
         }
@@ -703,7 +733,7 @@ impl Matcher {
             &mut coll,
             &mut tally,
         );
-        self.conclude(&engine, coll, &tally)
+        self.conclude(coll, &tally)
     }
 
     /// Reference implementation: the naive vertex-walking scan over
@@ -721,7 +751,7 @@ impl Matcher {
         }
         let delta = options.delta_override.unwrap_or(self.params.delta);
         let mut out = Vec::new();
-        for stream in self.store.streams() {
+        for stream in self.store.streams().iter() {
             if let Some(allowed) = &options.restrict_patients {
                 if !allowed.contains(&stream.meta.patient) {
                     continue;
@@ -760,9 +790,10 @@ impl Matcher {
     /// tiers present in the store; each entry in it is then checked
     /// against its own tier's bands.
     ///
-    /// Survivors are `(stream, start)` pairs, grouped per stream by one
-    /// counting sort into a flat start array; each stream's run is looked
-    /// up once and scored by [`Engine::score_run`].
+    /// Survivors are `(stream, start)` pairs, put in store order by two
+    /// counting sorts into a flat start array; each stream's run is looked
+    /// up once and scored by [`Engine::score_run`]. Like the scan, the
+    /// plan returns its results in store order.
     pub(crate) fn find_matches_pruned(
         &self,
         query: &QuerySubseq,
@@ -784,7 +815,7 @@ impl Matcher {
             return Vec::new();
         }
         let Some(sig) = query.signature() else {
-            return self.find_matches_with(query, options);
+            return self.find_matches_in_store_order(query, options);
         };
         let features = self.store.segment_features(self.params.axis);
         invariants::features_snapshot_coherent(&features);
@@ -809,6 +840,7 @@ impl Matcher {
             ..SearchTally::default()
         };
         let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let mut max_start = 0;
         for e in range {
             let Some(tier) = engine.tiers.get(e.stream.0 as usize) else {
                 continue;
@@ -825,36 +857,26 @@ impl Matcher {
             invariants::band_candidate_admissible(e, &features, band);
             if tier.allowed {
                 pairs.push((e.stream.0, e.subseq.start));
+                max_start = max_start.max(e.subseq.start as usize);
             }
         }
-        // Counting sort on the dense stream id: `ends[id]` first counts
-        // the stream's survivors, then holds where its run starts, then
-        // where it ends. Within a stream the band's amplitude order stays,
-        // which is fine: lanes are independent and results are sorted at
-        // the end.
-        let mut ends = vec![0u32; engine.tiers.len()];
-        for &(stream, _) in &pairs {
-            ends[stream as usize] += 1;
-        }
-        let mut at = 0u32;
-        for end in ends.iter_mut() {
-            let count = *end;
-            *end = at;
-            at += count;
-        }
-        let mut flat = vec![0usize; pairs.len()];
-        for &(stream, start) in &pairs {
-            let end = &mut ends[stream as usize];
-            flat[*end as usize] = start as usize;
-            *end += 1;
-        }
+        // The band lists survivors in amplitude order. Sorting them by
+        // start, then stably by the dense stream id, leaves each stream's
+        // run of starts ascending, so results come out in store order.
+        let (pairs, _) = counting_sort(&pairs, max_start + 1, |(_, start)| start as usize, |p| p);
+        let (flat, ends) = counting_sort(
+            &pairs,
+            engine.tiers.len(),
+            |(stream, _)| stream as usize,
+            |(_, start)| start as usize,
+        );
         let mut coll = engine.collector();
         let mut batcher = BatchScorer::new();
         let mut own: Vec<usize> = Vec::new();
         let mut begin = 0;
         for (sf, &end) in features.streams().iter().zip(&ends) {
-            let run = &flat[begin..end as usize];
-            begin = end as usize;
+            let run = &flat[begin..end];
+            begin = end;
             if run.is_empty() {
                 continue;
             }
@@ -868,7 +890,7 @@ impl Matcher {
             };
             engine.score_run(sf, run, &mut batcher, &mut coll, &mut tally);
         }
-        self.conclude(&engine, coll, &tally)
+        self.conclude(coll, &tally)
     }
 
     /// Scores one candidate for the naive reference path. Patient
@@ -903,10 +925,9 @@ impl Matcher {
             None => SourceRelation::OtherPatient,
         };
         let d = online_distance(&query.vertices, view.vertices(), &self.params, relation)?;
-        if d > delta {
-            return None;
-        }
-        Some(MatchResult {
+        // Kept only when `d <= delta`, as both plans keep a window: a NaN
+        // distance (a displacement that overflowed) is no match.
+        (d <= delta).then(|| MatchResult {
             subseq: view.subseq_ref(),
             distance: d,
             ws: self.params.ws(relation),
@@ -914,14 +935,13 @@ impl Matcher {
         })
     }
 
-    /// Accounts one finished search and returns its ordered results.
-    fn conclude(&self, engine: &Engine, coll: Collector, tally: &SearchTally) -> Vec<MatchResult> {
+    /// Accounts one finished search and returns its results in store
+    /// order.
+    fn conclude(&self, coll: Collector, tally: &SearchTally) -> Vec<MatchResult> {
         self.metrics.incr(Counter::Searches);
         self.metrics.record_search(tally);
-        let out = coll.into_results(engine.n, &self.params, |stream| {
-            engine.tiers[stream.0 as usize].relation
-        });
-        invariants::results_strictly_ordered(&out);
+        let out = coll.into_results();
+        invariants::results_in_store_order(&out);
         out
     }
 
@@ -1105,7 +1125,10 @@ mod tests {
         // pruned plan (stream-level filter everywhere).
         assert_eq!(matches, m.find_matches_naive(&q, &opts));
         let fi = FeatureIndex::build(&store, 9, 0);
-        assert_eq!(matches, m.find_matches_pruned(&q, &fi, &opts));
+        assert_eq!(
+            m.find_matches_in_store_order(&q, &opts),
+            m.find_matches_pruned(&q, &fi, &opts)
+        );
     }
 
     #[test]
@@ -1140,10 +1163,12 @@ mod tests {
         let (store, ids) = setup();
         let m = Matcher::new(store.clone(), Params::default());
         let index = FeatureIndex::build(&store, 9, 0);
+        // Both plans return the same results in store order.
+        let opts = SearchOptions::default();
         for start in [0usize, 1, 3, 6] {
             let q = query_from(&store, ids[0], start, 9);
-            let scan = m.find_matches(&q);
-            let pruned = m.find_matches_pruned(&q, &index, &SearchOptions::default());
+            let scan = m.find_matches_in_store_order(&q, &opts);
+            let pruned = m.find_matches_pruned(&q, &index, &opts);
             assert_eq!(scan, pruned, "divergence at start {start}");
         }
         // Tight delta too.
@@ -1153,16 +1178,16 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(
-            m.find_matches_with(&q, &opts),
+            m.find_matches_in_store_order(&q, &opts),
             m.find_matches_pruned(&q, &index, &opts)
         );
     }
 
-    /// Packed keys order exactly as `cmp_results` — signed zeros,
-    /// subnormals, infinities and distance ties broken by stream, then
-    /// start — and give every field back bit for bit.
+    /// The rank sort orders a store-ordered result list exactly as
+    /// `cmp_results` does: signed zeros, subnormals and infinities by
+    /// `total_cmp`, and distance ties by stream, then start.
     #[test]
-    fn packed_keys_order_as_cmp_results_and_round_trip() {
+    fn packed_keys_order_as_cmp_results() {
         let distances = [
             f64::NEG_INFINITY,
             -8.0,
@@ -1179,28 +1204,24 @@ mod tests {
             f64::MAX,
             f64::INFINITY,
         ];
+        // Store order, with each distance shared by several windows.
         let mut results = Vec::new();
-        for &distance in &distances {
-            for stream in [0u32, 1, 7, u32::MAX] {
-                for start in [0usize, 3, u32::MAX as usize] {
-                    results.push(MatchResult {
-                        subseq: SubseqRef::new(StreamId(stream), start, 9),
-                        distance,
-                        ws: 1.0,
-                        relation: SourceRelation::SameSession,
-                    });
-                }
+        for (i, stream) in [0u32, 1, 7, 9, 12, u32::MAX].into_iter().enumerate() {
+            for (j, start) in [0usize, 3, 9, u32::MAX as usize].into_iter().enumerate() {
+                results.push(MatchResult {
+                    subseq: SubseqRef::new(StreamId(stream), start, 9),
+                    distance: distances[(i * 5 + j * 3) % distances.len()],
+                    ws: 1.0,
+                    relation: SourceRelation::SameSession,
+                });
             }
         }
-        let key = |m: &MatchResult| pack_key(m.distance, m.subseq.stream, m.subseq.start);
-        for a in &results {
-            let (d, stream, start) = unpack_key(key(a));
-            assert_eq!(d.to_bits(), a.distance.to_bits());
-            assert_eq!((stream, start), (a.subseq.stream, a.subseq.start));
-            for b in &results {
-                assert_eq!(key(a).cmp(&key(b)), cmp_results(a, b), "{a:?} vs {b:?}");
-            }
-        }
+        let mut want = results.clone();
+        want.sort_by(cmp_results);
+        let bits = |v: &[MatchResult]| -> Vec<(SubseqRef, u64)> {
+            v.iter().map(|m| (m.subseq, m.distance.to_bits())).collect()
+        };
+        assert_eq!(bits(&rank(results)), bits(&want));
     }
 
     /// A store of 2 patients × 2 simulated 60 s streams of `dim`

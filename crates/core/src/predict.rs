@@ -16,9 +16,19 @@
 //! module also offers last-vertex alignment as an ablation (aligning at
 //! the most recent shared point is less exposed to baseline drift across
 //! the window — the `predict_alignment` bench quantifies the difference).
+//!
+//! A mean does not depend on the order of its terms, but a floating-point
+//! sum does, so [`predict_position`] fixes one: it sums the votes in
+//! store order, ascending `(stream, start)`. The vote then depends only
+//! on which matches it gets. The online path hands it the matches in that
+//! order
+//! ([`crate::index_cache::CachedMatcher::find_matches_in_store_order`]),
+//! so its reads walk the store forward; a ranked list is sorted into a
+//! copy first.
 
-use crate::matcher::{MatchResult, QuerySubseq};
+use crate::matcher::{store_key, MatchResult, QuerySubseq};
 use crate::params::Params;
+use std::borrow::Cow;
 use std::sync::Arc;
 use tsm_db::{MotionStream, StreamStore, SubseqRef};
 use tsm_model::{Position, Vertex};
@@ -44,6 +54,11 @@ pub enum AlignMode {
 
 /// Predicts the position `dt` seconds after the query's last vertex.
 ///
+/// The votes are summed in store order, ascending `(stream, start)`, so
+/// any order of a search's matches gives the bit-identical prediction.
+/// Matches already in that order are read in place; others are sorted
+/// into a copy.
+///
 /// Returns `None` when fewer than `params.min_matches` matches are
 /// supplied ("we predict only if there are a certain number of retrieved
 /// subsequences") or when a match's stream has vanished from the store.
@@ -62,11 +77,12 @@ pub fn predict_position(
         AlignMode::FirstVertex => query.vertices.first()?.position,
         AlignMode::LastVertex => query.vertices.last()?.position,
     };
+    let matches = in_store_order(matches);
     let streams = store.streams();
     let mut acc = Position::zero(q_anchor.dim());
     let mut wsum = 0.0;
     let mut voters = 0usize;
-    for m in matches {
+    for m in matches.iter() {
         let (stream, window) = resolve(&streams, m.subseq)?;
         let (first, last) = (window.first()?, window.last()?);
         // "The immediate future of a historical subsequence is known" —
@@ -94,14 +110,28 @@ pub fn predict_position(
     Some(q_anchor + acc * (1.0 / wsum))
 }
 
+/// `matches` in store order: as given when they already are, else a
+/// sorted copy.
+fn in_store_order(matches: &[MatchResult]) -> Cow<'_, [MatchResult]> {
+    if matches
+        .windows(2)
+        .all(|w| store_key(&w[0]) <= store_key(&w[1]))
+    {
+        return Cow::Borrowed(matches);
+    }
+    let mut sorted = matches.to_vec();
+    sorted.sort_by_key(store_key);
+    Cow::Owned(sorted)
+}
+
 /// Resolves `r` against `streams`, one snapshot of the store's stream
 /// table (indexed by stream id), by the rule of [`StreamStore::resolve`]:
 /// `None` when the stream is missing or the window does not fit in it.
 /// Otherwise returns the stream and the window's `len + 1` vertices.
 ///
 /// The votes below resolve thousands of matches per call; one
-/// [`StreamStore::streams`] snapshot replaces a store lock and an `Arc`
-/// clone per match.
+/// [`StreamStore::streams`] snapshot (a single `Arc` clone) replaces a
+/// store lock and an `Arc` clone per match.
 fn resolve(streams: &[Arc<MotionStream>], r: SubseqRef) -> Option<(&MotionStream, &[Vertex])> {
     let stream = streams.get(r.stream.0 as usize)?;
     let (start, len) = (r.start as usize, r.len as usize);

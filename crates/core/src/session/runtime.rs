@@ -405,9 +405,9 @@ impl SessionRuntime {
     }
 
     /// Drops the session to Degraded and restarts the recovery gates.
-    fn degrade(&mut self, metrics: &MetricsRegistry) {
+    fn degrade(&mut self) {
         if self.health != SessionHealth::Degraded {
-            metrics.incr(Counter::HealthDegraded);
+            self.metrics().incr(Counter::HealthDegraded);
         }
         self.health = SessionHealth::Degraded;
         self.vertices_since_fault = 0;
@@ -428,18 +428,23 @@ impl SessionRuntime {
     /// health machine are inert and the output is bit-identical to the
     /// unguarded runtime.
     pub fn push(&mut self, s: Sample) -> Result<&[Vertex], TsmError> {
-        let metrics = self.engine.metrics().clone();
         let ix = self.samples_seen;
         self.samples_seen += 1;
         let before = self.live.len();
         let pushed = match self.segmenter.push(s) {
             Ok(p) => p,
             Err(e) => {
-                metrics.incr(Counter::SamplesRejected);
-                self.degrade(&metrics);
+                self.metrics().incr(Counter::SamplesRejected);
+                self.degrade();
                 return Err(TsmError::InvalidInput(e.to_string()));
             }
         };
+        if !pushed.flags.is_empty() {
+            self.degrade();
+        }
+        // Borrowed, not cloned: a registry clone per sample is an atomic
+        // increment and decrement on a count every session shares.
+        let metrics = self.engine.metrics();
         let mut duplicate = false;
         for flag in &pushed.flags {
             match flag {
@@ -454,9 +459,6 @@ impl SessionRuntime {
             }
         }
         let resynced = pushed.resynced();
-        if !pushed.flags.is_empty() {
-            self.degrade(&metrics);
-        }
         self.live.extend(pushed.vertices);
         if !duplicate {
             metrics.incr(Counter::SegmenterSamples);
@@ -611,7 +613,10 @@ impl SessionRuntime {
         }
         let query = QuerySubseq::new(vertices.to_vec())
             .with_origin(self.config.patient, self.config.session);
-        let matches = self.engine.find_matches(&query, &self.config.options);
+        // The vote sums in store order, so the search skips its rank sort.
+        let matches = self
+            .engine
+            .find_matches_in_store_order(&query, &self.config.options);
         let outcome = predict_position(
             self.store(),
             &query,

@@ -2,12 +2,12 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use tsm_core::matcher::{Matcher, QuerySubseq, SearchOptions};
+use tsm_core::matcher::{MatchResult, Matcher, QuerySubseq, SearchOptions};
 use tsm_core::metrics::{MetricsRegistry, MetricsSnapshot};
 use tsm_core::params::AmplitudeMetric;
 use tsm_core::predict::{predict_position, AlignMode};
 use tsm_core::{CachedMatcher, Params};
-use tsm_db::{PatientAttributes, StreamStore, SubseqRef};
+use tsm_db::{FeatureIndex, PatientAttributes, StreamStore, SubseqRef};
 use tsm_model::{segment_signal, PlrTrajectory, Position, SegmenterConfig, MAX_SIGNATURE_LEN};
 use tsm_signal::{BreathingParams, SignalGenerator};
 
@@ -453,6 +453,99 @@ proptest! {
         }
     }
 
+    /// The vote is a function of the set of matches: every order of the
+    /// same matches (rank order, store order, reversed, shuffled) gives
+    /// the bit-identical prediction, for both alignments and several
+    /// horizons. A vote that summed in input order would differ in the
+    /// last bits between rank and store order.
+    #[test]
+    fn vote_is_bit_identical_under_any_permutation(
+        amp in 6.0f64..18.0,
+        seed in 1u64..500,
+        start in 0usize..8,
+        len in 3usize..10,
+        shuffle in any::<u64>(),
+    ) {
+        let (store, id) = build_store(amp, 4.0, seed);
+        let params = Params { min_matches: 1, ..Params::default() };
+        let cached = CachedMatcher::new(Matcher::new(store.clone(), params.clone()));
+        let Some(view) = store.resolve(SubseqRef::new(id, start, len)) else {
+            return Ok(());
+        };
+        let query = QuerySubseq::from_view(&view);
+        let opts = SearchOptions::default();
+        let ranked = cached.find_matches(&query, &opts);
+        let mut orders = vec![
+            cached.find_matches_in_store_order(&query, &opts),
+            ranked.iter().rev().cloned().collect(),
+        ];
+        let mut shuffled = ranked.clone();
+        shuffled.sort_by_key(|m| {
+            (u64::from(m.subseq.stream.0) << 32 | u64::from(m.subseq.start))
+                .wrapping_add(shuffle)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        });
+        orders.push(shuffled);
+        let bits = |p: Option<Position>| p.map(|p| p.coords().iter().map(|c| c.to_bits()).collect::<Vec<_>>());
+        for align in [AlignMode::FirstVertex, AlignMode::LastVertex] {
+            for dt in [0.0, 0.15, 0.3, 0.5] {
+                let want = bits(predict_position(&store, &query, &ranked, dt, &params, align));
+                for order in &orders {
+                    let got = bits(predict_position(&store, &query, order, dt, &params, align));
+                    prop_assert_eq!(&got, &want, "{} matches, dt {}, {:?}", ranked.len(), dt, align);
+                }
+            }
+        }
+    }
+
+    /// The store-ordered entry points return exactly the ranked search's
+    /// results, every field bit for bit, in strictly ascending `(stream,
+    /// start)` order: `CachedMatcher`'s through the pruned plan (queries
+    /// of up to `MAX_SIGNATURE_LEN` segments) and the scan (longer
+    /// queries), and `Matcher`'s through the scan, with and without top-k
+    /// and patient restriction.
+    #[test]
+    fn store_order_search_equals_the_ranked_search(
+        amp in 6.0f64..18.0,
+        seed in 1u64..500,
+        start in 0usize..8,
+        long in proptest::bool::ANY,
+        short_len in 3usize..12,
+        k in 1usize..40,
+        delta in 0.3f64..10.0,
+        restrict in proptest::bool::ANY,
+    ) {
+        let (store, id) = build_store_with(amp, 4.0, seed, 1, 120.0);
+        let matcher = Matcher::new(store.clone(), Params::default());
+        let cached = CachedMatcher::new(matcher.clone());
+        let len = if long { MAX_SIGNATURE_LEN + 1 + short_len } else { short_len };
+        let view = store.resolve(SubseqRef::new(id, start, len));
+        prop_assert!(view.is_some(), "stream too short for a {}-segment query", len);
+        let query = QuerySubseq::from_view(&view.unwrap());
+        for top_k in [Some(k), None] {
+            let opts = SearchOptions {
+                top_k,
+                delta_override: Some(delta),
+                restrict_patients: restrict.then(|| store.patients().into_iter().skip(1).collect()),
+            };
+            let mut want = cached.find_matches(&query, &opts);
+            want.sort_by_key(|m| (m.subseq.stream.0, m.subseq.start));
+            let got = cached.find_matches_in_store_order(&query, &opts);
+            let scanned = matcher.find_matches_in_store_order(&query, &opts);
+            prop_assert_eq!(got.len(), want.len());
+            prop_assert_eq!(scanned.len(), want.len());
+            for ((g, s), w) in got.iter().zip(&scanned).zip(&want) {
+                prop_assert_eq!(bitwise(g), bitwise(w));
+                prop_assert_eq!(bitwise(s), bitwise(w));
+            }
+            for pair in got.windows(2) {
+                let key = |m: &MatchResult| (m.subseq.stream.0, m.subseq.start);
+                prop_assert!(key(&pair[0]) < key(&pair[1]), "{:?} before {:?}", pair[0], pair[1]);
+            }
+        }
+        prop_assert_eq!(cached.cache().rebuild_count(), u64::from(!long));
+    }
+
     /// Tightening delta only ever shrinks the match set (monotonicity),
     /// and the shrunken set is a prefix of the larger one.
     #[test]
@@ -477,6 +570,107 @@ proptest! {
         });
         prop_assert!(tight.len() <= loose.len());
         prop_assert_eq!(&loose[..tight.len()], &tight[..]);
+    }
+}
+
+/// A match's fields, each float by its bits.
+fn bitwise(m: &MatchResult) -> (SubseqRef, u64, u64, tsm_db::SourceRelation) {
+    (m.subseq, m.distance.to_bits(), m.ws.to_bits(), m.relation)
+}
+
+/// The per-length index follows the store as it grows. Extended one seal
+/// at a time, it equals a fresh build over the store's snapshot after
+/// every seal, bucket for bucket and entry for entry. The store repeats
+/// streams, so equal amplitude summaries tie across streams and the
+/// merge's tie order matters. A `CachedMatcher` searched between seals
+/// extends its cached indexes and equals the oracle after every seal.
+#[test]
+fn index_extended_seal_by_seal_equals_a_fresh_build() {
+    const LENS: [usize; 3] = [3, 6, 9];
+    for seed in [3u64, 17, 101] {
+        let (source, _) = build_store(10.0, 4.0, seed);
+        let sources = source.streams();
+        let store = StreamStore::new();
+        let patients = [
+            store.add_patient(PatientAttributes::new()),
+            store.add_patient(PatientAttributes::new()),
+        ];
+        let matcher = Matcher::new(store.clone(), Params::default());
+        let cached = CachedMatcher::new(matcher.clone());
+        let query = QuerySubseq::new(sources[0].plr.vertices()[4..=13].to_vec())
+            .with_origin(patients[0], 0);
+        let opts = SearchOptions::default();
+        let mut grown: Vec<FeatureIndex> = LENS
+            .iter()
+            .map(|&len| FeatureIndex::build(&store, len, 0))
+            .collect();
+        for (seal, pick) in [0usize, 1, 0, 2, 3, 1, 0].into_iter().enumerate() {
+            let s = &sources[pick % sources.len()];
+            store.add_stream(patients[seal % 2], seal as u32, s.plr.clone(), s.raw_len);
+            let features = store.segment_features(0);
+            for (ix, &len) in grown.iter_mut().zip(&LENS) {
+                *ix = ix.extended(&features);
+                let fresh = FeatureIndex::from_features(&features, len);
+                assert_eq!(*ix, fresh, "seed {seed}, seal {seal}, len {len}");
+                assert_eq!(ix.streams(), store.num_streams());
+            }
+            assert_eq!(
+                cached.find_matches(&query, &opts),
+                matcher.find_matches_naive(&query, &opts),
+                "seed {seed}, seal {seal}"
+            );
+            assert_eq!(
+                *cached.cache().index_for(9),
+                FeatureIndex::build(&store, 9, 0)
+            );
+        }
+        // The repeated streams tie in the query's bucket.
+        let bucket = grown[2].candidates(query.signature().unwrap());
+        assert!(bucket
+            .windows(2)
+            .any(|w| w[0].amp_sum == w[1].amp_sum && w[0].stream != w[1].stream));
+    }
+}
+
+/// A window whose distance is NaN is no match for the oracle either. A
+/// stream with neighbouring vertices at `f64::MAX` and `-f64::MAX` holds a
+/// segment whose displacement overflows to −∞. A detached query cut
+/// across it scores its own window at NaN (−∞ − −∞), which both plans drop
+/// (`d <= δ` is false) and which the oracle kept while it dropped only
+/// windows with `d > δ` (false for NaN too).
+#[test]
+fn nan_distance_windows_are_no_match_for_the_oracle_either() {
+    for seed in [5u64, 9, 23] {
+        let (store, id) = build_store(10.0, 4.0, seed);
+        let source = store.stream(id).unwrap();
+        let mut vertices = source.plr.vertices().to_vec();
+        vertices[10].position = Position::new_1d(f64::MAX);
+        vertices[11].position = Position::new_1d(-f64::MAX);
+        let huge = store.add_stream(
+            source.meta.patient,
+            source.meta.session + 1,
+            PlrTrajectory::from_vertices(vertices).unwrap(),
+            source.raw_len,
+        );
+        let matcher = Matcher::new(store.clone(), Params::default());
+        let cached = CachedMatcher::new(matcher.clone());
+        for (start, len) in [(8, 6), (10, 1), (5, 9)] {
+            let view = store.resolve(SubseqRef::new(huge, start, len)).unwrap();
+            let query = QuerySubseq::new(view.vertices().to_vec());
+            for top_k in [None, Some(3)] {
+                let opts = SearchOptions {
+                    top_k,
+                    ..Default::default()
+                };
+                let naive = matcher.find_matches_naive(&query, &opts);
+                assert!(
+                    naive.iter().all(|m| m.distance <= Params::default().delta),
+                    "seed {seed}, ({start}, {len}): {naive:?}"
+                );
+                assert_eq!(naive, matcher.find_matches_with(&query, &opts));
+                assert_eq!(naive, cached.find_matches(&query, &opts));
+            }
+        }
     }
 }
 

@@ -27,11 +27,20 @@
 //! each amplitude summary is a direct forward sum over its window
 //! ([`crate::abs_disp_sum`], the query side's expression), so a build
 //! costs `O(windows × len)` additions and no feature extraction.
+//!
+//! The store only appends streams, and stream ids are dense insertion
+//! indices, so an index records how many streams it covers and
+//! [`FeatureIndex::extended`] brings a stale one up to date from the
+//! streams added since: it sorts the new windows of each touched bucket
+//! and merges them in, amplitude ties keeping lower stream ids first.
+//! That is the order of a build from scratch over the final snapshot, so
+//! the extended index equals it entry for entry.
 
 use crate::features::SegmentFeatures;
 use crate::ids::StreamId;
 use crate::store::StreamStore;
 use crate::subsequence::SubseqRef;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use tsm_model::MAX_SIGNATURE_LEN;
 
@@ -48,13 +57,16 @@ pub struct FeatureEntry {
     pub duration: f64,
 }
 
-/// The index: state-order signature → entries sorted by `amp_sum`.
-#[derive(Debug, Clone)]
+/// The index: state-order signature → entries sorted by `amp_sum`, ties
+/// in `(stream, start)` order.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureIndex {
     len: usize,
     axis: usize,
     map: HashMap<u128, Vec<FeatureEntry>>,
     total: usize,
+    /// Streams covered: ids `0..streams`.
+    streams: usize,
 }
 
 impl FeatureIndex {
@@ -64,12 +76,7 @@ impl FeatureIndex {
     /// feature extraction only for streams not seen before.
     pub fn build(store: &StreamStore, len: usize, axis: usize) -> Self {
         if len == 0 || len > MAX_SIGNATURE_LEN {
-            return FeatureIndex {
-                len,
-                axis,
-                map: HashMap::new(),
-                total: 0,
-            };
+            return Self::empty(len, axis);
         }
         Self::from_features(&store.segment_features(axis), len)
     }
@@ -77,56 +84,83 @@ impl FeatureIndex {
     /// Builds the index for windows of `len` segments directly from a
     /// columnar feature snapshot (`1 <= len <= MAX_SIGNATURE_LEN`).
     pub fn from_features(features: &SegmentFeatures, len: usize) -> Self {
-        let axis = features.axis();
-        let mut map: HashMap<u128, Vec<FeatureEntry>> = HashMap::new();
-        let mut total = 0usize;
-        if len == 0 || len > MAX_SIGNATURE_LEN {
-            return FeatureIndex {
-                len,
-                axis,
-                map,
-                total,
-            };
-        }
-        // Rolling signature bookkeeping: a signature is the leading-1
-        // length marker followed by 2 bits per state, oldest state in the
-        // highest bits. Sliding the window drops the oldest state (the top
-        // 2 bits under the marker) and appends the newest.
-        let marker: u128 = 1 << (2 * len);
-        let keep_mask: u128 = (1 << (2 * (len - 1))) - 1;
-        for sf in features.streams() {
-            let nseg = sf.num_segments();
-            if nseg < len {
-                continue;
-            }
-            let mut body: u128 = 0;
-            for &s in &sf.states[..len] {
-                body = (body << 2) | s as u128;
-            }
-            for start in 0..=(nseg - len) {
-                if start > 0 {
-                    body = ((body & keep_mask) << 2) | sf.states[start + len - 1] as u128;
-                }
-                map.entry(marker | body).or_default().push(FeatureEntry {
-                    subseq: SubseqRef::new(sf.meta.id, start, len),
-                    stream: sf.meta.id,
-                    amp_sum: sf.amp_sum(start, len),
-                    duration: sf.times[start + len] - sf.times[start],
-                });
-                total += 1;
-            }
-        }
-        // Stable sort: amp_sum ties keep (stream, start) insertion order,
-        // so band iteration is deterministic.
-        for entries in map.values_mut() {
-            entries.sort_by(|a, b| a.amp_sum.total_cmp(&b.amp_sum));
-        }
+        Self::empty(len, features.axis()).extended(features)
+    }
+
+    fn empty(len: usize, axis: usize) -> Self {
         FeatureIndex {
             len,
             axis,
-            map,
-            total,
+            map: HashMap::new(),
+            total: 0,
+            streams: 0,
         }
+    }
+
+    /// This index extended with the windows of the streams `features`
+    /// holds beyond the ones it covers. `features` must be a snapshot of
+    /// the same store along the index's axis, at least as new as the
+    /// snapshot the index was built from; the result equals
+    /// [`FeatureIndex::from_features`] of `features`, bucket for bucket
+    /// and entry for entry. Costs a copy of the index plus a sort of the
+    /// new windows.
+    pub fn extended(&self, features: &SegmentFeatures) -> Self {
+        debug_assert_eq!(features.axis(), self.axis, "snapshot of another axis");
+        let len = self.len;
+        let fresh = features.streams().get(self.streams..).unwrap_or(&[]);
+        let mut added: HashMap<u128, Vec<FeatureEntry>> = HashMap::new();
+        if (1..=MAX_SIGNATURE_LEN).contains(&len) {
+            // Rolling signature bookkeeping: a signature is the leading-1
+            // length marker followed by 2 bits per state, oldest state in
+            // the highest bits. Sliding the window drops the oldest state
+            // (the top 2 bits under the marker) and appends the newest.
+            let marker: u128 = 1 << (2 * len);
+            let keep_mask: u128 = (1 << (2 * (len - 1))) - 1;
+            for sf in fresh {
+                let nseg = sf.num_segments();
+                if nseg < len {
+                    continue;
+                }
+                let mut body: u128 = 0;
+                for &s in &sf.states[..len] {
+                    body = (body << 2) | s as u128;
+                }
+                for start in 0..=(nseg - len) {
+                    if start > 0 {
+                        body = ((body & keep_mask) << 2) | sf.states[start + len - 1] as u128;
+                    }
+                    added.entry(marker | body).or_default().push(FeatureEntry {
+                        subseq: SubseqRef::new(sf.meta.id, start, len),
+                        stream: sf.meta.id,
+                        amp_sum: sf.amp_sum(start, len),
+                        duration: sf.times[start + len] - sf.times[start],
+                    });
+                }
+            }
+        }
+        let mut map = HashMap::with_capacity(self.map.len() + added.len());
+        for (&signature, entries) in &self.map {
+            let merged = match added.remove(&signature) {
+                Some(new) => merge(entries, by_amp(new)),
+                None => entries.clone(),
+            };
+            map.insert(signature, merged);
+        }
+        for (signature, new) in added {
+            map.insert(signature, by_amp(new));
+        }
+        FeatureIndex {
+            len,
+            axis: self.axis,
+            total: map.values().map(Vec::len).sum(),
+            map,
+            streams: self.streams.max(features.streams().len()),
+        }
+    }
+
+    /// Streams the index covers: every stream whose id is below this.
+    pub fn streams(&self) -> usize {
+        self.streams
     }
 
     /// Window length this index covers.
@@ -170,6 +204,29 @@ impl FeatureIndex {
     }
 }
 
+/// `entries`, pushed in `(stream, start)` order, sorted by amplitude
+/// summary. The sort is stable, so ties keep `(stream, start)` order.
+fn by_amp(mut entries: Vec<FeatureEntry>) -> Vec<FeatureEntry> {
+    entries.sort_by(|a, b| a.amp_sum.total_cmp(&b.amp_sum));
+    entries
+}
+
+/// The merge of two amplitude-sorted runs, where every stream of `new`
+/// has a higher id than every stream of `old`: amplitude ties take the
+/// `old` entry first, which keeps them in `(stream, start)` order.
+fn merge(old: &[FeatureEntry], new: Vec<FeatureEntry>) -> Vec<FeatureEntry> {
+    let mut out = Vec::with_capacity(old.len() + new.len());
+    let mut rest = old;
+    for e in new {
+        let cut = rest.partition_point(|o| o.amp_sum.total_cmp(&e.amp_sum) != Ordering::Greater);
+        out.extend_from_slice(&rest[..cut]);
+        rest = &rest[cut..];
+        out.push(e);
+    }
+    out.extend_from_slice(rest);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,7 +267,7 @@ mod tests {
         for len in [1usize, 2, 5, 9] {
             let ix = FeatureIndex::build(&store, len, 0);
             let mut seen = 0usize;
-            for stream in store.streams() {
+            for stream in store.streams().iter() {
                 let states = stream.plr.states();
                 for start in 0..=(states.len().saturating_sub(len)) {
                     if start + len > states.len() {

@@ -209,7 +209,7 @@ pub fn save_store<W: Write>(store: &StreamStore, writer: W) -> Result<(), Persis
 
     let streams = store.streams();
     w.u32(streams.len() as u32)?;
-    for s in &streams {
+    for s in streams.iter() {
         w.u32(s.meta.patient.0)?;
         w.u32(s.meta.session)?;
         w.u64(s.raw_len as u64)?;

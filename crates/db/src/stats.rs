@@ -89,7 +89,7 @@ impl StoreStats {
         let mut state_counts = [0usize; 4];
         let mut periods = Vec::new();
         let mut amplitudes = Vec::new();
-        for s in &streams {
+        for s in streams.iter() {
             let st = StreamStats::of(s, axis);
             vertices += st.vertices;
             raw += st.raw_len;

@@ -59,7 +59,9 @@ pub enum SourceRelation {
 #[derive(Debug, Default)]
 struct Inner {
     patients: Vec<PatientAttributes>,
-    streams: Vec<Arc<MotionStream>>,
+    /// The stream table, shared with every [`StreamStore::streams`]
+    /// snapshot: an insert copies it only while a snapshot is alive.
+    streams: Arc<Vec<Arc<MotionStream>>>,
     by_patient: BTreeMap<PatientId, Vec<StreamId>>,
 }
 
@@ -166,7 +168,7 @@ impl StreamStore {
             return Err(StoreError::UnknownPatient(patient));
         }
         let id = StreamId(g.streams.len() as u32);
-        g.streams.push(Arc::new(MotionStream {
+        Arc::make_mut(&mut g.streams).push(Arc::new(MotionStream {
             meta: StreamMeta {
                 id,
                 patient,
@@ -203,13 +205,20 @@ impl StreamStore {
     /// The result is a consistent view — it reflects exactly the streams
     /// present at its [`SegmentFeatures::version`].
     pub fn segment_features(&self, axis: usize) -> Arc<SegmentFeatures> {
+        // A snapshot at the current version reflects exactly the streams
+        // present now: serve it without touching the stream table.
+        if let Some(cached) = self.features.lock().as_ref() {
+            if cached.version() == self.version() && cached.axis() == axis {
+                return cached.clone();
+            }
+        }
         // Snapshot streams + version under one read guard so the pair is
         // consistent even while writers insert concurrently: writers
         // bump the counter while holding the write lock, so no bump can
         // interleave with this read-locked section.
         let (streams, version) = {
             let g = self.inner.read();
-            (g.streams.clone(), self.version.load(Ordering::Acquire))
+            (Arc::clone(&g.streams), self.version.load(Ordering::Acquire))
         };
         let mut cache = self.features.lock();
         if let Some(cached) = cache.as_ref() {
@@ -252,9 +261,11 @@ impl StreamStore {
         self.inner.read().streams.get(id.0 as usize).cloned()
     }
 
-    /// All streams, in insertion order.
-    pub fn streams(&self) -> Vec<Arc<MotionStream>> {
-        self.inner.read().streams.clone()
+    /// All streams, in insertion order (a stream's id is its index): a
+    /// snapshot of the stream table, which costs one `Arc` clone however
+    /// many streams the store holds.
+    pub fn streams(&self) -> Arc<Vec<Arc<MotionStream>>> {
+        Arc::clone(&self.inner.read().streams)
     }
 
     /// Ids of all streams belonging to `patient`.
@@ -292,7 +303,7 @@ impl StreamStore {
     pub fn all_subsequences(&self, len: usize) -> Vec<SubseqRef> {
         let g = self.inner.read();
         let mut out = Vec::new();
-        for s in &g.streams {
+        for s in g.streams.iter() {
             let nseg = s.plr.num_segments();
             if nseg >= len && len > 0 {
                 for start in 0..=(nseg - len) {

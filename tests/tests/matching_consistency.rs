@@ -155,7 +155,7 @@ fn store_statistics_are_consistent() {
     let total: usize = b.store.streams().iter().map(|s| s.plr.num_vertices()).sum();
     assert_eq!(total, b.store.total_vertices());
     // PLR compression is substantial (30 Hz raw vs ~3 vertices/cycle).
-    for s in b.store.streams() {
+    for s in b.store.streams().iter() {
         assert!(
             s.compression_ratio() > 10.0,
             "stream {} compresses only {:.1}x",

@@ -30,7 +30,7 @@ fn bundle() -> tsm_bench::StoreBundle {
 fn three_dimensional_streams_flow_through_the_pipeline() {
     let b = bundle();
     assert!(b.store.num_streams() > 0);
-    for s in b.store.streams() {
+    for s in b.store.streams().iter() {
         assert_eq!(s.plr.dim(), 3, "stream lost its dimensionality");
     }
 
