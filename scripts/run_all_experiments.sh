@@ -9,3 +9,4 @@ for e in exp_table1 exp_fig6 exp_fig7 exp_fig8 exp_fig9 \
   echo "=== $e ==="
   "${CARGO_TARGET_DIR:-target}/release/$e" | tee "results/$e.txt"
 done
+"${CARGO_TARGET_DIR:-target}/release/exp_fig8" --quick > results/exp_fig8_quick.txt
