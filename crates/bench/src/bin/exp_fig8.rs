@@ -118,10 +118,7 @@ fn main() {
     // ---- Figure 8c + clustering ---------------------------------------
     banner("Figure 8c: patient distances and clustering");
     eprintln!("computing patient distance matrix ...");
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let (labels, dm) = cluster_patients(&bundle, &params, &sdc, 4, threads);
+    let (labels, dm) = cluster_patients(&bundle, &params, &sdc, 4);
 
     // Mean self distance (within-patient) vs cross-patient distance.
     let n = dm.len();

@@ -74,11 +74,8 @@ fn evaluate(name: &str, seed: u64, quick: bool) -> Vec<String> {
         len_segments: 9,
         stride: 3,
     };
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
     eprintln!("{name}: subsequence distances ...");
-    let (sub_labels, _) = cluster_patients(&bundle, &params, &sdc, 4, threads);
+    let (sub_labels, _) = cluster_patients(&bundle, &params, &sdc, 4);
     eprintln!("{name}: whole-sequence distances ...");
     let whole_dm = whole_sequence_matrix(&bundle);
     let whole_labels = k_medoids(&whole_dm, 4, 100);

@@ -408,9 +408,8 @@ pub fn cluster_patients(
     params: &Params,
     cfg: &StreamDistanceConfig,
     k: usize,
-    threads: usize,
 ) -> (Vec<usize>, DistanceMatrix) {
-    let dm = patient_distance_matrix(&bundle.store, params, cfg, threads);
+    let dm = patient_distance_matrix(&bundle.store, params, cfg);
     let labels = k_medoids(&dm, k, 100);
     (labels, dm)
 }
@@ -500,7 +499,7 @@ mod tests {
             len_segments: 6,
             stride: 4,
         };
-        let (labels, dm) = cluster_patients(&b, &params, &cfg, 2, 2);
+        let (labels, dm) = cluster_patients(&b, &params, &cfg, 2);
         assert_eq!(labels.len(), 4);
         assert_eq!(dm.len(), 4);
     }

@@ -826,11 +826,8 @@ pub fn cluster(args: &Args) -> Result<(), String> {
         len_segments: args.num_flag("len", 9usize)?,
         stride: args.num_flag("stride", 3usize)?,
     };
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    eprintln!("computing patient distances ({threads} threads) ...");
-    let dm = patient_distance_matrix(&store, &params, &cfg, threads);
+    eprintln!("computing patient distances ...");
+    let dm = patient_distance_matrix(&store, &params, &cfg);
     let labels = k_medoids(&dm, k, 100);
     println!("k = {k}, silhouette = {:.3}", silhouette(&dm, &labels));
     for (i, p) in store.patients().iter().enumerate() {

@@ -186,6 +186,49 @@ fn simulate_info_match_predict_cluster_roundtrip() {
     std::fs::remove_file(&store_path).ok();
 }
 
+/// Definition 3 has no length limit: at 61 segments, one past the
+/// longest state signature, `tsm cluster` still finds stream distances
+/// and so separates the patients (a matrix with no distance reads
+/// silhouette 0.000).
+#[test]
+fn cluster_finds_distances_past_the_longest_state_signature() {
+    let store_path = tmpfile("cluster61.tsmdb");
+    let o = tsm(&[
+        "simulate",
+        "--patients",
+        "4",
+        "--sessions",
+        "2",
+        "--streams",
+        "1",
+        "--duration",
+        "300",
+        "--seed",
+        "11",
+        "--out",
+        store_path.to_str().unwrap(),
+    ]);
+    assert!(o.status.success(), "simulate failed: {}", stderr(&o));
+    let o = tsm(&[
+        "cluster",
+        "--store",
+        store_path.to_str().unwrap(),
+        "--k",
+        "2",
+        "--len",
+        "61",
+    ]);
+    std::fs::remove_file(&store_path).ok();
+    assert!(o.status.success(), "cluster failed: {}", stderr(&o));
+    let text = stdout(&o);
+    let silhouette: f64 = text
+        .lines()
+        .find_map(|l| l.split("silhouette = ").nth(1))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no silhouette in {text}"));
+    assert!(silhouette > 0.0, "no stream distance at --len 61:\n{text}");
+}
+
 /// Builds a small store once for the validation/metrics tests below.
 fn small_store(name: &str) -> PathBuf {
     let store_path = tmpfile(name);

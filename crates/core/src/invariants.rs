@@ -5,10 +5,6 @@
 //! nothing in release — the hot paths pay zero cost in production while
 //! the whole test suite continuously re-proves the contracts:
 //!
-//! * **Prefix-sum monotonicity** — the `dur_prefix` column of a
-//!   [`StreamFeatures`] is non-decreasing and exactly one entry longer
-//!   than the segment count, which is what makes `window_duration` a
-//!   single-subtraction lookup.
 //! * **Band-bound admissibility** — every candidate the pruned plan keeps
 //!   from a [`tsm_db::FeatureIndex`] lookup lies inside its source tier's
 //!   amplitude and duration bands, and its stored summaries equal the
@@ -34,7 +30,7 @@
 use crate::matcher::{cmp_results, store_key, Band, MatchResult};
 use crate::metrics::SearchTally;
 use std::cmp::Ordering;
-use tsm_db::{FeatureEntry, SegmentFeatures, StreamFeatures};
+use tsm_db::{FeatureEntry, SegmentFeatures};
 
 /// A bounded collector holds at most `k` entries (`cap = Some(k)`).
 #[inline]
@@ -69,49 +65,11 @@ pub fn results_in_store_order(results: &[MatchResult]) {
     );
 }
 
-/// The duration prefix sums of one stream are well-formed: one entry
-/// longer than the segment count, starting at zero, and non-decreasing
-/// (durations are non-negative, so their running sum must be monotone).
-/// Sound prefix sums are what make `window_duration` an O(1) lookup.
-#[inline]
-pub fn prefix_sums_monotone(sf: &StreamFeatures) {
-    debug_assert!(
-        prefix_sums_monotone_impl(sf),
-        "malformed prefix sums for stream {:?}: {} segments, {} dur entries",
-        sf.meta.id,
-        sf.num_segments(),
-        sf.dur_prefix.len(),
-    );
-}
-
-fn prefix_sums_monotone_impl(sf: &StreamFeatures) -> bool {
-    let n = sf.num_segments();
-    sf.dur_prefix.len() == n + 1
-        && sf.dur_prefix.first() == Some(&0.0)
-        && sf.dur_prefix.windows(2).all(|w| w[0] <= w[1])
-}
-
-/// Every stream in a feature snapshot has sound prefix sums. Called once
-/// per search on the consuming side of
-/// [`tsm_db::StreamStore::segment_features`], so a corrupted snapshot is
-/// caught before any window is scored from it.
-#[inline]
-pub fn features_snapshot_coherent(features: &SegmentFeatures) {
-    #[cfg(debug_assertions)]
-    for sf in features.streams() {
-        prefix_sums_monotone(sf);
-    }
-    #[cfg(not(debug_assertions))]
-    // lint:allow(no-silent-result-drop): release builds compile the
-    // checks away; this keeps the parameter used in both profiles.
-    let _ = features;
-}
-
 /// A band survivor is admissible: the entry's stored summaries lie inside
 /// its source tier's `band`, and equal the direct sums over the window in
 /// the (possibly newer) feature snapshot it is about to be scored from —
 /// the forward `Σ|disp|` the query side uses, and the window's end time
-/// minus its start time.
+/// minus its start time ([`tsm_db::StreamFeatures::window_duration`]).
 #[inline]
 pub(crate) fn band_candidate_admissible(
     entry: &FeatureEntry,
@@ -132,7 +90,7 @@ pub(crate) fn band_candidate_admissible(
             let (start, len) = (entry.subseq.start as usize, entry.subseq.len as usize);
             start + len <= sf.num_segments()
                 && entry.amp_sum.to_bits() == sf.amp_sum(start, len).to_bits()
-                && entry.duration.to_bits() == (sf.times[start + len] - sf.times[start]).to_bits()
+                && entry.duration.to_bits() == sf.window_duration(start, len).to_bits()
         }),
         "index entry {:?} (amp {}, dur {}) disagrees with the feature snapshot",
         entry.subseq,
@@ -206,43 +164,5 @@ mod tests {
     #[should_panic(expected = "bounded collector overflow")]
     fn heap_overflow_is_caught() {
         heap_bounded(4, Some(3));
-    }
-
-    #[test]
-    fn prefix_sums_of_a_real_stream_are_monotone() {
-        use tsm_db::{PatientAttributes, StreamStore};
-        use tsm_model::{BreathState::*, PlrTrajectory, Vertex};
-        let plr = PlrTrajectory::from_vertices(vec![
-            Vertex::new_1d(0.0, 0.0, Inhale),
-            Vertex::new_1d(1.0, 8.0, Exhale),
-            Vertex::new_1d(2.5, 0.5, EndOfExhale),
-            Vertex::new_1d(3.0, 0.4, Inhale),
-        ])
-        .unwrap();
-        let store = StreamStore::new();
-        let p = store.add_patient(PatientAttributes::new());
-        store.add_stream(p, 0, plr, 30);
-        let features = store.segment_features(0);
-        features_snapshot_coherent(&features);
-    }
-
-    #[test]
-    #[should_panic(expected = "malformed prefix sums")]
-    fn corrupted_prefix_sums_are_caught() {
-        use tsm_db::{PatientAttributes, StreamStore};
-        use tsm_model::{BreathState::*, PlrTrajectory, Vertex};
-        let plr = PlrTrajectory::from_vertices(vec![
-            Vertex::new_1d(0.0, 0.0, Inhale),
-            Vertex::new_1d(1.0, 8.0, Exhale),
-            Vertex::new_1d(2.0, 0.0, EndOfExhale),
-        ])
-        .unwrap();
-        let store = StreamStore::new();
-        let p = store.add_patient(PatientAttributes::new());
-        store.add_stream(p, 0, plr, 20);
-        let features = store.segment_features(0);
-        let mut broken = (**features.streams().first().unwrap()).clone();
-        broken.dur_prefix[1] = -1.0; // running sum of durations can never dip
-        prefix_sums_monotone(&broken);
     }
 }

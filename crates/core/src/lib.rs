@@ -101,7 +101,7 @@ pub mod prelude {
         external_session, CohortReport, CohortRuntime, DegradationPolicy, PredictionTick,
         SessionConfig, SessionHealth, SessionReport, SessionRuntime, SessionSpec,
     };
-    pub use crate::similarity::{offline_distance, online_distance, vertex_weight, QueryCols};
+    pub use crate::similarity::{online_distance, vertex_weight, QueryCols};
     pub use crate::stability::{is_stable, stability};
     pub use crate::stream_distance::{stream_distance, StreamDistanceConfig};
     pub use crate::tracking::{simulate_tracking, track_ticks, TrackingStats};

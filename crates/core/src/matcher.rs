@@ -523,7 +523,7 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 tally.amp_band_candidates += 1;
-                if band.dur_contains(sf.times[j + n] - sf.times[j]) {
+                if band.dur_contains(sf.window_duration(j, n)) {
                     starts.push(j);
                 }
             }
@@ -721,7 +721,6 @@ impl Matcher {
             return Vec::new();
         }
         let features = self.store.segment_features(self.params.axis);
-        invariants::features_snapshot_coherent(&features);
         let Some(engine) = Engine::new(self, query, options, &features) else {
             return Vec::new();
         };
@@ -818,7 +817,6 @@ impl Matcher {
             return self.find_matches_in_store_order(query, options);
         };
         let features = self.store.segment_features(self.params.axis);
-        invariants::features_snapshot_coherent(&features);
         let Some(engine) = Engine::new(self, query, options, &features) else {
             return Vec::new();
         };
@@ -1327,7 +1325,7 @@ mod tests {
                         let sf = features.stream(m.subseq.stream).unwrap();
                         let (j, n) = (m.subseq.start as usize, m.subseq.len as usize);
                         let band = &engine.bands[m.relation as usize];
-                        let (amp_sum, dur) = (sf.amp_sum(j, n), sf.times[j + n] - sf.times[j]);
+                        let (amp_sum, dur) = (sf.amp_sum(j, n), sf.window_duration(j, n));
                         prop_assert!(
                             band.amp_contains(amp_sum) && band.dur_contains(dur),
                             "{:?} at d = {} (δ = {}): amp {} outside {:?} or dur {} outside {:?}",

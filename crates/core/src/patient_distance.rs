@@ -4,6 +4,12 @@
 //! streams, one from the first patient and the other from the second
 //! patient." Patient distances feed clustering (Section 5.3), which in
 //! turn feeds correlation discovery and cluster-restricted prediction.
+//!
+//! Every stream distance scores its windows through the matcher's gate
+//! and exact kernel (see [`mod@crate::stream_distance`]). The matrix fans the
+//! patient pairs out over one scoped thread per available CPU; each pair
+//! is a pure function of the store, so the matrix does not depend on the
+//! thread count, and a worker's panic is re-raised on the caller.
 
 use crate::cluster::DistanceMatrix;
 use crate::params::Params;
@@ -43,65 +49,33 @@ pub fn patient_distance(
 }
 
 /// Builds the full symmetric patient-distance matrix for a cohort,
-/// fanning the (patient-pair) work out over `threads` workers with
-/// `crossbeam` scoped threads. Pairs with no defined distance are filled
-/// with the largest observed distance (so clustering still works).
+/// fanning the (patient-pair) work out over `crossbeam` scoped threads,
+/// one per available CPU. Pairs with no defined distance are filled with
+/// 1.5 × the largest observed distance (so clustering still works).
 pub fn patient_distance_matrix(
     store: &StreamStore,
     params: &Params,
     cfg: &StreamDistanceConfig,
-    threads: usize,
 ) -> DistanceMatrix {
     let patients = store.patients();
     let n = patients.len();
-    let mut pairs = Vec::new();
-    for i in 0..n {
-        for j in i..n {
-            pairs.push((i, j));
-        }
-    }
-
-    let threads = threads.max(1);
-    let chunk = pairs.len().div_ceil(threads);
-    let mut results: Vec<Option<f64>> = vec![None; pairs.len()];
-
-    let scope_result = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (t, chunk_pairs) in pairs.chunks(chunk).enumerate() {
-            let store = store.clone();
-            let patients = &patients;
-            handles.push((
-                t,
-                chunk_pairs,
-                scope.spawn(move |_| {
-                    chunk_pairs
-                        .iter()
-                        .map(|&(i, j)| {
-                            patient_distance(&store, patients[i], patients[j], params, cfg)
-                        })
-                        .collect::<Vec<_>>()
-                }),
-            ));
-        }
-        for (t, chunk_pairs, h) in handles {
-            // A panicked worker loses only its chunk: recompute it here.
-            let chunk_results = h.join().unwrap_or_else(|_| {
-                chunk_pairs
-                    .iter()
-                    .map(|&(i, j)| patient_distance(store, patients[i], patients[j], params, cfg))
-                    .collect()
-            });
-            let base = t * chunk;
-            results[base..base + chunk_results.len()].copy_from_slice(&chunk_results);
-        }
-    });
-    if scope_result.is_err() {
-        // Scoped-thread machinery itself failed: fall back to computing
-        // every pair on this thread.
-        for (slot, &(i, j)) in results.iter_mut().zip(&pairs) {
-            *slot = patient_distance(store, patients[i], patients[j], params, cfg);
-        }
-    }
+    let pairs: Vec<(usize, usize)> = (0..n).flat_map(|i| (i..n).map(move |j| (i, j))).collect();
+    let threads = std::thread::available_parallelism().map_or(4, |t| t.get());
+    let chunk = pairs.len().div_ceil(threads).max(1);
+    let distance =
+        |&(i, j): &(usize, usize)| patient_distance(store, patients[i], patients[j], params, cfg);
+    let rethrow = |panic| std::panic::resume_unwind(panic);
+    let results: Vec<Option<f64>> = crossbeam::thread::scope(|scope| {
+        let workers: Vec<_> = pairs
+            .chunks(chunk)
+            .map(|chunk| scope.spawn(move |_| chunk.iter().map(distance).collect::<Vec<_>>()))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(rethrow))
+            .collect()
+    })
+    .unwrap_or_else(rethrow);
 
     let max_seen = results
         .iter()
@@ -191,33 +165,29 @@ mod tests {
         assert!((ab - ba).abs() < 1e-12);
     }
 
+    /// A store with no patients gives an empty matrix (no worker gets
+    /// an empty chunk of pairs).
+    #[test]
+    fn empty_store_gives_an_empty_matrix() {
+        let dm = patient_distance_matrix(&StreamStore::new(), &params(), &cfg());
+        assert_eq!(dm.len(), 0);
+    }
+
+    /// The matrix holds each pair's pointwise distance bit for bit, on
+    /// whatever number of worker threads the host gives it.
     #[test]
     fn matrix_agrees_with_pointwise_distances() {
         let (store, ids) = setup();
         let p = params();
         let c = cfg();
-        let dm = patient_distance_matrix(&store, &p, &c, 2);
+        let dm = patient_distance_matrix(&store, &p, &c);
         assert_eq!(dm.len(), 3);
         for i in 0..3 {
             assert_eq!(dm.get(i, i), 0.0);
             for j in (i + 1)..3 {
                 let d = patient_distance(&store, ids[i], ids[j], &p, &c).unwrap();
-                assert!((dm.get(i, j) - d).abs() < 1e-12);
+                assert_eq!(dm.get(i, j).to_bits(), d.to_bits());
                 assert_eq!(dm.get(i, j), dm.get(j, i));
-            }
-        }
-    }
-
-    #[test]
-    fn single_threaded_matches_parallel() {
-        let (store, _) = setup();
-        let p = params();
-        let c = cfg();
-        let dm1 = patient_distance_matrix(&store, &p, &c, 1);
-        let dm4 = patient_distance_matrix(&store, &p, &c, 4);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(dm1.get(i, j), dm4.get(i, j));
             }
         }
     }

@@ -18,10 +18,10 @@
 //! the window — the `predict_alignment` bench quantifies the difference).
 //!
 //! A mean does not depend on the order of its terms, but a floating-point
-//! sum does, so [`predict_position`] fixes one: it sums the votes in
-//! store order, ascending `(stream, start)`. The vote then depends only
-//! on which matches it gets. The online path hands it the matches in that
-//! order
+//! sum does, so every vote here fixes one: [`predict_position`] and the
+//! next-cycle votes all sum in store order, ascending `(stream, start)`,
+//! through one walk. A vote then depends only on which matches it gets.
+//! The online path hands [`predict_position`] the matches in that order
 //! ([`crate::index_cache::CachedMatcher::find_matches_in_store_order`]),
 //! so its reads walk the store forward; a ranked list is sorted into a
 //! copy first.
@@ -29,6 +29,7 @@
 use crate::matcher::{store_key, MatchResult, QuerySubseq};
 use crate::params::Params;
 use std::borrow::Cow;
+use std::ops::{Add, Mul};
 use std::sync::Arc;
 use tsm_db::{MotionStream, StreamStore, SubseqRef};
 use tsm_model::{Position, Vertex};
@@ -77,20 +78,17 @@ pub fn predict_position(
         AlignMode::FirstVertex => query.vertices.first()?.position,
         AlignMode::LastVertex => query.vertices.last()?.position,
     };
-    let matches = in_store_order(matches);
-    let streams = store.streams();
-    let mut acc = Position::zero(q_anchor.dim());
-    let mut wsum = 0.0;
-    let mut voters = 0usize;
-    for m in matches.iter() {
-        let (stream, window) = resolve(&streams, m.subseq)?;
+    let zero = Position::zero(q_anchor.dim());
+    let (acc, wsum, voters) = store_order_vote(store, matches, zero, |m, resolved| {
+        // A match whose stream has vanished voids the whole prediction.
+        let (stream, window) = resolved?;
         let (first, last) = (window.first()?, window.last()?);
         // "The immediate future of a historical subsequence is known" —
         // but only if the stream actually extends dt beyond the window.
         // Candidates at a stream's tail would vote with extrapolation
         // artifacts; skip them.
         if last.time + dt > stream.plr.end_time() {
-            continue;
+            return Some(None);
         }
         let c_anchor = match align {
             AlignMode::FirstVertex => first.position,
@@ -100,14 +98,42 @@ pub fn predict_position(
         // step there from that vertex rather than search the stream.
         let last_index = m.subseq.start as usize + m.subseq.len as usize;
         let future = stream.plr.position_after(last_index, last.time + dt);
-        acc = acc + (future - c_anchor) * m.ws;
-        wsum += m.ws;
-        voters += 1;
-    }
+        Some(Some(future - c_anchor))
+    })?;
     if wsum <= 0.0 || voters < params.min_matches {
         return None;
     }
     Some(q_anchor + acc * (1.0 / wsum))
+}
+
+/// The store-order walk every vote of this module sums through: the
+/// matches in store order ([`in_store_order`]), each resolved against one
+/// snapshot of the store's stream table ([`resolve`]; `None` when its
+/// stream is missing or the window does not fit), then `term`'s value for
+/// the match weighted by its `ws`, summed forward from `zero`.
+///
+/// `term` returns `Some(Some(x))` for a vote `x`, `Some(None)` to skip the
+/// match, and `None` to void the whole vote. Returns the weighted sum,
+/// `Σ ws` and the number of voters.
+fn store_order_vote<T>(
+    store: &StreamStore,
+    matches: &[MatchResult],
+    zero: T,
+    mut term: impl FnMut(&MatchResult, Option<(&MotionStream, &[Vertex])>) -> Option<Option<T>>,
+) -> Option<(T, f64, usize)>
+where
+    T: Add<Output = T> + Mul<f64, Output = T>,
+{
+    let streams = store.streams();
+    let (mut acc, mut wsum, mut voters) = (zero, 0.0, 0usize);
+    for m in in_store_order(matches).iter() {
+        if let Some(x) = term(m, resolve(&streams, m.subseq))? {
+            acc = acc + x * m.ws;
+            wsum += m.ws;
+            voters += 1;
+        }
+    }
+    Some((acc, wsum, voters))
 }
 
 /// `matches` in store order: as given when they already are, else a
@@ -140,6 +166,17 @@ fn resolve(streams: &[Arc<MotionStream>], r: SubseqRef) -> Option<(&MotionStream
     }
     let window = stream.plr.vertices().get(start..=start + len)?;
     Some((stream, window))
+}
+
+/// The next full breathing cycle after a resolved match's window: its 3
+/// following segments (4 vertices), or `None` when the match did not
+/// resolve or its stream ends too soon.
+fn next_cycle<'a>(
+    m: &MatchResult,
+    resolved: Option<(&'a MotionStream, &[Vertex])>,
+) -> Option<&'a [Vertex]> {
+    let next_start = m.subseq.start as usize + m.subseq.len as usize;
+    resolved?.0.plr.vertices().get(next_start..=next_start + 3)
 }
 
 /// Predicts the position at `t_last_vertex + dt` **anchored on a fresh
@@ -175,7 +212,9 @@ pub fn predict_position_anchored(
 /// (Section 4.3: "future frequency, amplitude or position can be
 /// predicted ... prediction of the other future characteristics is
 /// analogous"). Matches whose stream ends too soon after the window are
-/// skipped; returns `None` if none remain.
+/// skipped; returns `None` if none remain. Like [`predict_position`], it
+/// sums in store order, so any order of the same matches gives the same
+/// bits.
 pub fn predict_next_cycle_duration(
     store: &StreamStore,
     matches: &[MatchResult],
@@ -184,21 +223,9 @@ pub fn predict_next_cycle_duration(
     if matches.len() < params.min_matches {
         return None;
     }
-    let streams = store.streams();
-    let mut acc = 0.0;
-    let mut wsum = 0.0;
-    for m in matches {
-        let Some((stream, _)) = resolve(&streams, m.subseq) else {
-            continue;
-        };
-        // The next full cycle after the window: 3 more segments.
-        let next_start = m.subseq.start as usize + m.subseq.len as usize;
-        let v = stream.plr.vertices();
-        if next_start + 3 < v.len() {
-            acc += m.ws * (v[next_start + 3].time - v[next_start].time);
-            wsum += m.ws;
-        }
-    }
+    let (acc, wsum, _) = store_order_vote(store, matches, 0.0, |m, resolved| {
+        Some(next_cycle(m, resolved).map(|c| c[3].time - c[0].time))
+    })?;
     (wsum > 0.0).then(|| acc / wsum)
 }
 
@@ -206,7 +233,7 @@ pub fn predict_next_cycle_duration(
 /// cycle: the source-weighted mean of the matched subsequences' next-cycle
 /// amplitudes along `params.axis` (Section 4.3's "future frequency,
 /// amplitude or position"). Returns `None` when no match has a full cycle
-/// of stored future.
+/// of stored future. Sums in store order, as [`predict_position`] does.
 pub fn predict_next_cycle_amplitude(
     store: &StreamStore,
     matches: &[MatchResult],
@@ -216,29 +243,20 @@ pub fn predict_next_cycle_amplitude(
         return None;
     }
     let axis = params.axis;
-    let streams = store.streams();
-    let mut acc = 0.0;
-    let mut wsum = 0.0;
-    for m in matches {
-        let Some((stream, _)) = resolve(&streams, m.subseq) else {
-            continue;
+    let (acc, wsum, _) = store_order_vote(store, matches, 0.0, |m, resolved| {
+        let Some(cycle) = next_cycle(m, resolved) else {
+            return Some(None);
         };
-        let next_start = m.subseq.start as usize + m.subseq.len as usize;
-        let v = stream.plr.vertices();
-        if next_start + 3 < v.len() {
-            let window = &v[next_start..=next_start + 3];
-            let lo = window
-                .iter()
-                .map(|x| x.position[axis])
-                .fold(f64::INFINITY, f64::min);
-            let hi = window
-                .iter()
-                .map(|x| x.position[axis])
-                .fold(f64::NEG_INFINITY, f64::max);
-            acc += m.ws * (hi - lo);
-            wsum += m.ws;
-        }
-    }
+        let lo = cycle
+            .iter()
+            .map(|x| x.position[axis])
+            .fold(f64::INFINITY, f64::min);
+        let hi = cycle
+            .iter()
+            .map(|x| x.position[axis])
+            .fold(f64::NEG_INFINITY, f64::max);
+        Some(Some(hi - lo))
+    })?;
     (wsum > 0.0).then(|| acc / wsum)
 }
 

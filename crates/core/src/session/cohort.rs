@@ -1,5 +1,5 @@
 //! Cohort replay: N sessions against one shared store, with per-session
-//! fault supervision and panic containment.
+//! fault supervision. A worker's panic propagates out of the replay.
 
 use super::health::{DegradationPolicy, SessionHealth};
 use super::runtime::{PredictionTick, SessionConfig, SessionRuntime};
@@ -37,8 +37,8 @@ pub struct SessionReport {
     pub vertices: usize,
     /// Raw samples consumed.
     pub samples: usize,
-    /// Whether the session ran to completion (`false` only if its worker
-    /// died mid-replay; the runtime then re-runs it serially).
+    /// Whether the session ran to completion (`false` when it terminated
+    /// early with an [`error`](SessionReport::error)).
     pub complete: bool,
     /// Why the session terminated early, if it did — a *structured*
     /// error, so callers can distinguish recoverable input faults
@@ -233,10 +233,11 @@ impl CohortRuntime {
     /// Replays every spec to completion and returns the per-session
     /// reports in spec order.
     ///
-    /// Sessions are distributed round-robin over the worker threads. A
-    /// session's completed report comes back as one bounded-channel
-    /// message, and a worker panic is contained: sessions whose report
-    /// never arrived are re-run serially.
+    /// Sessions are distributed round-robin over the worker threads, and
+    /// each session's report comes back as one bounded-channel message.
+    /// A panic in a worker propagates out of this call; it is not
+    /// retried, so a panic that only a pooled schedule triggers cannot
+    /// hide behind a serial re-run.
     pub fn replay(&self, specs: &[SessionSpec]) -> CohortReport {
         // lint:allow(no-instant-now-in-hot-path): cohort wall-clock for
         // the report, taken once per replay — not a per-window hot path.
@@ -273,9 +274,9 @@ impl CohortRuntime {
         // exactly one report, so capacity `specs.len()` means a worker
         // can never block on the collector.
         let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, SessionReport)>(specs.len());
-        // lint:allow(no-silent-result-drop): the scope result is Err only
-        // when a worker panicked; sessions whose report never arrived are
-        // detected and re-run serially right below.
+        // lint:allow(no-silent-result-drop): the vendored scope always
+        // returns Ok; it wraps `std::thread::scope`, so a worker's panic
+        // propagates out of it as a panic instead.
         let _ = crossbeam::thread::scope(|scope| {
             for batch in batches {
                 let tx = tx.clone();
@@ -291,18 +292,11 @@ impl CohortRuntime {
             }
         });
         drop(tx);
-        let mut slots: Vec<Option<SessionReport>> = specs.iter().map(|_| None).collect();
-        for (i, report) in rx {
-            slots[i] = Some(report);
-        }
-        // Contain worker panics: re-run any session whose report is
-        // missing. Sessions that *failed* (bad input) did report — their
-        // error is deterministic and already recorded.
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| slot.unwrap_or_else(|| self.drive_session(&specs[i])))
-            .collect()
+        // Every worker finished without panicking, so every session
+        // reported exactly once.
+        let mut reports: Vec<(usize, SessionReport)> = rx.into_iter().collect();
+        reports.sort_unstable_by_key(|&(i, _)| i);
+        reports.into_iter().map(|(_, report)| report).collect()
     }
 
     /// Runs one session to completion against the shared engine,

@@ -19,9 +19,11 @@
 //! data, a pool of `with_threads(W)` workers runs them round-robin, and
 //! every session searches through the one shared engine and its index
 //! cache. Each finished session comes back as one bounded-channel
-//! message, and a worker panic is contained by re-running the sessions
-//! whose reports never arrived. Every pool size produces the *same
-//! per-session reports* — enforced by the `session_equivalence` suite.
+//! message. A worker panic is not contained: it propagates out of
+//! [`CohortRuntime::replay`], so a panic that only a pooled schedule
+//! triggers shows instead of hiding behind a serial re-run. Every pool
+//! size produces the *same per-session reports* — enforced by the
+//! `session_equivalence` suite.
 //!
 //! ## Ownership rules
 //!

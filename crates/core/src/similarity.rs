@@ -32,11 +32,16 @@
 //!   (ws = 0.3) reads as 3.3× the distance of a same-session candidate
 //!   (ws = 1.0), exactly the preference ordering the paper wants.
 //!
-//! The *offline* variant ([`offline_distance`]) sets every `wi` to 1 —
-//! with no "current time" there is no recency to prefer (Section 5).
+//! The *offline* distance of Section 5 sets every `wi` to 1 — with no
+//! "current time" there is no recency to prefer. It is
+//! [`online_distance`] at `wi_base = 1`, bit for bit: every weight is
+//! then exactly 1.0, and multiplying a term by 1.0 is exact.
 //!
-//! [`online_distance`] is the oracle. The matcher scores windows through
-//! [`QueryCols`] and one exact columnar scorer,
+//! [`online_distance`] is the oracle. Every production distance — the
+//! matcher's searches (Definition 2) and the stream and patient distances
+//! (Definitions 3 and 4,
+//! [`stream_distance`](crate::stream_distance::stream_distance)) — scores
+//! windows through [`QueryCols`] and one exact columnar scorer,
 //! [`BatchScorer::rescore_exact`](crate::batch::BatchScorer::rescore_exact),
 //! which computes each term with this module's expression and returns
 //! bit-identical distances.
@@ -69,14 +74,14 @@ pub fn same_state_order(query: &[Vertex], candidate: &[Vertex]) -> bool {
             .all(|(q, c)| q.state == c.state)
 }
 
-/// Raw weighted distance with explicit vertex weights; `None` when the
-/// state orders differ or the windows are degenerate.
-fn weighted_distance(
+/// The online subsequence distance (Definition 2): recency-weighted,
+/// source-weighted, per-segment-normalized. `None` when the state orders
+/// differ or the windows are degenerate.
+pub fn online_distance(
     query: &[Vertex],
     candidate: &[Vertex],
     params: &Params,
     relation: SourceRelation,
-    use_vertex_weights: bool,
 ) -> Option<f64> {
     if !same_state_order(query, candidate) {
         return None;
@@ -99,40 +104,12 @@ fn weighted_distance(
             }
         };
         let freq_diff = (qs.duration() - cs.duration()).abs();
-        let wi = if use_vertex_weights {
-            vertex_weight(params, i, n)
-        } else {
-            1.0
-        };
+        let wi = vertex_weight(params, i, n);
         num += wi * (params.wa * amp_diff + params.wf * freq_diff);
         wsum += wi;
     }
     let ws = params.ws(relation);
     Some(num / (wsum * ws))
-}
-
-/// The online subsequence distance (Definition 2): recency-weighted,
-/// source-weighted, per-segment-normalized. `None` when the state orders
-/// differ.
-pub fn online_distance(
-    query: &[Vertex],
-    candidate: &[Vertex],
-    params: &Params,
-    relation: SourceRelation,
-) -> Option<f64> {
-    weighted_distance(query, candidate, params, relation, true)
-}
-
-/// The offline subsequence distance (Section 5): the online distance with
-/// every vertex weight set to 1 (there is no "current time" offline).
-/// Source weights still apply.
-pub fn offline_distance(
-    query: &[Vertex],
-    candidate: &[Vertex],
-    params: &Params,
-    relation: SourceRelation,
-) -> Option<f64> {
-    weighted_distance(query, candidate, params, relation, false)
 }
 
 /// Safety factor for abandon thresholds: the exact scorer compares a
@@ -318,9 +295,13 @@ mod tests {
             dl > de,
             "recent deviation {dl} should cost more than old deviation {de}"
         );
-        // Offline, both deviations cost the same.
-        let de_off = offline_distance(&q, &early, &p, SourceRelation::SameSession).unwrap();
-        let dl_off = offline_distance(&q, &late, &p, SourceRelation::SameSession).unwrap();
+        // Offline (flat vertex weights), both deviations cost the same.
+        let flat = Params {
+            wi_base: 1.0,
+            ..Params::default()
+        };
+        let de_off = online_distance(&q, &early, &flat, SourceRelation::SameSession).unwrap();
+        let dl_off = online_distance(&q, &late, &flat, SourceRelation::SameSession).unwrap();
         assert!((de_off - dl_off).abs() < 1e-12);
     }
 
@@ -377,7 +358,11 @@ mod tests {
 
     #[test]
     fn normalization_makes_length_comparable() {
-        let p = Params::default();
+        // Flat vertex weights: the offline distance of Section 5.
+        let p = Params {
+            wi_base: 1.0,
+            ..Params::default()
+        };
         // One cycle with a fixed per-segment deviation...
         let q1 = cycle(0.0, 10.0, 4.0, 0.0);
         let c1 = cycle(0.0, 11.0, 4.0, 0.0);
@@ -388,8 +373,8 @@ mod tests {
         let mut c3 = cycle(0.0, 11.0, 4.0, 0.0);
         c3.extend(cycle(4.0, 11.0, 4.0, 0.0).into_iter().skip(1));
         c3.extend(cycle(8.0, 11.0, 4.0, 0.0).into_iter().skip(1));
-        let d1 = offline_distance(&q1, &c1, &p, SourceRelation::SameSession).unwrap();
-        let d3 = offline_distance(&q3, &c3, &p, SourceRelation::SameSession).unwrap();
+        let d1 = online_distance(&q1, &c1, &p, SourceRelation::SameSession).unwrap();
+        let d3 = online_distance(&q3, &c3, &p, SourceRelation::SameSession).unwrap();
         assert!(
             (d1 - d3).abs() < 1e-9,
             "per-segment normalization broken: {d1} vs {d3}"

@@ -10,19 +10,27 @@
 //! D(R, S) = ( D(R → S) + D(S → R) ) / 2
 //! ```
 //!
-//! The offline subsequence distance keeps the source-stream weight `ws`
-//! (Section 5: "the weights over amplitude and frequency are still
-//! necessary, so is the weight for a source stream"), so same-patient
-//! stream pairs read as closer than other-patient pairs with the same raw
-//! shape deviation — this is deliberate and drives Figure 8b's ordering.
+//! The offline subsequence distance is
+//! [`online_distance`](crate::similarity::online_distance) at flat vertex
+//! weights (`wi_base = 1`: offline there is no "current time" to prefer).
+//! It keeps the source-stream weight `ws` (Section 5: "the weights over
+//! amplitude and frequency are still necessary, so is the weight for a
+//! source stream"), so same-patient stream pairs read as closer than
+//! other-patient pairs with the same raw shape deviation — this is
+//! deliberate and drives Figure 8b's ordering.
+//!
+//! Windows are scored by the matcher's own kernels over the target
+//! stream's [`StreamFeatures`]: [`BatchScorer::match_mask`] gates them on
+//! the query's state order and [`BatchScorer::rescore_exact`] scores the
+//! survivors, unbounded, bit-identical to the vertex-walking oracle. There
+//! is no limit on the subsequence length.
 
+use crate::batch::{BatchScorer, RescanOutcome, LANES};
 use crate::params::Params;
-use crate::similarity::offline_distance;
+use crate::similarity::QueryCols;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
-use tsm_db::{MotionStream, SourceRelation};
-use tsm_model::{state_signature, Vertex};
+use tsm_db::{MotionStream, SourceRelation, StreamFeatures};
 
 /// Knobs of the stream-distance computation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -45,22 +53,6 @@ impl Default for StreamDistanceConfig {
     }
 }
 
-/// Per-stream signature table: state-order signature → window starts.
-fn signature_table(vertices: &[Vertex], len: usize) -> HashMap<u128, Vec<usize>> {
-    let mut map: HashMap<u128, Vec<usize>> = HashMap::new();
-    if vertices.len() < len + 1 {
-        return map;
-    }
-    let n_seg = vertices.len() - 1;
-    for start in 0..=(n_seg - len) {
-        let sig = state_signature(vertices[start..start + len].iter().map(|v| v.state));
-        if let Some(sig) = sig {
-            map.entry(sig).or_default().push(start);
-        }
-    }
-    map
-}
-
 /// One direction of Definition 3: mean over `R`'s (non-outlier) queries of
 /// the mean of the `k` most-similar subsequences in `S`.
 fn directed_distance(
@@ -73,35 +65,37 @@ fn directed_distance(
     let len = cfg.len_segments;
     let k = params.k_retrieve;
     let rv = r.plr.vertices();
-    let sv = s.plr.vertices();
-    if rv.len() < len + 1 || sv.len() < len + 1 {
+    if rv.len() < len + 1 || s.plr.vertices().len() < len + 1 {
         return None;
     }
+    let flat = Params {
+        wi_base: 1.0,
+        ..params.clone()
+    };
+    let ws = params.ws(relation);
+    let target = StreamFeatures::build(s, params.axis);
     let same_stream = r.meta.id == s.meta.id;
-    let table = signature_table(sv, len);
-    let stride = cfg.stride.max(1);
 
+    let mut scorer = BatchScorer::new();
     let mut total = 0.0;
     let mut n_queries = 0usize;
-    let n_seg_r = rv.len() - 1;
-    let mut start = 0usize;
+    let mut starts: Vec<usize> = Vec::new();
     let mut dists: Vec<f64> = Vec::new();
-    while start + len <= n_seg_r {
-        let q = &rv[start..=start + len];
-        let sig = state_signature(q[..len].iter().map(|v| v.state));
-        let candidates = sig
-            .and_then(|sig| table.get(&sig))
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
+    for start in (0..rv.len() - len).step_by(cfg.stride.max(1)) {
+        let cols = QueryCols::build(&rv[start..=start + len], &flat)?;
+        let mask = scorer.match_mask(&cols.states, &target);
+        starts.clear();
+        // A window trivially matches itself.
+        starts.extend((0..mask.len()).filter(|&j| mask[j] == 0 && !(same_stream && j == start)));
         dists.clear();
-        for &cs in candidates {
-            if same_stream && cs == start {
-                continue; // a window trivially matches itself
-            }
-            let c = &sv[cs..=cs + len];
-            if let Some(d) = offline_distance(q, c, params, relation) {
-                dists.push(d);
-            }
+        for run in starts.chunks(LANES) {
+            // With no bound and a positive `ws`, every window of the run
+            // comes back `Scored`; the other lanes are padding.
+            let scored = scorer.rescore_exact(&cols, &flat, &target, run, ws, f64::INFINITY);
+            dists.extend(scored.into_iter().filter_map(|o| match o {
+                RescanOutcome::Scored(d) => Some(d),
+                _ => None,
+            }));
         }
         // "If a query cannot find at least k subsequences with the same
         // state order, that query subsequence is an outlier and will be
@@ -111,7 +105,6 @@ fn directed_distance(
             total += dists[..k].iter().sum::<f64>() / k as f64;
             n_queries += 1;
         }
-        start += stride;
     }
     (n_queries > 0).then(|| total / n_queries as f64)
 }
@@ -136,7 +129,7 @@ pub fn stream_distance(
 mod tests {
     use super::*;
     use tsm_db::{PatientId, StreamId, StreamMeta};
-    use tsm_model::{BreathState::*, PlrTrajectory};
+    use tsm_model::{BreathState::*, PlrTrajectory, Vertex};
 
     fn stream(id: u32, n: usize, amplitude: f64, period: f64) -> Arc<MotionStream> {
         let mut v = Vec::new();

@@ -5,9 +5,15 @@ use std::collections::BTreeMap;
 use tsm_core::matcher::{MatchResult, Matcher, QuerySubseq, SearchOptions};
 use tsm_core::metrics::{MetricsRegistry, MetricsSnapshot};
 use tsm_core::params::AmplitudeMetric;
-use tsm_core::predict::{predict_position, AlignMode};
+use tsm_core::predict::{
+    predict_next_cycle_amplitude, predict_next_cycle_duration, predict_position, AlignMode,
+};
+use tsm_core::similarity::{online_distance, same_state_order};
+use tsm_core::stream_distance::{stream_distance, StreamDistanceConfig};
 use tsm_core::{CachedMatcher, Params};
-use tsm_db::{FeatureIndex, PatientAttributes, StreamStore, SubseqRef};
+use tsm_db::{
+    FeatureIndex, MotionStream, PatientAttributes, SourceRelation, StreamStore, SubseqRef,
+};
 use tsm_model::{segment_signal, PlrTrajectory, Position, SegmenterConfig, MAX_SIGNATURE_LEN};
 use tsm_signal::{BreathingParams, SignalGenerator};
 
@@ -496,6 +502,13 @@ proptest! {
                 }
             }
         }
+        // The next-cycle votes sum in the same store order.
+        let duration = |m: &[MatchResult]| predict_next_cycle_duration(&store, m, &params).map(f64::to_bits);
+        let amplitude = |m: &[MatchResult]| predict_next_cycle_amplitude(&store, m, &params).map(f64::to_bits);
+        for order in &orders {
+            prop_assert_eq!(duration(order), duration(&ranked), "{} matches: duration", ranked.len());
+            prop_assert_eq!(amplitude(order), amplitude(&ranked), "{} matches: amplitude", ranked.len());
+        }
     }
 
     /// The store-ordered entry points return exactly the ranked search's
@@ -546,6 +559,48 @@ proptest! {
         prop_assert_eq!(cached.cache().rebuild_count(), u64::from(!long));
     }
 
+    /// Definitions 3 and 4's stream distance equals, bit for bit, the
+    /// oracle below over seeded 1-D and 2-D streams, under both amplitude
+    /// metrics, for a stream against itself, against its patient's other
+    /// session and against another patient's stream. Lengths run past
+    /// `MAX_SIGNATURE_LEN`: Definition 3 has no length limit.
+    #[test]
+    fn stream_distance_equals_the_definition_3_oracle(
+        amp in 6.0f64..18.0,
+        seed in 1u64..500,
+        two_d in proptest::bool::ANY,
+        spatial in proptest::bool::ANY,
+        k_pick in 0usize..3,
+        stride in 1usize..=5,
+        long in proptest::bool::ANY,
+        short_len in 1usize..=MAX_SIGNATURE_LEN,
+        extra in 0usize..4,
+    ) {
+        let (store, _) = build_store_with(amp, 4.0, seed, if two_d { 2 } else { 1 }, 200.0);
+        let params = Params {
+            amplitude_metric: if spatial {
+                AmplitudeMetric::Spatial
+            } else {
+                AmplitudeMetric::Axis
+            },
+            k_retrieve: [1, 3, 10][k_pick],
+            ..Params::default()
+        };
+        let cfg = StreamDistanceConfig {
+            len_segments: if long { MAX_SIGNATURE_LEN + 1 + extra } else { short_len },
+            stride,
+        };
+        let patients = store.patients();
+        let (own, other) = (store.streams_of(patients[0]), store.streams_of(patients[1]));
+        for (a, b) in [(own[0], own[0]), (own[0], own[1]), (own[0], other[0])] {
+            let relation = store.relation(a, b).unwrap();
+            let (a, b) = (store.stream(a).unwrap(), store.stream(b).unwrap());
+            let got = stream_distance(&a, &b, relation, &params, &cfg);
+            let want = stream_distance_oracle(&a, &b, relation, &params, &cfg);
+            prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{:?}: {:?} vs {:?}", relation, got, want);
+        }
+    }
+
     /// Tightening delta only ever shrinks the match set (monotonicity),
     /// and the shrunken set is a prefix of the larger one.
     #[test]
@@ -571,6 +626,48 @@ proptest! {
         prop_assert!(tight.len() <= loose.len());
         prop_assert_eq!(&loose[..tight.len()], &tight[..]);
     }
+}
+
+/// Definition 3 as the paper states it: every length-`n` window of `R`
+/// (every `stride`-th start) queries `S`; each window of `S` with the same
+/// state order is scored by `online_distance` at flat vertex weights
+/// (`wi_base = 1`), skipping the query's own window when `R` is `S`; a
+/// query with fewer than `k` such windows is an outlier, otherwise it
+/// contributes the forward mean of its `k` smallest distances (by
+/// `total_cmp`); the directed distance is the mean over the non-outlier
+/// queries, and the two directions are averaged.
+fn stream_distance_oracle(
+    a: &MotionStream,
+    b: &MotionStream,
+    relation: SourceRelation,
+    params: &Params,
+    cfg: &StreamDistanceConfig,
+) -> Option<f64> {
+    let flat = Params {
+        wi_base: 1.0,
+        ..params.clone()
+    };
+    let (n, k) = (cfg.len_segments, params.k_retrieve);
+    let directed = |r: &MotionStream, s: &MotionStream| -> Option<f64> {
+        let (rv, sv) = (r.plr.vertices(), s.plr.vertices());
+        let (mut total, mut queries) = (0.0, 0usize);
+        for start in (0..rv.len().saturating_sub(n)).step_by(cfg.stride) {
+            let query = &rv[start..=start + n];
+            let mut dists: Vec<f64> = (0..sv.len().saturating_sub(n))
+                .filter(|&j| !(r.meta.id == s.meta.id && j == start))
+                .map(|j| &sv[j..=j + n])
+                .filter(|window| same_state_order(query, window))
+                .filter_map(|window| online_distance(query, window, &flat, relation))
+                .collect();
+            if dists.len() >= k {
+                dists.sort_by(f64::total_cmp);
+                total += dists[..k].iter().fold(0.0, |acc, d| acc + d) / k as f64;
+                queries += 1;
+            }
+        }
+        (queries > 0).then(|| total / queries as f64)
+    };
+    Some((directed(a, b)? + directed(b, a)?) * 0.5)
 }
 
 /// A match's fields, each float by its bits.

@@ -66,21 +66,6 @@ proptest! {
         }
     }
 
-    /// Offline distance equals online distance when the vertex-weight base
-    /// is 1 (flat weights).
-    #[test]
-    fn offline_equals_flat_online((a, b) in window_pair()) {
-        let p = Params { wi_base: 1.0, ..Params::default() };
-        let rel = SourceRelation::SameSession;
-        let on = online_distance(&a, &b, &p, rel);
-        let off = offline_distance(&a, &b, &p, rel);
-        match (on, off) {
-            (Some(x), Some(y)) => prop_assert!((x - y).abs() < 1e-9),
-            (None, None) => {}
-            _ => prop_assert!(false, "gate divergence"),
-        }
-    }
-
     /// Baseline shifts never change the distance (offset-translation
     /// insensitivity).
     #[test]

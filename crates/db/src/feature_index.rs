@@ -133,7 +133,7 @@ impl FeatureIndex {
                         subseq: SubseqRef::new(sf.meta.id, start, len),
                         stream: sf.meta.id,
                         amp_sum: sf.amp_sum(start, len),
-                        duration: sf.times[start + len] - sf.times[start],
+                        duration: sf.window_duration(start, len),
                     });
                 }
             }

@@ -6,7 +6,7 @@
 //! [`tsm_model::Segment`] values per candidate window recomputes all of
 //! them `O(windows × len)` times; this module computes each once per
 //! stored segment and lays the results out as flat arrays (structure of
-//! arrays), plus prefix sums of duration. Every column is f64: the
+//! arrays), plus the vertex times. Every column is f64: the
 //! matcher's state gate, its amplitude and duration bands and its exact
 //! scorer all read these columns directly. A window's amplitude summary is
 //! a direct forward sum ([`abs_disp_sum`]) rather than a prefix-sum
@@ -36,8 +36,7 @@ pub fn abs_disp_sum(disp: &[f64]) -> f64 {
 /// Flat per-segment features of one stream, along one classification axis.
 ///
 /// All segment-indexed vectors have `num_segments()` entries; `times` has
-/// one per vertex and the duration prefix sums one more than the segment
-/// count.
+/// one per vertex.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamFeatures {
     /// Provenance of the stream these features describe.
@@ -54,8 +53,6 @@ pub struct StreamFeatures {
     /// Breathing state of each segment, as [`tsm_model::BreathState`]
     /// canonical indices.
     pub states: Vec<u8>,
-    /// Prefix sums of `dur`: `dur_prefix[j] = Σ_{i<j} dur[i]`.
-    pub dur_prefix: Vec<f64>,
 }
 
 impl StreamFeatures {
@@ -68,9 +65,6 @@ impl StreamFeatures {
         let mut dvec = Vec::with_capacity(nseg);
         let mut dur = Vec::with_capacity(nseg);
         let mut states = Vec::with_capacity(nseg);
-        let mut dur_prefix = Vec::with_capacity(nseg + 1);
-        dur_prefix.push(0.0);
-        let mut dur_acc = 0.0f64;
         for w in vertices.windows(2) {
             let s = Segment::between(&w[0], &w[1]);
             times.push(w[0].time);
@@ -79,8 +73,6 @@ impl StreamFeatures {
             dvec.push(s.end_position - s.start_position);
             dur.push(s.duration());
             states.push(w[0].state.index() as u8);
-            dur_acc += s.duration();
-            dur_prefix.push(dur_acc);
         }
         if let Some(last) = vertices.last() {
             times.push(last.time);
@@ -92,7 +84,6 @@ impl StreamFeatures {
             dvec,
             dur,
             states,
-            dur_prefix,
         }
     }
 
@@ -109,10 +100,12 @@ impl StreamFeatures {
         abs_disp_sum(&self.disp[start..start + len])
     }
 
-    /// Total duration of the window of `len` segments starting at `start`.
+    /// Total duration of the window of `len` segments starting at
+    /// `start`: its end time minus its start time, one subtraction. Both
+    /// search plans band on this value and the index stores it.
     #[inline]
     pub fn window_duration(&self, start: usize, len: usize) -> f64 {
-        self.dur_prefix[start + len] - self.dur_prefix[start]
+        self.times[start + len] - self.times[start]
     }
 }
 
@@ -294,7 +287,6 @@ mod tests {
         let f = store.segment_features(0);
         let sf = f.stream(id).unwrap();
         assert_eq!(sf.num_segments(), 1);
-        assert_eq!(sf.dur_prefix, vec![0.0, 1.0]);
         assert_eq!(sf.amp_sum(0, 1), 1.0);
         assert!(f.stream(StreamId(9)).is_none());
     }

@@ -661,10 +661,10 @@ fn encode_snapshot(store: &StreamStore, covered: u64) -> Result<(Vec<u8>, u64), 
     buf.extend_from_slice(&(store_bytes.len() as u64).to_le_bytes());
     buf.extend_from_slice(&store_bytes);
     // Feature-index summaries: one axis (the classification axis), per
-    // stream the segment count and the amplitude/duration totals the
-    // columnar features prefix-sum to. Recovery rebuilds the features
-    // and verifies against these, so a restarted node knows its
-    // rebuilt index matches the pre-crash one.
+    // stream the segment count, the amplitude total and the duration
+    // (end time minus start time) of the whole stream. Recovery rebuilds
+    // the features and verifies against these, so a restarted node knows
+    // its rebuilt index matches the pre-crash one.
     buf.extend_from_slice(&1u32.to_le_bytes());
     buf.extend_from_slice(&0u32.to_le_bytes());
     let streams = features.streams();
@@ -1327,6 +1327,38 @@ mod tests {
         assert_eq!(leftover_segments, 1, "only the active segment remains");
         // Unchanged coverage → no new snapshot.
         assert!(writer.checkpoint(&store).unwrap().is_none());
+    }
+
+    /// Older snapshots store each stream's duration as the forward sum of
+    /// its segment durations, not as its end time minus its start time.
+    /// The two differ in the last bits, and such a summary still
+    /// verifies within the 1e-9 relative tolerance, which a real
+    /// disagreement exceeds.
+    #[test]
+    fn summed_duration_summaries_still_verify() {
+        let vs: Vec<Vertex> = (0..400)
+            .map(|i| {
+                let t = 0.1 + 0.3 * i as f64 + 0.0137 * (i % 7) as f64;
+                let (amp, state) = if i % 2 == 0 {
+                    (10.0, Exhale)
+                } else {
+                    (0.0, Inhale)
+                };
+                Vertex::new_1d(t, amp, state)
+            })
+            .collect();
+        let store = StreamStore::new();
+        let p = store.add_patient(PatientAttributes::new());
+        store.add_stream(p, 0, PlrTrajectory::from_vertices(vs).unwrap(), 400);
+        let features = store.segment_features(0);
+        let sf = &features.streams()[0];
+        let nseg = sf.num_segments();
+        let summed = sf.dur.iter().fold(0.0, |acc, d| acc + d);
+        assert_ne!(summed.to_bits(), sf.window_duration(0, nseg).to_bits());
+        let amp = sf.amp_sum(0, nseg);
+        assert!(verify_summaries(&store, &[(nseg as u64, amp, summed)]));
+        let off = summed * (1.0 + 1e-6);
+        assert!(!verify_summaries(&store, &[(nseg as u64, amp, off)]));
     }
 
     #[test]

@@ -60,10 +60,7 @@ fn main() {
         len_segments: 9,
         stride: 3,
     };
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let dm = patient_distance_matrix(&store, &params, &sdc, threads);
+    let dm = patient_distance_matrix(&store, &params, &sdc);
 
     // Cluster and evaluate against the latent phenotypes.
     let labels = k_medoids(&dm, 4, 100);

@@ -33,7 +33,7 @@ fn k_medoids_recovers_phenotypes() {
         len_segments: 9,
         stride: 3,
     };
-    let (labels, dm) = cluster_patients(&b, &params, &cfg, 4, 4);
+    let (labels, dm) = cluster_patients(&b, &params, &cfg, 4);
     let ari = adjusted_rand_index(&labels, &b.labels);
     assert!(
         ari > 0.5,
@@ -71,7 +71,7 @@ fn correlation_discovery_ranks_the_built_in_correlate_high() {
         len_segments: 9,
         stride: 3,
     };
-    let (labels, _) = cluster_patients(&b, &params, &cfg, 4, 4);
+    let (labels, _) = cluster_patients(&b, &params, &cfg, 4);
     let attrs: Vec<_> = b
         .patients
         .iter()
