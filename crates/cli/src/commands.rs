@@ -821,9 +821,16 @@ pub fn serve(args: &Args) -> Result<(), String> {
 pub fn cluster(args: &Args) -> Result<(), String> {
     let store = load(args)?;
     let k = args.num_flag("k", 4usize)?;
+    if k == 0 {
+        return Err("--k must be at least 1".into());
+    }
+    let len_segments = args.num_flag("len", 9usize)?;
+    if len_segments == 0 {
+        return Err("--len must be at least 1".into());
+    }
     let params = Params::default();
     let cfg = StreamDistanceConfig {
-        len_segments: args.num_flag("len", 9usize)?,
+        len_segments,
         stride: args.num_flag("stride", 3usize)?,
     };
     eprintln!("computing patient distances ...");

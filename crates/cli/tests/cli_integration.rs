@@ -251,6 +251,44 @@ fn small_store(name: &str) -> PathBuf {
     store_path
 }
 
+/// `tsm cluster FLAG 0` exits 1 with an error naming the flag and
+/// prints no clustering.
+fn assert_cluster_rejects_zero(flag: &str) {
+    let store_path = small_store(&format!("cluster_zero{flag}.tsmdb"));
+    let o = tsm(&[
+        "cluster",
+        "--store",
+        store_path.to_str().unwrap(),
+        flag,
+        "0",
+    ]);
+    std::fs::remove_file(&store_path).ok();
+    assert_eq!(o.status.code(), Some(1), "cluster {flag} 0: {}", stderr(&o));
+    assert!(
+        stderr(&o).contains(&format!("error: {flag} must be at least 1")),
+        "{}",
+        stderr(&o)
+    );
+    assert!(
+        stdout(&o).is_empty(),
+        "cluster {flag} 0 printed a clustering"
+    );
+}
+
+/// `--k 0` must stop before the silhouette, which panics on a
+/// clustering with no labels.
+#[test]
+fn cluster_rejects_zero_k() {
+    assert_cluster_rejects_zero("--k");
+}
+
+/// `--len 0` has no stream distance, so every pair would sit at the
+/// fallback distance and the clustering would mean nothing.
+#[test]
+fn cluster_rejects_zero_len() {
+    assert_cluster_rejects_zero("--len");
+}
+
 #[test]
 fn zero_valued_flags_are_rejected_cleanly() {
     let store_path = small_store("zeroflags.tsmdb");

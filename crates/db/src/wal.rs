@@ -5,10 +5,11 @@
 //! since the last explicit save. This module adds incremental
 //! durability on top of any [`DurableBackend`]:
 //!
-//! * **WAL segments** (`wal-{first_seq:016x}.log`): append-only files
-//!   of checksummed records, fsynced on commit. A record carries one
-//!   vertex batch (or a session-end marker) for one `(patient,
-//!   session)` stream.
+//! * **WAL segments** (`wal-{first_seq:016x}.log`): checksummed
+//!   records written back to back into preallocated, zero-filled space
+//!   and synced on commit (see the segment layout below). A record
+//!   carries one vertex batch (or a session-end marker) for one
+//!   `(patient, session)` stream.
 //! * **Snapshots** (`snap-{covered_seq:016x}.tsmdb`): periodic
 //!   compactions — a full store image (the [`crate::persist`] format,
 //!   so the existing salvage machinery applies) plus per-stream
@@ -18,7 +19,8 @@
 //!   older ones), then replay WAL records with `seq > covered_seq` in
 //!   order. Torn tails are truncated to the last valid record — never a
 //!   hard error — and everything is reported in a structured
-//!   [`WalRecoveryReport`].
+//!   [`WalRecoveryReport`]. A zero-filled tail is not torn (see the
+//!   clean-end rule below).
 //!
 //! ## Record wire format (little-endian)
 //!
@@ -38,17 +40,49 @@
 //! u64     FNV-1a over everything above (len, seq, body)
 //! ```
 //!
-//! Each segment file starts with the 8-byte magic `TSMWAL\x01\x00`.
+//! `body_len` is at least the fixed body, so a record's length field
+//! is never 0.
+//!
+//! ## Segment layout
+//!
+//! ```text
+//! magic (8 B) | record seq | record seq+1 | ... | 00 00 ... 00
+//!                                               ^ end of the last record;
+//!                                                 the next one goes here
+//! ```
+//!
+//! Each segment file starts with the 8-byte magic `TSMWAL\x01\x00`,
+//! then holds its records back to back, then a zero-filled tail of
+//! preallocated space. Creating a segment writes only its magic. When a
+//! record does not fit in the tail, the writer first appends a
+//! zero-filled chunk of 64 KiB, capped so the segment stays within
+//! [`WalConfig::segment_max_bytes`] but never too small to hold the
+//! record; then it overwrites the start of the tail with the record
+//! ([`DurableBackend::write_at`]). A roll trims the sealed segment to
+//! its records.
+//!
+//! **The clean-end rule.** Since no length field is 0, an all-zero
+//! remainder after the last valid record is the clean end of a
+//! segment, not damage: recovery neither reports nor truncates it, puts
+//! the writer at the end of the last valid record and keeps the
+//! preallocated space. A remainder that is not all zeros is a torn
+//! tail and is truncated to the last valid record.
 //!
 //! ## The fsync/ack contract
 //!
-//! [`WalWriter::append_batch`] returns only after the record bytes are
-//! appended *and* (with [`WalConfig::fsync_appends`], the default)
-//! fsynced. An acknowledgement sent after that return therefore has
-//! RPO = 0: recovery replays every acknowledged record. Any append or
-//! sync error permanently fails the writer — continuing to append past
-//! a possibly-torn region could strand later acknowledged records
-//! behind an unreadable one.
+//! [`WalWriter::append_batch`] returns only after the record is written
+//! into its segment *and* (with [`WalConfig::fsync_appends`], the
+//! default) that segment is synced under the writer's lock. One sync
+//! covers each acknowledged record: it persists the record's bytes and,
+//! when the record needed a new chunk, the chunk and the segment's new
+//! size with them. A record written into space an earlier sync already
+//! covered changes no metadata, so its sync (`fdatasync` on
+//! [`crate::FileBackend`]) writes the record's pages and nothing else.
+//! An acknowledgement sent after that return therefore has RPO = 0:
+//! recovery replays every acknowledged record. Any append or sync error
+//! permanently fails the writer — continuing to append past a
+//! possibly-torn region could strand later acknowledged records behind
+//! an unreadable one.
 //!
 //! ## What a checkpoint may cover
 //!
@@ -75,6 +109,10 @@ const SNAP_VERSION: u32 = 1;
 const BODY_FIXED: usize = 1 + 4 + 4 + 4 + 8 + 1 + 4;
 /// Plausibility cap on a record body (a batch this size is absurd).
 const MAX_BODY: usize = 1 << 26;
+/// Bytes of zeros the writer appends to the active segment when a
+/// record does not fit in its preallocated tail (capped by
+/// [`WalConfig::segment_max_bytes`], never too small for the record).
+const PREALLOC_CHUNK: u64 = 64 << 10;
 
 /// Name of the segment whose first record is `first_seq`.
 pub fn segment_name(first_seq: u64) -> String {
@@ -110,7 +148,8 @@ enum ObjectKind {
 #[derive(Debug, Clone)]
 pub struct WalConfig {
     /// Segment roll threshold in bytes (the active segment rolls when a
-    /// record would push it past this).
+    /// record would push it past this). Preallocation stays within it
+    /// too, except for a lone record larger than a whole segment.
     pub segment_max_bytes: u64,
     /// Fsync every append before returning (the RPO = 0 contract).
     /// Disable only for throughput experiments where losing the OS
@@ -197,7 +236,11 @@ pub struct AppendReceipt {
 struct WriterState {
     next_seq: u64,
     segment: String,
+    /// End of the active segment's last record: where the next one goes.
     segment_bytes: u64,
+    /// Size of the active segment: `segment_bytes` plus its zero-filled,
+    /// preallocated tail.
+    segment_len: u64,
     /// First record seq of each still-open `(patient, session)` — the
     /// records a checkpoint must not cover.
     open_sessions: BTreeMap<(u32, u32), u64>,
@@ -342,21 +385,37 @@ impl WalWriter {
         seq: u64,
         bytes: &[u8],
     ) -> Result<bool, PersistError> {
-        let seg_len = SEG_MAGIC.len() as u64;
-        if st.segment_bytes > seg_len
-            && st.segment_bytes + bytes.len() as u64 > self.config.segment_max_bytes
-        {
-            // Roll: seal the active segment, then durably create the
-            // next one (data sync + root sync so the new name survives).
+        let magic_len = SEG_MAGIC.len() as u64;
+        let len = bytes.len() as u64;
+        if st.segment_bytes > magic_len && st.segment_bytes + len > self.config.segment_max_bytes {
+            // Roll: seal the active segment and trim it to its records,
+            // then durably create the next one (data sync + root sync
+            // so the new name survives).
             self.backend.sync(&st.segment)?;
+            if st.segment_len > st.segment_bytes {
+                self.backend.truncate(&st.segment, st.segment_bytes)?;
+            }
             let name = segment_name(seq);
             self.backend.append(&name, SEG_MAGIC)?;
             self.backend.sync(&name)?;
             self.backend.sync_root()?;
             st.segment = name;
-            st.segment_bytes = seg_len;
+            st.segment_bytes = magic_len;
+            st.segment_len = magic_len;
         }
-        self.backend.append(&st.segment, bytes)?;
+        if st.segment_bytes + len > st.segment_len {
+            // Past the roll check, `need <= room` unless the record is
+            // alone in its segment, so only a lone oversized record
+            // grows a segment beyond `segment_max_bytes`.
+            let need = st.segment_bytes + len - st.segment_len;
+            let room = self.config.segment_max_bytes.saturating_sub(st.segment_len);
+            let chunk = PREALLOC_CHUNK.min(room).max(need);
+            // `chunk` is at most 64 KiB or part of the record's length.
+            self.backend.append(&st.segment, &vec![0; chunk as usize])?;
+            st.segment_len += chunk;
+        }
+        self.backend
+            .write_at(&st.segment, st.segment_bytes, bytes)?;
         if self.config.fsync_appends {
             self.backend.sync(&st.segment)?;
             Ok(true)
@@ -516,7 +575,7 @@ struct SegmentScan {
     records: Vec<WalRecord>,
     /// Byte length of the valid prefix (magic + intact records).
     valid_len: usize,
-    /// Why scanning stopped early, if it did.
+    /// Why scanning stopped before a clean end, if it did.
     torn: Option<String>,
 }
 
@@ -532,7 +591,11 @@ fn scan_segment(data: &[u8], expected_first: u64) -> SegmentScan {
     let mut offset = SEG_MAGIC.len();
     let mut expected_seq = expected_first;
     let torn = loop {
-        if offset == data.len() {
+        // The clean-end rule: no record starts with a zero length, so
+        // an all-zero remainder (empty included) is preallocated space.
+        // A record's length field has a nonzero byte among its first
+        // four, so this stops early everywhere but at the tail.
+        if data[offset..].iter().all(|&b| b == 0) {
             break None;
         }
         match decode_record_at(data, offset, expected_seq) {
@@ -933,7 +996,8 @@ pub fn recover_with_base(
     let mut accums: BTreeMap<(u32, u32), SessionAccum> = BTreeMap::new();
     let mut expected_next: Option<u64> = None;
     let mut last_seq = covered;
-    let mut active: Option<(String, u64)> = None;
+    // The last segment, with the end of its last record and its size.
+    let mut active: Option<(String, u64, u64)> = None;
     let mut gap_at: Option<usize> = None;
     for (i, &first) in segments.iter().enumerate() {
         let name = segment_name(first);
@@ -970,9 +1034,10 @@ pub fn recover_with_base(
                 // Header never made it down; the file holds nothing.
                 backend.remove(&name)?;
             } else {
-                backend.truncate(&name, scan.valid_len as u64)?;
+                let valid_len = scan.valid_len as u64;
+                backend.truncate(&name, valid_len)?;
                 if is_last {
-                    active = Some((name.clone(), scan.valid_len as u64));
+                    active = Some((name.clone(), valid_len, valid_len));
                 }
             }
             if !is_last {
@@ -982,7 +1047,7 @@ pub fn recover_with_base(
         }
         expected_next = scan.records.last().map(|r| r.seq + 1).or(expected_next);
         if is_last {
-            active = Some((name, data.len() as u64));
+            active = Some((name, scan.valid_len as u64, data.len() as u64));
         }
     }
     // 3. Records beyond a gap (or after a torn mid-sequence segment)
@@ -1024,16 +1089,18 @@ pub fn recover_with_base(
         store.segment_features(0);
     }
 
-    // 6. Position the writer after the last valid record.
+    // 6. Position the writer after the last valid record, keeping any
+    // preallocated space behind it.
     let next_seq = last_seq + 1;
-    let (segment, segment_bytes) = match active {
-        Some((name, bytes)) => (name, bytes),
+    let (segment, segment_bytes, segment_len) = match active {
+        Some(active) => active,
         None => {
             let name = segment_name(next_seq);
             backend.append(&name, SEG_MAGIC)?;
             backend.sync(&name)?;
             backend.sync_root()?;
-            (name, SEG_MAGIC.len() as u64)
+            let magic_len = SEG_MAGIC.len() as u64;
+            (name, magic_len, magic_len)
         }
     };
     let writer = WalWriter {
@@ -1043,6 +1110,7 @@ pub fn recover_with_base(
             next_seq,
             segment,
             segment_bytes,
+            segment_len,
             open_sessions: pinned,
             last_covered: report.snapshot_seq.unwrap_or(0),
             appends_since_checkpoint: 0,
@@ -1237,10 +1305,11 @@ mod tests {
         let writer = fresh_writer(&backend);
         writer.append_batch(0, 0, 0, 30, &verts(0.0, 4)).unwrap();
         writer.append_batch(0, 0, 0, 60, &verts(4.0, 4)).unwrap();
-        // Tear the tail: drop the last 5 bytes of the segment.
+        // Tear the tail: drop the last 5 bytes of the last record (and
+        // the preallocated space behind it).
         let seg = segment_name(1);
-        let len = backend.size(&seg).unwrap().unwrap();
-        backend.truncate(&seg, len - 5).unwrap();
+        let end = writer.lock_state().segment_bytes;
+        backend.truncate(&seg, end - 5).unwrap();
 
         let recovered = recover(backend.clone(), WalConfig::default()).unwrap();
         assert!(recovered.report.truncated_tail);
@@ -1281,6 +1350,208 @@ mod tests {
         assert_eq!(recovered.report.replayed_records, 10);
         assert_eq!(recovered.report.last_seq, 10);
         assert_eq!(recovered.store.total_vertices(), 40);
+    }
+
+    /// Parses a [`MemBackend`] op such as `write_at(wal-1.log,8,120)`
+    /// into its name and numeric arguments.
+    fn parse_op(op: &str) -> (&str, &str, Vec<u64>) {
+        let (kind, rest) = op.split_once('(').unwrap_or((op, ")"));
+        let mut args = rest.trim_end_matches(')').split(',');
+        let name = args.next().unwrap_or("");
+        (kind, name, args.map(|a| a.parse().unwrap()).collect())
+    }
+
+    /// No receipt precedes its covering sync. Each record's `write_at`,
+    /// and every chunk `append` its bytes landed in, come before a
+    /// `sync` of that segment, and that sync comes before
+    /// `append_batch` returns — for records that extend the segment by
+    /// a chunk, for records written into space preallocated earlier,
+    /// and across a segment roll.
+    #[test]
+    fn no_receipt_precedes_its_covering_sync() {
+        let mem = Arc::new(MemBackend::new());
+        let backend: Arc<dyn DurableBackend> = mem.clone();
+        let config = WalConfig {
+            segment_max_bytes: PREALLOC_CHUNK + PREALLOC_CHUNK / 2,
+            ..WalConfig::default()
+        };
+        let writer = recover(backend, config).unwrap().writer;
+        let batch = verts(0.0, 20);
+        // Per segment: its size, the end of its last record, and each
+        // chunk append as (start, end, op index).
+        let mut size: BTreeMap<String, u64> = BTreeMap::new();
+        let mut record_end: BTreeMap<String, u64> = BTreeMap::new();
+        let mut chunks: BTreeMap<String, Vec<(u64, u64, usize)>> = BTreeMap::new();
+        let (mut extending, mut trims) = (0, 0);
+        let mut logged = 0;
+        // Until the roll's new segment holds a record written in place.
+        let mut i = 0u64;
+        loop {
+            i += 1;
+            assert!(i < 2000, "no roll after {i} appends");
+            writer.append_batch(0, 0, 0, i, &batch).unwrap();
+            let ops = mem.ops();
+            // The receipt exists only now, after every op logged so far.
+            let (call_start, receipt) = (logged, ops.len());
+            logged = receipt;
+            let mut write = None;
+            for (ix, op) in ops.iter().enumerate().skip(call_start) {
+                let (kind, name, args) = parse_op(op);
+                let len = size.entry(name.to_string()).or_insert(0);
+                match kind {
+                    // The first append of a segment is its magic.
+                    "append" if *len > 0 => {
+                        chunks.entry(name.to_string()).or_default().push((
+                            *len,
+                            *len + args[0],
+                            ix,
+                        ));
+                        *len += args[0];
+                    }
+                    "append" => *len += args[0],
+                    "truncate" => {
+                        *len = args[0];
+                        trims += 1;
+                    }
+                    "write_at" => {
+                        assert!(write.is_none(), "two writes in one append: {op}");
+                        write = Some((ix, name.to_string(), args[0], args[0] + args[1]));
+                    }
+                    _ => {}
+                }
+            }
+            let (write_ix, segment, start, end) = write.expect("a write_at per record");
+            record_end.insert(segment.clone(), end);
+            let landed_in: Vec<usize> = chunks[&segment]
+                .iter()
+                .filter(|&&(lo, hi, _)| lo < end && start < hi)
+                .map(|&(_, _, ix)| ix)
+                .collect();
+            assert!(!landed_in.is_empty(), "record {i} outside every chunk");
+            let in_place = landed_in.iter().all(|&ix| ix < call_start);
+            if !in_place {
+                extending += 1;
+            }
+            let covered_from = landed_in.into_iter().chain([write_ix]).max().unwrap();
+            let sync = format!("sync({segment})");
+            assert!(
+                ops[covered_from + 1..receipt].contains(&sync),
+                "record {i}: no {sync} between its writes and its receipt: {:?}",
+                &ops[covered_from..receipt]
+            );
+            if chunks.len() == 2 && in_place {
+                break;
+            }
+        }
+        // Two chunks in the first segment, one in the second, and the
+        // sealed segment trimmed to its records at the roll.
+        assert_eq!(extending, 3, "chunks: {chunks:?}");
+        assert_eq!(trims, 1);
+        let first = segment_name(1);
+        assert_eq!(mem.size(&first).unwrap(), Some(record_end[&first]));
+    }
+
+    /// Recovery keeps the preallocated tail and continues inside it: the
+    /// next record is an overwrite, with no chunk appended.
+    #[test]
+    fn recovery_keeps_the_zero_tail_and_writes_into_it() {
+        let mem = Arc::new(MemBackend::new());
+        let backend: Arc<dyn DurableBackend> = mem.clone();
+        let writer = fresh_writer(&backend);
+        writer.append_batch(0, 0, 0, 30, &verts(0.0, 4)).unwrap();
+        let (end, len) = {
+            let st = writer.lock_state();
+            (st.segment_bytes, st.segment_len)
+        };
+        assert_eq!(len, SEG_MAGIC.len() as u64 + PREALLOC_CHUNK);
+        assert_eq!(mem.size(&segment_name(1)).unwrap(), Some(len));
+        drop(writer);
+
+        let rec = recover(backend.clone(), WalConfig::default()).unwrap();
+        assert!(!rec.report.truncated_tail, "{}", rec.report);
+        assert_eq!(rec.report.replayed_records, 1);
+        {
+            let st = rec.writer.lock_state();
+            assert_eq!((st.segment_bytes, st.segment_len), (end, len));
+        }
+        let second = verts(4.0, 4);
+        let record = encode_record(2, WalRecordKind::VertexBatch, 0, 0, 0, 60, &second).unwrap();
+        let before = mem.ops().len();
+        rec.writer.append_batch(0, 0, 0, 60, &second).unwrap();
+        let seg = segment_name(1);
+        assert_eq!(
+            mem.ops()[before..],
+            [
+                format!("write_at({seg},{end},{})", record.len()),
+                format!("sync({seg})")
+            ]
+        );
+        assert_eq!(mem.size(&seg).unwrap(), Some(len));
+        let again = recover(backend, WalConfig::default()).unwrap();
+        assert!(!again.report.truncated_tail);
+        assert_eq!(again.report.replayed_records, 2);
+    }
+
+    /// A record that straddles the end of the preallocated tail gets a
+    /// chunk no larger than the room left under `segment_max_bytes`,
+    /// even when that room is smaller than the record itself.
+    #[test]
+    fn preallocation_stays_within_the_segment_cap() {
+        let mem = Arc::new(MemBackend::new());
+        let backend: Arc<dyn DurableBackend> = mem.clone();
+        let config = WalConfig {
+            segment_max_bytes: SEG_MAGIC.len() as u64 + PREALLOC_CHUNK + 92,
+            ..WalConfig::default()
+        };
+        let writer = recover(backend, config.clone()).unwrap().writer;
+        let tail = || {
+            let st = writer.lock_state();
+            st.segment_len - st.segment_bytes
+        };
+        // 63-byte records until 34..97 zeros are left in the chunk.
+        let mut seq = 0;
+        while seq == 0 || tail() >= 97 {
+            seq += 1;
+            writer.append_batch(0, 0, 0, seq, &verts(0.0, 1)).unwrap();
+        }
+        assert!((34..97).contains(&tail()), "{}", tail());
+        // 97 bytes: too big for the tail and for the 92 bytes of room
+        // behind it, yet within the cap, so the segment does not roll.
+        writer
+            .append_batch(0, 0, 0, seq + 1, &verts(0.0, 3))
+            .unwrap();
+        let seg = segment_name(1);
+        assert_eq!(writer.lock_state().segment, seg);
+        assert_eq!(mem.size(&seg).unwrap(), Some(config.segment_max_bytes));
+        let rec = recover(mem.clone(), config).unwrap();
+        assert_eq!(rec.report.replayed_records, seq + 1);
+    }
+
+    /// A sealed segment whose trim did not survive a crash ends in
+    /// zeros. That is a clean end, so the later segments still replay.
+    #[test]
+    fn zero_tail_in_a_sealed_segment_is_no_gap() {
+        let backend = mem();
+        let config = WalConfig {
+            segment_max_bytes: 256,
+            ..WalConfig::default()
+        };
+        let writer = recover(backend.clone(), config.clone()).unwrap().writer;
+        for i in 0..6u64 {
+            writer
+                .append_batch(0, 0, 0, 30 * (i + 1), &verts(i as f64 * 4.0, 4))
+                .unwrap();
+        }
+        let first = segment_name(1);
+        let sealed = backend.size(&first).unwrap().unwrap();
+        assert!(writer.lock_state().segment != first, "no roll");
+        backend.append(&first, &[0; 100]).unwrap();
+        backend.sync(&first).unwrap();
+        let rec = recover(backend.clone(), config).unwrap();
+        assert!(!rec.report.truncated_tail, "{}", rec.report);
+        assert_eq!(rec.report.records_beyond_gap, 0, "{}", rec.report);
+        assert_eq!(rec.report.replayed_records, 6);
+        assert_eq!(backend.size(&first).unwrap(), Some(sealed + 100));
     }
 
     #[test]
@@ -1402,6 +1673,9 @@ mod tests {
         }
         fn append(&self, name: &str, bytes: &[u8]) -> std::io::Result<()> {
             self.inner.append(name, bytes)
+        }
+        fn write_at(&self, name: &str, offset: u64, bytes: &[u8]) -> std::io::Result<()> {
+            self.inner.write_at(name, offset, bytes)
         }
         fn sync(&self, name: &str) -> std::io::Result<()> {
             if self.armed.load(std::sync::atomic::Ordering::Relaxed) {

@@ -32,9 +32,9 @@ pub enum StorageFaultKind {
     /// The operation fails with an injected I/O error before touching
     /// the inner backend (a transient device error).
     FailOp,
-    /// An `append` writes only the first half of its bytes, then
-    /// errors (a short write / partial sector). Non-append operations
-    /// degrade to [`StorageFaultKind::FailOp`].
+    /// An `append` or `write_at` writes only the first half of its
+    /// bytes, then errors (a short write / partial sector). Other
+    /// operations degrade to [`StorageFaultKind::FailOp`].
     ShortWrite,
     /// A `sync`/`sync_root` reports success without making anything
     /// durable — the write-reordering model: the process believes the
@@ -250,6 +250,18 @@ impl DurableBackend for FaultedBackend {
         }
     }
 
+    fn write_at(&self, name: &str, offset: u64, bytes: &[u8]) -> io::Result<()> {
+        match self.fault_at_next_op() {
+            None | Some(StorageFaultKind::SilentSync) => self.inner.write_at(name, offset, bytes),
+            Some(StorageFaultKind::ShortWrite) => {
+                self.inner
+                    .write_at(name, offset, &bytes[..bytes.len() / 2])?;
+                Err(self.injected(StorageFaultKind::ShortWrite, "write_at"))
+            }
+            Some(kind) => Err(self.injected(kind, "write_at")),
+        }
+    }
+
     fn sync(&self, name: &str) -> io::Result<()> {
         match self.fault_at_next_op() {
             None => self.inner.sync(name),
@@ -343,6 +355,22 @@ mod tests {
     }
 
     #[test]
+    fn short_write_at_overwrites_half_the_bytes() {
+        let mem = Arc::new(MemBackend::new());
+        mem.append("a", &[0u8; 12]).unwrap();
+        let plan = StorageFaultPlan::empty()
+            .with(0, StorageFaultKind::ShortWrite)
+            .with(1, StorageFaultKind::FailOp);
+        let faulted = FaultedBackend::with_mem(mem.clone(), &plan);
+        assert!(faulted.write_at("a", 2, b"abcdef").is_err());
+        assert_eq!(mem.read("a").unwrap(), b"\0\0abc\0\0\0\0\0\0\0");
+        assert!(faulted.write_at("a", 2, b"abcdef").is_err());
+        assert_eq!(mem.read("a").unwrap(), b"\0\0abc\0\0\0\0\0\0\0");
+        faulted.write_at("a", 2, b"abcdef").unwrap();
+        assert_eq!(mem.read("a").unwrap(), b"\0\0abcdef\0\0\0\0");
+    }
+
+    #[test]
     fn silent_sync_loses_data_at_crash() {
         let mem = Arc::new(MemBackend::new());
         let plan = StorageFaultPlan::empty().with(1, StorageFaultKind::SilentSync);
@@ -364,6 +392,13 @@ mod tests {
                                       // Op 3: power loss before the append lands — the synced prefix
                                       // survives, the new bytes never existed.
         assert!(faulted.append("a", b" lost").is_err());
+        assert_eq!(mem.read("a").unwrap(), b"kept");
+        // Power loss during an overwrite undoes the unsynced one before
+        // it too.
+        let plan = StorageFaultPlan::empty().with(1, StorageFaultKind::Crash);
+        let faulted = FaultedBackend::with_mem(mem.clone(), &plan);
+        faulted.write_at("a", 0, b"K").unwrap(); // op 0
+        assert!(faulted.write_at("a", 1, b"E").is_err()); // op 1: crash
         assert_eq!(mem.read("a").unwrap(), b"kept");
     }
 }

@@ -610,7 +610,11 @@ fn is_persistence_module(scanned: &ScannedFile) -> bool {
 /// like every rule here: each file-open site must be followed, in code
 /// order, by a `sync_all`/`sync_data` that comes before the next
 /// `rename(`; a file opened for writing and never synced at all is
-/// flagged too, as is a `write_all` with no reachable sync after it.
+/// flagged too, as is a write with no reachable sync after it. The
+/// writes are `write_all(` and the positional `write_all_at(` and
+/// `write_at(`. `write_at(` is also the `DurableBackend` overwrite, so
+/// for it the backend's own durability point, a `.sync(` call, counts
+/// as a sync too. A `fn` definition of a write method is not a write.
 fn no_unsynced_persist(scanned: &ScannedFile, class: FileClass, out: &mut Vec<Finding>) {
     if !class.is_lib() || !is_persistence_module(scanned) {
         return;
@@ -650,17 +654,33 @@ fn no_unsynced_persist(scanned: &ScannedFile, class: FileClass, out: &mut Vec<Fi
             }
         }
     }
-    for (off, _) in scanned.code.match_indices("write_all(") {
-        if next_of(SYNCS, off + "write_all(".len()).is_none() {
-            emit(
-                scanned,
-                out,
-                "no-unsynced-persist",
-                off,
-                "write_all with no reachable sync_all/sync_data after it; an \
-                 acknowledgement here would have RPO > 0"
-                    .to_string(),
-            );
+    const WRITES: &[(&str, &[&str])] = &[
+        ("write_all(", SYNCS),
+        ("write_all_at(", SYNCS),
+        ("write_at(", &["sync_all(", "sync_data(", ".sync("]),
+    ];
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    for &(needle, syncs) in WRITES {
+        for (off, _) in scanned.code.match_indices(needle) {
+            let before = &scanned.code[..off];
+            let whole_word = !before.ends_with(is_ident);
+            let definition = before
+                .trim_end()
+                .strip_suffix("fn")
+                .is_some_and(|rest| !rest.ends_with(is_ident));
+            if whole_word && !definition && next_of(syncs, off + needle.len()).is_none() {
+                let write = needle.trim_end_matches('(');
+                emit(
+                    scanned,
+                    out,
+                    "no-unsynced-persist",
+                    off,
+                    format!(
+                        "{write} with no reachable sync after it; an acknowledgement \
+                         here would have RPO > 0"
+                    ),
+                );
+            }
         }
     }
 }
@@ -819,6 +839,23 @@ mod tests {
             rules,
             vec![(2, "no-unsynced-persist"), (3, "no-unsynced-persist")]
         );
+    }
+
+    #[test]
+    fn unsynced_persist_covers_positional_writes() {
+        let src = "fn f(f: &std::fs::File) -> std::io::Result<()> {\n    f.write_all_at(b\"x\", 8)?;\n    f.sync_data()\n}\n\
+                   fn g(b: &dyn DurableBackend) -> std::io::Result<()> {\n    b.write_at(\"seg\", 8, b\"x\")?;\n    b.sync(\"seg\")\n}\n\
+                   fn h(b: &dyn DurableBackend) -> std::io::Result<()> {\n    b.write_at(\"seg\", 8, b\"x\")\n}\n\
+                   fn write_at(&self) {}\nfn overwrite_at(x: u8) {}\nfn k() { overwrite_at(1); }\n";
+        let lines: Vec<_> = findings(src, FileClass::CoreLib)
+            .iter()
+            .map(|f| (f.line, f.rule))
+            .collect();
+        // Only h's overwrite, which reaches no sync, fires.
+        assert_eq!(lines, vec![(10, "no-unsynced-persist")]);
+        // A positional file write is not satisfied by a backend sync.
+        let src = "fn f(f: &std::fs::File, b: &dyn DurableBackend) -> std::io::Result<()> {\n    f.write_all_at(b\"x\", 8)?;\n    b.sync(\"seg\")\n}\n";
+        assert_eq!(findings(src, FileClass::CoreLib).len(), 1);
     }
 
     #[test]

@@ -8,6 +8,13 @@ fn clean_publish(bytes: &[u8]) -> std::io::Result<()> {
     Ok(())
 }
 
+fn clean_positional_commit(f: &std::fs::File, backend: &dyn Backend, bytes: &[u8]) -> std::io::Result<()> {
+    f.write_all_at(bytes, 8)?;
+    f.sync_data()?;
+    backend.write_at("seg", 8, bytes)?;
+    backend.sync("seg")
+}
+
 fn fires_rename_before_sync(bytes: &[u8]) -> std::io::Result<()> {
     let f = std::fs::File::create("b.tmp")?;
     f.write_all(bytes)?;
@@ -20,6 +27,15 @@ fn fires_never_synced(bytes: &[u8]) -> std::io::Result<()> {
     let f = std::fs::File::create("c")?;
     f.write_all(bytes)?;
     Ok(())
+}
+
+fn fires_positional_never_synced(f: &std::fs::File, backend: &dyn Backend, bytes: &[u8]) -> std::io::Result<()> {
+    f.write_all_at(bytes, 8)?;
+    backend.write_at("seg", 8, bytes)
+}
+
+trait Backend {
+    fn write_at(&self, name: &str, offset: u64, bytes: &[u8]) -> std::io::Result<()>;
 }
 
 fn suppressed() -> std::io::Result<()> {

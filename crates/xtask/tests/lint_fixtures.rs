@@ -122,18 +122,21 @@ fn unsafe_in_kernel_fixture() {
 
 #[test]
 fn unsynced_persist_fixture() {
-    // Line 12: File::create whose data is renamed (line 14) before the
-    // sync (line 15). Line 20: opened and never synced. Line 21: the
-    // matching unsynced write_all. The clean publish sequence, the
-    // suppressed scratch file, the string trap, and the `#[cfg(test)]`
-    // module stay silent.
+    // Line 19: File::create whose data is renamed (line 21) before the
+    // sync (line 22). Line 27: opened and never synced. Line 28: the
+    // matching unsynced write_all. Lines 33 and 34: a positional file
+    // write and a backend overwrite that reach no sync. The clean
+    // publish sequence, the clean positional commit (lines 12 and 14,
+    // each followed by its sync), the `write_at` definition (line 38),
+    // the suppressed scratch file, the string trap, and the
+    // `#[cfg(test)]` module stay silent.
     assert_eq!(
         lint_fixture("unsynced_persist.rs", FileClass::CoreLib),
-        all("no-unsynced-persist", &[12, 20, 21])
+        all("no-unsynced-persist", &[19, 27, 28, 33, 34])
     );
     assert_eq!(
         lint_fixture("unsynced_persist.rs", FileClass::Kernel),
-        all("no-unsynced-persist", &[12, 20, 21])
+        all("no-unsynced-persist", &[19, 27, 28, 33, 34])
     );
     // Only library code is bound; tooling and tests are exempt.
     assert!(lint_fixture("unsynced_persist.rs", FileClass::Tooling).is_empty());
